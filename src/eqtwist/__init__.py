@@ -13,7 +13,7 @@ from .bredon import (EdgePathProvider, EquivariantCochains,
                      untwisted_complex)
 from .cartan import (CartanTheory, LiftSystem, canonical_theory,
                      check_axioms, crosscheck_theorem, kernel_term,
-                     theory_cohomology, vertical_homotopy_oracle)
+                     theory_cohomology, vertical_homotopy)
 from .coefficients import CoefficientSystem, LocalSystem
 from .equivariant import GSimplicialSet, OGComplex, fixed_point_system
 from .groups import FiniteGroup, OrbitCategory, Subgroup

@@ -259,14 +259,6 @@ def subgroup_from_generators(
     return sub, AbHom(sub, g, kmat, check=False)
 
 
-def quotient_by(g: FgAbGroup, vectors: Sequence[Sequence[int]]) -> FgAbGroup:
-    """g modulo the subgroup generated by the given elements."""
-    if not vectors:
-        return g
-    extra = IntMatrix.from_cols(vectors, g.ngens)
-    return FgAbGroup(g.ngens, IntMatrix.hstack([g.rels, extra]))
-
-
 class Subquotient:
     """ker(out)/im(inc) at a fixed term of a cochain complex.
 

@@ -18,8 +18,7 @@ bad twist cannot slip through silently.
 
 from __future__ import annotations
 
-from .abgroups import (AbHom, CochainComplex, FgAbGroup, assemble_hom,
-                       direct_sum)
+from .abgroups import AbHom, CochainComplex, assemble_hom, direct_sum
 from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice, loop_of_simplex
 from .equivariant import GSimplicialSet, OGComplex
@@ -153,32 +152,18 @@ def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
                         target_sum=ec.groups[n + 1])
 
 
-def coboundary(ec: EquivariantCochains, n: int) -> AbHom:
-    """The untwisted delta^n, assembled without any provider branch."""
-    blocks: dict[tuple[int, int], IntMatrix] = {}
-    for xi, ox in enumerate(ec.orbits[n + 1]):
-        xref = nondeg(ox.rep)
-        for i in range(n + 2):
-            fb = _face_block(ec, ox.stab_key, n, ec.gx.space.face(i, xref))
-            if fb is None:
-                continue
-            j, hom = fb
-            mat = hom.matrix if i % 2 == 0 else -hom.matrix
-            prev = blocks.get((xi, j))
-            blocks[(xi, j)] = mat if prev is None else prev + mat
-    return assemble_hom(ec.summands[n], ec.summands[n + 1], blocks,
-                        source_sum=ec.groups[n],
-                        target_sum=ec.groups[n + 1])
-
-
 def twisted_complex(ec: EquivariantCochains, provider) -> CochainComplex:
     diffs = [twisted_coboundary(ec, provider, n) for n in range(ec.nmax)]
     return CochainComplex([ec.groups[n] for n in range(ec.nmax + 1)], diffs)
 
 
+def coboundary(ec: EquivariantCochains, n: int) -> AbHom:
+    """The untwisted delta^n."""
+    return twisted_coboundary(ec, TrivialTwistProvider(ec.system), n)
+
+
 def untwisted_complex(ec: EquivariantCochains) -> CochainComplex:
-    diffs = [coboundary(ec, n) for n in range(ec.nmax)]
-    return CochainComplex([ec.groups[n] for n in range(ec.nmax + 1)], diffs)
+    return twisted_complex(ec, TrivialTwistProvider(ec.system))
 
 
 # evaluation ---------------------------------------------------------

@@ -11,8 +11,10 @@ element of A^n(G/G_sigma) per cell orbit, constrained so that the
 assignment is a simplicial map with the zero face corrected through
 the twist.  The theory differentials descend to these subgroups, and
 the cohomology of the resulting complex is compared with the Bredon
-cohomology of the twist.  The axiom checks, the comparison, and a
-brute-force vertical homotopy search all run over exact integer
+cohomology of the twist.  Two lifts are vertically homotopic when a
+lift on the cylinder restricts to them at the ends; that question is
+one integer solve over the same face constraints.  The axiom checks,
+the comparison and the homotopy test all run over exact integer
 arithmetic; everything is truncated to the declared (i_max, p_max)
 window and the reports say so.
 """
@@ -30,7 +32,7 @@ from .em import CochainModel, delta_hom
 from .equivariant import GSimplicialSet
 from .groups import FiniteGroup, OrbitCategory
 from .intmat import IntMatrix, solve
-from .simplicial import SimplexRef, cylinder, nondeg
+from .simplicial import FiniteSimplicialSet, SimplexRef, cylinder, nondeg
 
 
 def _add_block(blocks: dict, key: tuple[int, int], mat: IntMatrix):
@@ -534,66 +536,83 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     return rep
 
 
-# planted negative controls ------------------------------------------
-
-def with_zero_delta(theory: CartanTheory, at: int = 1) -> CartanTheory:
-    """Copy with delta^at replaced by zero; breaks exactness only."""
-    if not 1 <= at < theory.i_max:
-        raise ValueError("the planted degree must be interior")
-    deltas = []
-    for i, dd in enumerate(theory.deltas):
-        if i != at:
-            deltas.append(dd)
-        else:
-            deltas.append({skey: [AbHom.zero(h.source, h.target)
-                                  for h in homs]
-                           for skey, homs in dd.items()})
-    return CartanTheory(theory.cat, theory.coeffs, theory.terms, deltas,
-                        theory.psi, theory.i_max, theory.p_max)
-
-
-def zero_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
-                i_max: int, p_max: int) -> CartanTheory:
-    """All terms zero while still declaring the coefficients.
-
-    Every structural and exactness axiom holds vacuously, but the
-    kernel term cannot recover a nonzero M, so simplicial triviality
-    of Z^0 fails in its coefficient clause.
-    """
-    zero = FgAbGroup.trivial()
-    zh = AbHom.identity(zero)
-    levels = [zero] * (p_max + 1)
-    faces = {(q, i): zh for q in range(1, p_max + 1) for i in range(q + 1)}
-    degs = {(q, j): zh for q in range(p_max) for j in range(q + 1)}
-    sab = SimplicialAb(levels, faces, degs, check=False)
-    objects = {s.key: sab for s in cat.subgroups}
-    maps = {m.key: [zh] * (p_max + 1) for m in cat.all_morphisms()}
-    term = OGSimplicialAb(cat, objects, maps, check=False)
-    terms = [term] * (i_max + 1)
-    deltas = [{s.key: [zh] * (p_max + 1) for s in cat.subgroups}
-              for _ in range(i_max)]
-
-    def psi(skey, alpha, i, q):
-        return zh
-
-    return CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
-
-
-def with_blinded_psi(theory: CartanTheory, skey: str,
-                     at_i: int = 0) -> CartanTheory:
-    """Copy whose psi ignores nonidentity automorphisms in one term."""
-
-    def psi(sk, alpha, i, q):
-        if sk == skey and i == at_i and \
-                not alpha.equal_as_maps(AbHom.identity(alpha.source)):
-            return AbHom.identity(theory.terms[i].objects[sk].levels[q])
-        return theory.psi(sk, alpha, i, q)
-
-    return CartanTheory(theory.cat, theory.coeffs, theory.terms,
-                        theory.deltas, psi, theory.i_max, theory.p_max)
-
-
 # lift groups --------------------------------------------------------
+
+class LiftCells:
+    """The unknowns of a lift on a G-space and its face constraints.
+
+    There is one unknown per orbit of nondegenerate cells of dimension
+    at most top, valued at the level of its cell in the term at its
+    orbit type; every member cell is read off its orbit representative
+    through the orbit-category map of its transporter.
+    """
+
+    def __init__(self, space: FiniteSimplicialSet, cat: OrbitCategory,
+                 orbits: dict, top: int):
+        self.space = space
+        self.cat = cat
+        self.orbits = []  # (dimension, orbit), one per unknown
+        self.index = {}  # member cell -> its unknown
+        for q in range(top + 1):
+            for o in orbits[q]:
+                for cid in o.members:
+                    self.index[cid] = len(self.orbits)
+                self.orbits.append((q, o))
+
+    def groups(self, term: OGSimplicialAb) -> list[FgAbGroup]:
+        return [term.objects[o.stab_key].levels[q] for q, o in self.orbits]
+
+    def evaluation(self, term: OGSimplicialAb, hkey: str,
+                   ref: SimplexRef) -> tuple[int, AbHom]:
+        """Unknown and hom evaluating an assignment on a reference over
+        G/hkey."""
+        vi = self.index[ref.base]
+        q, orb = self.orbits[vi]
+        m = self.cat.coset_morphism(self.cat.by_key[hkey],
+                                    self.cat.by_key[orb.stab_key],
+                                    orb.transporters[ref.base])
+        hom = term.maps[m.key][q]
+        obj = term.objects[hkey]
+        for lvl, jj in enumerate(reversed(ref.word), q):
+            hom = obj.degs[(lvl, jj)].compose(hom)
+        return vi, hom
+
+    def face_constraints(self, term: OGSimplicialAb, twist,
+                         rows=None, source_sum: FgAbGroup | None = None) \
+            -> AbHom:
+        """The face laws of an assignment, as one hom whose kernel is the
+        lifts.
+
+        Each unknown x of dimension q >= 1 (restricted to `rows` when
+        given) contributes q + 1 target summands: its value at the face
+        d_i x minus d_i of its own value, where d_0 is followed by
+        twist(orbit type, x, q - 1), an endomorphism of that level.
+        """
+        blocks = {}
+        tgroups = []
+        for vi, (q, o) in enumerate(self.orbits):
+            if q == 0 or (rows is not None and vi not in rows):
+                continue
+            hkey = o.stab_key
+            obj = term.objects[hkey]
+            xref = nondeg(o.rep)
+            for i in range(q + 1):
+                face = obj.faces[(q, i)]
+                if i == 0:
+                    face = twist(hkey, o.rep, q - 1).compose(face)
+                ti = len(tgroups)
+                tgroups.append(obj.levels[q - 1])
+                _add_block(blocks, (ti, vi), -face.matrix)
+                col, hom = self.evaluation(term, hkey,
+                                           self.space.face(i, xref))
+                _add_block(blocks, (ti, col), hom.matrix)
+        groups = self.groups(term)
+        if source_sum is None:
+            source_sum, _offs = direct_sum(groups)
+        if not tgroups:
+            return AbHom.zero(source_sum, FgAbGroup.trivial())
+        return assemble_hom(groups, tgroups, blocks, source_sum=source_sum)
+
 
 class LiftSystem:
     """The groups of lifts A_phi^n(X; tau) with their differentials.
@@ -620,80 +639,35 @@ class LiftSystem:
         for q, os in ec.orbits.items():
             if os:
                 maxdim = max(maxdim, q)
-        self.top_dim = min(maxdim, theory.p_max)
-        self.vars = []
-        self.var_index = {}
-        for q in range(self.top_dim + 1):
-            for j, o in enumerate(ec.orbits[q]):
-                self.var_index[(q, j)] = len(self.vars)
-                self.vars.append((q, j, o.rep, o.stab_key))
+        self.cells = LiftCells(ec.gx.space, ec.cat, ec.orbits,
+                               min(maxdim, theory.p_max))
         self.var_groups = {}
         self.ambient = {}
         self.offsets = {}
         self.groups = {}
         self.inclusions = {}
         for n in range(nmax + 1):
-            vg = [theory.terms[n].objects[sk].levels[q]
-                  for (q, j, rep, sk) in self.vars]
+            vg = self.cells.groups(theory.terms[n])
             amb, offs = direct_sum(vg)
             self.var_groups[n] = vg
             self.ambient[n] = amb
             self.offsets[n] = offs
-            sub, incl = self._constraint_hom(n).kernel()
-            self.groups[n] = sub
-            self.inclusions[n] = incl
+
+            def twist(hkey, rep, lvl):
+                return theory.psi(hkey, provider.phi_hom(hkey, nondeg(rep)),
+                                  n, lvl)
+
+            laws = self.cells.face_constraints(theory.terms[n], twist,
+                                               source_sum=amb)
+            self.groups[n], self.inclusions[n] = laws.kernel()
         self.diffs = {}
         for n in range(nmax):
             self.diffs[n] = self._descend_delta(n)
 
-    def _evaluation(self, n: int, hkey: str,
-                    fref: SimplexRef) -> tuple[int, AbHom]:
-        """Column and hom evaluating a degree-n assignment on a face."""
-        ec = self.ec
-        qp = ec.gx.space.dim_of(fref.base)
-        jp, orb = ec.orbit_index[qp][fref.base]
-        g = orb.transporters[fref.base]
-        m = ec.cat.coset_morphism(ec.cat.by_key[hkey],
-                                  ec.cat.by_key[orb.stab_key], g)
-        hom = self.theory.terms[n].maps[m.key][qp]
-        obj = self.theory.terms[n].objects[hkey]
-        lvl = qp
-        for jj in reversed(fref.word):
-            hom = obj.degs[(lvl, jj)].compose(hom)
-            lvl += 1
-        return self.var_index[(qp, jp)], hom
-
-    def _constraint_hom(self, n: int) -> AbHom:
-        vg = self.var_groups[n]
-        terms = self.theory.terms[n]
-        blocks = {}
-        tgroups = []
-        ti = 0
-        for vi, (q, j, rep, hkey) in enumerate(self.vars):
-            if q == 0:
-                continue
-            xref = nondeg(rep)
-            obj = terms.objects[hkey]
-            for i in range(q + 1):
-                tgroups.append(obj.levels[q - 1])
-                face = obj.faces[(q, i)]
-                if i == 0:
-                    ph = self.theory.psi(
-                        hkey, self.provider.phi_hom(hkey, xref), n, q - 1)
-                    face = ph.compose(face)
-                _add_block(blocks, (ti, vi), -face.matrix)
-                col, hom = self._evaluation(n, hkey,
-                                            self.ec.gx.space.face(i, xref))
-                _add_block(blocks, (ti, col), hom.matrix)
-                ti += 1
-        if not tgroups:
-            return AbHom.zero(self.ambient[n], FgAbGroup.trivial())
-        return assemble_hom(vg, tgroups, blocks, source_sum=self.ambient[n])
-
     def _descend_delta(self, n: int) -> AbHom:
         blocks = {}
-        for vi, (q, j, rep, sk) in enumerate(self.vars):
-            blocks[(vi, vi)] = self.theory.deltas[n][sk][q].matrix
+        for vi, (q, o) in enumerate(self.cells.orbits):
+            blocks[(vi, vi)] = self.theory.deltas[n][o.stab_key][q].matrix
         big = assemble_hom(self.var_groups[n], self.var_groups[n + 1], blocks,
                            source_sum=self.ambient[n],
                            target_sum=self.ambient[n + 1])
@@ -714,7 +688,7 @@ class LiftSystem:
     def value_at(self, n: int, elem, hkey: str,
                  ref: SimplexRef) -> tuple[int, ...]:
         """Evaluate a degree-n element on any reference over G/H."""
-        col, hom = self._evaluation(n, hkey, ref)
+        col, hom = self.cells.evaluation(self.theory.terms[n], hkey, ref)
         return hom.apply(self.var_value(n, elem, col))
 
     def bredon_iso(self, n: int) -> AbHom:
@@ -726,7 +700,7 @@ class LiftSystem:
         ec = self.ec
         blocks = {}
         for bj, o in enumerate(ec.orbits[n]):
-            vi = self.var_index[(n, bj)]
+            vi = self.cells.index[o.rep]
             vg = self.var_groups[n][vi]
             mg = ec.summands[n][bj]
             if vg.ngens != mg.ngens:
@@ -804,10 +778,6 @@ def crosscheck_theorem(gx: GSimplicialSet, cat: OrbitCategory,
 
 # vertical homotopies ------------------------------------------------
 
-class BudgetExceeded(Exception):
-    pass
-
-
 def cylinder_with_action(gx: GSimplicialSet, truncation: int | None = None):
     """Cylinder of the underlying space, with the action on the left
     factor; the end inclusions and the projection are equivariant."""
@@ -823,122 +793,64 @@ def cylinder_with_action(gx: GSimplicialSet, truncation: int | None = None):
     return pc, i0, i1, pr, gcyl
 
 
-def vertical_homotopy_oracle(ls: LiftSystem, n: int, f, g,
-                             budget: int = 200000):
-    """Search for an equivariant vertical homotopy from f to g.
+def vertical_homotopy(ls: LiftSystem, n: int, f, g) -> bool:
+    """Whether degree-n lifts f and g are equivariantly vertically
+    homotopic.
 
-    f and g are degree-n lift elements in canonical coordinates.  The
-    homotopy is a cocycle-valued lift on the cylinder restricting to f
-    and g at the ends, found (or refuted) by exhaustive search over the
-    kernel-term values on middle cell orbits, dimension by dimension.
-    Returns (found, tried): found is True or False when the search is
-    conclusive and None when the budget ran out first.
+    f and g are lift elements in canonical coordinates.  A homotopy is
+    a lift on the cylinder, valued in the kernel term Z^n, restricting
+    to f and g at the ends.  With the end values fixed, the face laws
+    of the middle cells are linear in the middle values, so the answer
+    is one integer solve; Z^n need not be finite.
     """
     ec = ls.ec
     theory = ls.theory
-    provider = ls.provider
     if n >= theory.i_max:
         raise ValueError("kernel term needs the next differential")
     pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ec.gx)
-    space = pc.complex
     maxdim = 0
-    for q, ids in space.cells.items():
+    for q, ids in pc.complex.cells.items():
         if ids:
             maxdim = max(maxdim, q)
     if maxdim > theory.p_max:
         raise ValueError("theory truncated below the cylinder dimension")
-    cat = ec.cat
     zn = kernel_term(theory, n)
-    for s in cat.subgroups:
-        for q in range(maxdim + 1):
-            if not zn.objects[s.key].levels[q].is_finite:
-                raise ValueError("search needs finite kernel levels")
-    orbits = {q: gcyl.orbits(q) for q in range(maxdim + 1)}
-    oindex = {}
-    for q, os in orbits.items():
-        for jj, o in enumerate(os):
-            for cid in o.members:
-                oindex[cid] = (q, o)
+    cells = LiftCells(pc.complex, ec.cat,
+                      {q: gcyl.orbits(q) for q in range(maxdim + 1)}, maxdim)
+    groups = cells.groups(zn)
+    amb, offs = direct_sum(groups)
+    x = [0] * amb.ngens  # the end values; the middle ones are unknown
+    ends = set()
+    for vi, (q, o) in enumerate(cells.orbits):
+        rx, ry = pc.pair_of[o.rep]
+        if ry.base == "0-1":
+            continue
+        aval = ls.value_at(n, f if ry.base == "0" else g, o.stab_key, rx)
+        zv = element_preimage(zn.inclusions[o.stab_key][q], aval)
+        if zv is None:
+            # an end value escapes the kernel term; no homotopy can
+            # restrict to it
+            return False
+        ends.add(vi)
+        x[offs[vi]: offs[vi] + groups[vi].ngens] = groups[vi].to_vector(zv)
 
-    def expand(values, hkey, ref):
-        q, o = oindex[ref.base]
-        gname = o.transporters[ref.base]
-        m = cat.coset_morphism(cat.by_key[hkey], cat.by_key[o.stab_key],
-                               gname)
-        val = zn.maps[m.key][q].apply(values[o.rep])
-        obj = zn.objects[hkey]
-        lvl = q
-        for jj in reversed(ref.word):
-            val = obj.degs[(lvl, jj)].apply(val)
-            lvl += 1
-        return val
+    def twist(hkey, rep, lvl):
+        inc = zn.inclusions[hkey][lvl]
+        ph = theory.psi(hkey, ls.provider.phi_hom(hkey, pc.pair_of[rep][0]),
+                        n, lvl)
+        return ph.compose(inc).factor_through(inc)
 
-    psi_cache = {}
-
-    def twist_hom(hkey, rx, q):
-        key = (hkey, rx, q)
-        if key not in psi_cache:
-            ph = theory.psi(hkey, provider.phi_hom(hkey, rx), n, q)
-            inc = zn.inclusions[hkey][q]
-            psi_cache[key] = ph.compose(inc).factor_through(inc)
-        return psi_cache[key]
-
-    def cell_ok(values, o, q):
-        hkey = o.stab_key
-        obj = zn.objects[hkey]
-        ref = nondeg(o.rep)
-        rx, _ry = pc.pair_of[o.rep]
-        for i in range(q + 1):
-            want = expand(values, hkey, space.face(i, ref))
-            got = obj.faces[(q, i)].apply(values[o.rep])
-            if i == 0:
-                got = twist_hom(hkey, rx, q - 1).apply(got)
-            if want != got:
-                return False
-        return True
-
-    values = {}
-    middles = []
-    for q in range(maxdim + 1):
-        for o in orbits[q]:
-            rx, ry = pc.pair_of[o.rep]
-            if ry.base == "0-1":
-                middles.append((q, o))
-                continue
-            src = f if ry.base == "0" else g
-            aval = ls.value_at(n, src, o.stab_key, rx)
-            zv = element_preimage(zn.inclusions[o.stab_key][q], aval)
-            if zv is None:
-                # an end value escapes the kernel term; no homotopy can
-                # restrict to it
-                return False, 0
-            values[o.rep] = zv
-    for q in range(1, maxdim + 1):
-        for o in orbits[q]:
-            if o.rep in values and not cell_ok(values, o, q):
-                raise ValueError("end restriction violates the face laws")
-
-    state = {"tried": 0}
-
-    def backtrack(k):
-        if k == len(middles):
-            return True
-        q, o = middles[k]
-        for cand in zn.objects[o.stab_key].levels[q].elements():
-            state["tried"] += 1
-            if state["tried"] > budget:
-                raise BudgetExceeded
-            values[o.rep] = cand
-            if cell_ok(values, o, q) and backtrack(k + 1):
-                return True
-        values.pop(o.rep, None)
-        return False
-
-    try:
-        found = backtrack(0)
-    except BudgetExceeded:
-        return None, state["tried"]
-    return found, state["tried"]
+    end_laws = cells.face_constraints(zn, twist, rows=ends, source_sum=amb)
+    if any(end_laws.target.from_vector(end_laws.matrix.apply(x))):
+        raise ValueError("end restriction violates the face laws")
+    middles = [vi for vi in range(len(groups)) if vi not in ends]
+    laws = cells.face_constraints(zn, twist, rows=set(middles),
+                                  source_sum=amb)
+    free = [laws.matrix.col(j) for vi in middles
+            for j in range(offs[vi], offs[vi] + groups[vi].ngens)]
+    aug = IntMatrix.hstack([IntMatrix.from_cols(free, laws.matrix.nrows),
+                            laws.target.rels])
+    return solve(aug, [-c for c in laws.matrix.apply(x)]) is not None
 
 
 # named presentations for contraction checks -------------------------

@@ -44,10 +44,11 @@ class InternalError(Exception):
 
 
 def _loading(fn, *args, **kwargs):
-    """Run a loader; any ValueError is the input's fault."""
+    """Run a loader; any ValueError or unreadable file is the input's
+    fault."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as ex:
+    except (ValueError, OSError) as ex:
         raise InputError(str(ex)) from ex
 
 
@@ -310,6 +311,9 @@ def cmd_crosscheck(args):
     nmax = args.nmax if args.nmax is not None else 2
     if nmax < 0:
         raise InputError("--nmax must be nonnegative")
+    if nmax > setup.gx.space.truncation:
+        raise InputError(f"--nmax exceeds the truncation "
+                         f"{setup.gx.space.truncation} of the complex")
     theory = None
     if args.theory:
         th = _loading(load_theory_data, args.theory)

@@ -73,11 +73,6 @@ def group_from_json(data: dict) -> FgAbGroup:
     return FgAbGroup.from_relations(gens, [list(r) for r in rels])
 
 
-def group_to_json(g: FgAbGroup) -> dict:
-    return {"gens": g.ngens,
-            "rels": [list(r) for r in g.rels.rows]}
-
-
 class LocalSystem:
     """Coefficient system with an action of a finite group on each value.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .abgroups import AbHom
 from .coefficients import CoefficientSystem
-from .equivariant import GSimplicialSet, OGComplex
+from .equivariant import OGComplex
 from .simplicial import FiniteSimplicialSet, SimplexRef, nondeg
 
 

@@ -154,15 +154,6 @@ class CocycleModel:
         amb = self.ambient.deg_hom(j, q).compose(self.inclusions[q])
         return amb.factor_through(self.inclusions[q + 1])
 
-    def restrict_hom(self, q: int, h: AbHom,
-                     target: "CocycleModel | None" = None) -> AbHom:
-        """Restrict a coordinatewise coefficient homomorphism to cocycles;
-        h may land in the coefficients of a second model."""
-        tm = self if target is None else target
-        amb = self.ambient.postcompose_hom(q, h, tm.ambient).compose(
-            self.inclusions[q])
-        return amb.factor_through(tm.inclusions[q])
-
     def lift(self, q: int, vec: Sequence[int]):
         """Canonical coordinates of the cocycle with the given ambient
         generator coordinates, or None if it is not a cocycle."""
@@ -196,15 +187,6 @@ def materialize_cocycles(k: CocycleModel, truncation: int | None = None) \
 
 
 # cochains of a complex <-> maps into the models --------------------
-
-def cochain_values(fs: FiniteSimplicialSet, n: int, values: dict):
-    """Normalize a cell-indexed cochain into a function on references."""
-    def at(ref: SimplexRef):
-        if ref.word:
-            return None  # zero on degenerate simplices
-        return values[ref.base]
-    return at
-
 
 def map_values_of_cocycle(fs: FiniteSimplicialSet, k: CocycleModel,
                           mat: Materialized, values: dict[str, tuple]) \

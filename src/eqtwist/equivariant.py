@@ -14,7 +14,7 @@ everywhere downstream.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, OrbitCategory, Subgroup, subgroup_key
+from .groups import FiniteGroup, OrbitCategory, subgroup_key
 from .simplicial import (FiniteSimplicialSet, SimplexRef, SimplicialMap,
                          nondeg)
 
@@ -202,32 +202,3 @@ def fixed_point_system(gx: GSimplicialSet, cat: OrbitCategory) -> OGComplex:
                 raise ValueError(
                     f"transport along {m.key} leaves the fixed complex")
     return out
-
-
-def vertex_component(fs: FiniteSimplicialSet, start: str) -> set[str]:
-    comp = {start}
-    frontier = [start]
-    edges = [(fs.base_face(1, e).base, fs.base_face(0, e).base)
-             for e in fs.cells.get(1, [])]
-    while frontier:
-        v = frontier.pop()
-        for a, b in edges:
-            for x, y in ((a, b), (b, a)):
-                if x == v and y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-    return comp
-
-
-def check_g_connected(gx: GSimplicialSet, cat: OrbitCategory) -> list[str]:
-    """Subgroup keys whose fixed complex is empty or not edge-connected."""
-    bad = []
-    for s in cat.subgroups:
-        fc = gx.fixed_complex(s.members)
-        verts = fc.cells.get(0, [])
-        if not verts:
-            bad.append(s.key)
-            continue
-        if vertex_component(fc, verts[0]) != set(verts):
-            bad.append(s.key)
-    return bad

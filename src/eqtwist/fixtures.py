@@ -23,8 +23,8 @@ item named.
 import json
 import os
 
-from .bredon import (EdgePathProvider, EquivariantCochains,
-                     GroupTwistProvider, TrivialTwistProvider)
+from .bredon import (EdgePathProvider, GroupTwistProvider,
+                     TrivialTwistProvider)
 from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .equivariant import GSimplicialSet, fixed_point_system

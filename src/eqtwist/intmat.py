@@ -116,16 +116,9 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in r] for r in self.rows], self.ncols)
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in r] for r in self.rows], self.ncols)
-
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
@@ -308,7 +301,3 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     k = min(a.nrows, a.ncols)
     free = [j for j in range(a.ncols) if j >= k or d.rows[j][j] == 0]
     return [v.col(j) for j in free]
-
-
-def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(a, b) is not None

@@ -152,12 +152,6 @@ class FiniteSimplicialSet:
                     out.append(SimplexRef(word, cid))
         return out
 
-    def cell_count(self, q: int) -> int:
-        return len(self.cells.get(q, []))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * len(ids) for q, ids in self.cells.items())
-
     # consistency ----------------------------------------------------
 
     def validate(self) -> None:

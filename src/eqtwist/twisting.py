@@ -22,7 +22,7 @@ above hold.
 from __future__ import annotations
 
 from .classifying import Materialized
-from .equivariant import GSimplicialSet, OGComplex
+from .equivariant import GSimplicialSet
 from .groups import FiniteGroup
 from .simplicial import FiniteSimplicialSet, SimplexRef, SimplicialMap, nondeg
 
@@ -122,31 +122,3 @@ def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
                     ref = space.face(0, ref)
             values[cid] = wbar.ref_of(q, tuple(t))
     return SimplicialMap(space, wbar.complex, values, check=check)
-
-
-def classifying_map_system(ph: OGComplex, gx: GSimplicialSet,
-                           twist: GroupTwist, wbar: Materialized) \
-        -> dict[str, SimplicialMap]:
-    """The classifying map on every fixed complex, checked compatible
-    with transport."""
-    twist.check_equivariant(gx)
-    out = {}
-    for s in ph.cat.subgroups:
-        fc = ph.complexes[s.key]
-        values = {}
-        for q in range(fc.truncation + 1):
-            for cid in fc.cells[q]:
-                t = []
-                ref = nondeg(cid)
-                for k in range(q):
-                    t.append(twist.value(ref))
-                    if k < q - 1:
-                        ref = fc.face(0, ref)
-                values[cid] = wbar.ref_of(q, tuple(t))
-        out[s.key] = SimplicialMap(fc, wbar.complex, values, check=True)
-    for m in ph.cat.all_morphisms():
-        tr = ph.maps[m.key]
-        for cid, ref in tr.values.items():
-            if out[m.src.key].apply(ref) != out[m.tgt.key].values[cid]:
-                raise ValueError(f"classifying maps disagree along {m.key}")
-    return out

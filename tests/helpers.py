@@ -3,13 +3,18 @@
 Complexes come from the bundled fixture files so the tests exercise the
 same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
-variations.
+variations.  The planted negative controls of the axiom checks and the
+brute-force vertical homotopy search live here too: the tests use them
+as references, the package does not.
 """
 
 from eqtwist.abgroups import AbHom, FgAbGroup
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
                             GroupTwistProvider, TrivialTwistProvider,
                             twisted_complex, untwisted_complex)
+from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
+                            SimplicialAb, cylinder_with_action,
+                            element_preimage, kernel_term)
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
 from eqtwist.edgepaths import EdgeActionSystem, PathChoice
 from eqtwist.equivariant import GSimplicialSet, fixed_point_system
@@ -141,3 +146,187 @@ def nonconstant_system(cat: OrbitCategory, top: FgAbGroup,
         else:
             maps[m.key] = AbHom.identity(values[m.src.key])
     return CoefficientSystem(cat, values, maps)
+
+
+# planted negative controls ------------------------------------------
+
+def with_zero_delta(theory: CartanTheory, at: int = 1) -> CartanTheory:
+    """Copy with delta^at replaced by zero; breaks exactness only."""
+    if not 1 <= at < theory.i_max:
+        raise ValueError("the planted degree must be interior")
+    deltas = []
+    for i, dd in enumerate(theory.deltas):
+        if i != at:
+            deltas.append(dd)
+        else:
+            deltas.append({skey: [AbHom.zero(h.source, h.target)
+                                  for h in homs]
+                           for skey, homs in dd.items()})
+    return CartanTheory(theory.cat, theory.coeffs, theory.terms, deltas,
+                        theory.psi, theory.i_max, theory.p_max)
+
+
+def zero_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
+                i_max: int, p_max: int) -> CartanTheory:
+    """All terms zero while still declaring the coefficients.
+
+    Every structural and exactness axiom holds vacuously, but the
+    kernel term cannot recover a nonzero M, so simplicial triviality
+    of Z^0 fails in its coefficient clause.
+    """
+    zero = FgAbGroup.trivial()
+    zh = AbHom.identity(zero)
+    levels = [zero] * (p_max + 1)
+    faces = {(q, i): zh for q in range(1, p_max + 1) for i in range(q + 1)}
+    degs = {(q, j): zh for q in range(p_max) for j in range(q + 1)}
+    sab = SimplicialAb(levels, faces, degs, check=False)
+    objects = {s.key: sab for s in cat.subgroups}
+    maps = {m.key: [zh] * (p_max + 1) for m in cat.all_morphisms()}
+    term = OGSimplicialAb(cat, objects, maps, check=False)
+    terms = [term] * (i_max + 1)
+    deltas = [{s.key: [zh] * (p_max + 1) for s in cat.subgroups}
+              for _ in range(i_max)]
+
+    def psi(skey, alpha, i, q):
+        return zh
+
+    return CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
+
+
+def with_blinded_psi(theory: CartanTheory, skey: str,
+                     at_i: int = 0) -> CartanTheory:
+    """Copy whose psi ignores nonidentity automorphisms in one term."""
+
+    def psi(sk, alpha, i, q):
+        if sk == skey and i == at_i and \
+                not alpha.equal_as_maps(AbHom.identity(alpha.source)):
+            return AbHom.identity(theory.terms[i].objects[sk].levels[q])
+        return theory.psi(sk, alpha, i, q)
+
+    return CartanTheory(theory.cat, theory.coeffs, theory.terms,
+                        theory.deltas, psi, theory.i_max, theory.p_max)
+
+
+# brute-force vertical homotopy search --------------------------------
+# The reference that cartan.vertical_homotopy is checked against.
+
+class BudgetExceeded(Exception):
+    pass
+
+
+def vertical_homotopy_oracle(ls: LiftSystem, n: int, f, g,
+                             budget: int = 200000):
+    """Search for an equivariant vertical homotopy from f to g.
+
+    f and g are degree-n lift elements in canonical coordinates.  The
+    homotopy is a cocycle-valued lift on the cylinder restricting to f
+    and g at the ends, found (or refuted) by exhaustive search over the
+    kernel-term values on middle cell orbits, dimension by dimension.
+    Returns (found, tried): found is True or False when the search is
+    conclusive and None when the budget ran out first.
+    """
+    ec = ls.ec
+    theory = ls.theory
+    provider = ls.provider
+    if n >= theory.i_max:
+        raise ValueError("kernel term needs the next differential")
+    pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ec.gx)
+    space = pc.complex
+    maxdim = 0
+    for q, ids in space.cells.items():
+        if ids:
+            maxdim = max(maxdim, q)
+    if maxdim > theory.p_max:
+        raise ValueError("theory truncated below the cylinder dimension")
+    cat = ec.cat
+    zn = kernel_term(theory, n)
+    for s in cat.subgroups:
+        for q in range(maxdim + 1):
+            if not zn.objects[s.key].levels[q].is_finite:
+                raise ValueError("search needs finite kernel levels")
+    orbits = {q: gcyl.orbits(q) for q in range(maxdim + 1)}
+    oindex = {}
+    for q, os in orbits.items():
+        for jj, o in enumerate(os):
+            for cid in o.members:
+                oindex[cid] = (q, o)
+
+    def expand(values, hkey, ref):
+        q, o = oindex[ref.base]
+        gname = o.transporters[ref.base]
+        m = cat.coset_morphism(cat.by_key[hkey], cat.by_key[o.stab_key],
+                               gname)
+        val = zn.maps[m.key][q].apply(values[o.rep])
+        obj = zn.objects[hkey]
+        lvl = q
+        for jj in reversed(ref.word):
+            val = obj.degs[(lvl, jj)].apply(val)
+            lvl += 1
+        return val
+
+    psi_cache = {}
+
+    def twist_hom(hkey, rx, q):
+        key = (hkey, rx, q)
+        if key not in psi_cache:
+            ph = theory.psi(hkey, provider.phi_hom(hkey, rx), n, q)
+            inc = zn.inclusions[hkey][q]
+            psi_cache[key] = ph.compose(inc).factor_through(inc)
+        return psi_cache[key]
+
+    def cell_ok(values, o, q):
+        hkey = o.stab_key
+        obj = zn.objects[hkey]
+        ref = nondeg(o.rep)
+        rx, _ry = pc.pair_of[o.rep]
+        for i in range(q + 1):
+            want = expand(values, hkey, space.face(i, ref))
+            got = obj.faces[(q, i)].apply(values[o.rep])
+            if i == 0:
+                got = twist_hom(hkey, rx, q - 1).apply(got)
+            if want != got:
+                return False
+        return True
+
+    values = {}
+    middles = []
+    for q in range(maxdim + 1):
+        for o in orbits[q]:
+            rx, ry = pc.pair_of[o.rep]
+            if ry.base == "0-1":
+                middles.append((q, o))
+                continue
+            src = f if ry.base == "0" else g
+            aval = ls.value_at(n, src, o.stab_key, rx)
+            zv = element_preimage(zn.inclusions[o.stab_key][q], aval)
+            if zv is None:
+                # an end value escapes the kernel term; no homotopy can
+                # restrict to it
+                return False, 0
+            values[o.rep] = zv
+    for q in range(1, maxdim + 1):
+        for o in orbits[q]:
+            if o.rep in values and not cell_ok(values, o, q):
+                raise ValueError("end restriction violates the face laws")
+
+    state = {"tried": 0}
+
+    def backtrack(k):
+        if k == len(middles):
+            return True
+        q, o = middles[k]
+        for cand in zn.objects[o.stab_key].levels[q].elements():
+            state["tried"] += 1
+            if state["tried"] > budget:
+                raise BudgetExceeded
+            values[o.rep] = cand
+            if cell_ok(values, o, q) and backtrack(k + 1):
+                return True
+        values.pop(o.rep, None)
+        return False
+
+    try:
+        found = backtrack(0)
+    except BudgetExceeded:
+        return None, state["tried"]
+    return found, state["tried"]

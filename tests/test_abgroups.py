@@ -1,14 +1,11 @@
 """Presented abelian groups: normal forms, kernels, cohomology."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from eqtwist.abgroups import (AbHom, CochainComplex, FgAbGroup, Subquotient,
                               cohomology_at, direct_sum,
                               enumerate_automorphisms)
 from eqtwist.intmat import IntMatrix
-
-settings.register_profile("pinned", derandomize=True, max_examples=40)
-settings.load_profile("pinned")
 
 
 def test_normal_forms():

@@ -31,10 +31,7 @@ from eqtwist.cartan import (
     finite_simplicial_group,
     kernel_term,
     moore_homotopy,
-    vertical_homotopy_oracle,
-    with_blinded_psi,
-    with_zero_delta,
-    zero_theory,
+    vertical_homotopy,
 )
 from eqtwist.classifying import (
     SimplicialFiniteGroup,
@@ -69,6 +66,9 @@ from helpers import (
     s1_untwisted,
     sphere2_gx,
     triangle_kappa,
+    with_blinded_psi,
+    with_zero_delta,
+    zero_theory,
 )
 
 Z = FgAbGroup.from_relations(1, [[0]])
@@ -263,20 +263,23 @@ def test_criterion_7_contraction_family():
 
 def test_criterion_8_vertical_homotopy():
     def body():
-        gx, cat, system, provider = s1_untwisted(Z2)
-        ec = EquivariantCochains(gx, cat, system, 2)
-        theory = canonical_theory(cat, system, 2, 3)
-        ls = LiftSystem(ec, theory, provider, 2)
-        homotopic = {}
-        for el in ls.groups[1].elements():
-            found, _tried = vertical_homotopy_oracle(
-                ls, 1, el, ls.groups[1].zero())
-            assert found is not None
-            homotopic[el] = found
-        image = {el: element_in_image(ls.diffs[0], el)
-                 for el in ls.groups[1].elements()}
-        assert homotopic == image
-        assert homotopic == {(0,): True, (1,): False}
+        cases = [
+            (s1_untwisted(Z2), {(0,): True, (1,): False}),
+            (s1_untwisted(Z), {(0,): True, (1,): False, (2,): False,
+                               (-3,): False}),
+            (s1_twisted(Z), {(0,): True, (1,): False, (2,): True,
+                             (-3,): False}),
+        ]
+        for (gx, cat, system, provider), want in cases:
+            ec = EquivariantCochains(gx, cat, system, 2)
+            theory = canonical_theory(cat, system, 2, 3)
+            ls = LiftSystem(ec, theory, provider, 2)
+            zero = ls.groups[1].zero()
+            homotopic = {el: vertical_homotopy(ls, 1, el, zero)
+                         for el in want}
+            image = {el: element_in_image(ls.diffs[0], el) for el in want}
+            assert homotopic == image
+            assert homotopic == want
 
     run_criterion(8, "null homotopies match the coboundary image", body,
                   limit=60.0)

@@ -108,13 +108,14 @@ def test_twisted_coboundaries_square_to_zero():
             assert cc.diffs[n + 1].compose(cc.diffs[n]).is_zero_map
 
 
-def test_trivial_provider_agrees_with_the_untwisted_complex():
-    for gx, cat, system, provider in (refs1_setup(Z), s1_untwisted(Z4)):
+def test_untwisted_complex_known_answers():
+    cases = [(refs1_setup(Z), [(1, ()), (0, ())]),
+             (s1_untwisted(Z4), [(0, (4,)), (0, (4,))])]
+    for (gx, cat, system, _provider), want in cases:
         ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
-        tw = twisted_complex(ec, TrivialTwistProvider(system))
-        un = untwisted_complex(ec)
-        for a, b in zip(tw.diffs, un.diffs):
-            assert a.equal_as_maps(b)
+        cc = untwisted_complex(ec)
+        assert [cc.cohomology(n).group.normal_form()
+                for n in range(2)] == want
 
 
 def test_evaluate_cochain_reads_components():

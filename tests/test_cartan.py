@@ -15,10 +15,7 @@ from eqtwist.cartan import (
     finite_simplicial_group,
     kernel_term,
     theory_cohomology,
-    vertical_homotopy_oracle,
-    with_blinded_psi,
-    with_zero_delta,
-    zero_theory,
+    vertical_homotopy,
 )
 from eqtwist.classifying import (
     SimplicialFiniteGroup,
@@ -36,6 +33,10 @@ from helpers import (
     s1_twisted,
     s1_untwisted,
     triangle_kappa,
+    vertical_homotopy_oracle,
+    with_blinded_psi,
+    with_zero_delta,
+    zero_theory,
 )
 
 Z = FgAbGroup.from_relations(1, [[0]])
@@ -164,11 +165,14 @@ def test_comparison_accepts_an_explicit_theory():
     assert report["iso"] is True
 
 
-def _oracle_system():
-    gx, cat, system, provider = s1_untwisted(Z2)
+def _lift_system(setup):
+    gx, cat, system, provider = setup
     ec = EquivariantCochains(gx, cat, system, 2)
-    theory = canonical_theory(cat, system, 2, 3)
-    return LiftSystem(ec, theory, provider, 2)
+    return LiftSystem(ec, canonical_theory(cat, system, 2, 3), provider, 2)
+
+
+def _oracle_system():
+    return _lift_system(s1_untwisted(Z2))
 
 
 def test_homotopy_oracle_agrees_with_the_coboundary_image():
@@ -194,6 +198,36 @@ def test_homotopy_oracle_reports_an_exhausted_budget():
                                             budget=2)
     assert found is None
     assert tried == 3
+
+
+def _homotopy_cases():
+    yield "s1 constant Z2", s1_untwisted(Z2)
+    yield "s1 constant Z4", s1_untwisted(Z4)
+    yield "s1 sign on Z2", s1_twisted(Z2)
+    yield "s1 sign on Z4", s1_twisted(Z4)
+    yield "reflection circle Z2", refs1_setup(Z2)
+
+
+def test_vertical_homotopy_agrees_with_the_search_and_the_image():
+    pairs = 0
+    for name, setup in _homotopy_cases():
+        ls = _lift_system(setup)
+        lifts = ls.groups[1]
+        for f in lifts.elements():
+            for g in lifts.elements():
+                found = vertical_homotopy(ls, 1, f, g)
+                assert found is vertical_homotopy_oracle(ls, 1, f, g)[0], \
+                    (name, f, g)
+                assert found is element_in_image(
+                    ls.diffs[0], lifts.add(f, lifts.neg(g))), (name, f, g)
+                pairs += 1
+    assert pairs == 44
+
+
+def test_vertical_homotopy_needs_the_next_differential():
+    ls = _oracle_system()
+    with pytest.raises(ValueError, match="next differential"):
+        vertical_homotopy(ls, 2, (0,), (0,))
 
 
 def test_contraction_identities_for_the_constant_group():

@@ -212,6 +212,27 @@ def test_crosscheck_rejects_a_truncated_theory(capsys):
     assert "truncate" in err
 
 
+def test_crosscheck_rejects_a_degree_beyond_the_truncation(capsys):
+    code, out, err = run(capsys, "crosscheck",
+                         "--complex", fx("triangle.json"),
+                         "--coeffs", fx("coeffs_z.json"), "--nmax", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --nmax exceeds the truncation 2 of the complex\n"
+
+
+def test_a_missing_input_file_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "bredon", "--complex", missing,
+                         "--coeffs", fx("coeffs_z.json"), "--nmax", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert missing in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_em_info_orders(capsys):
     data = run_json(capsys, "em-info", "--A", "Z2", "--n", "1", "--q", "3")
     assert data["orders"] == [1, 2, 4, 8]

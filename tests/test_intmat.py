@@ -2,12 +2,10 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from eqtwist.intmat import IntMatrix, determinant, smith_normal_form, solve
 
-settings.register_profile("pinned", derandomize=True, max_examples=60)
-settings.load_profile("pinned")
 
 entries = st.integers(min_value=-9, max_value=9)
 

@@ -1,7 +1,7 @@
 """Simplicial sets with explicit degeneracy words: normal forms,
 identities, products, cylinders."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef,
                                 SimplicialMap, cylinder, fmt_ref,
@@ -10,9 +10,6 @@ from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef,
                                 valid_words, word_is_valid)
 
 from helpers import circle_gx, triangle_gx
-
-settings.register_profile("pinned", derandomize=True, max_examples=60)
-settings.load_profile("pinned")
 
 
 def nondeg_counts(fs):
