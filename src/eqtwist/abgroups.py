@@ -6,6 +6,15 @@ normal form of the relations yields the invariant-factor normal form
 with a unimodular change of basis, which gives every group a canonical
 coordinate system for element arithmetic and enumeration.
 
+Each group runs one elimination, when it is built: the Smith normal
+form u*rels*v = d returns u and its inverse together, so canonical
+coordinates (u*x reduced modulo the diagonal of d) and representatives
+(uinv*y) cost a matrix-vector product each.  Membership needs no further
+elimination either: since u*im(rels) = im(d), a vector x lies in
+im(rels) exactly when its canonical form `from_vector(x)` is zero.  That
+test checks that homomorphisms respect relations, compares maps, and so
+checks d o d = 0 in every cochain complex.
+
 Homomorphisms are integer matrices on generators, checked to respect
 relations at construction time.  Kernels, cokernels and subquotients
 are computed by integer kernel calculations, so cohomology of cochain
@@ -35,19 +44,10 @@ class FgAbGroup:
             raise ValueError("relation matrix must have one row per generator")
         self.ngens = ngens
         self.rels = rels
-        d, u, _v = smith_normal_form(rels)
+        d, self._u, _v, self._uinv = smith_normal_form(rels)
         k = min(ngens, rels.ncols)
         moduli = [d.rows[i][i] if i < k else 0 for i in range(ngens)]
         self._moduli = tuple(moduli)
-        self._u = u
-        cols = []
-        for i in range(ngens):
-            e = [0] * ngens
-            e[i] = 1
-            x = solve(u, e)
-            assert x is not None, "unimodular matrix must be invertible"
-            cols.append(x)
-        self._uinv = IntMatrix.from_cols(cols, ngens)
 
     @classmethod
     def from_relations(cls, ngens: int, rel_rows: Iterable[Iterable[int]]) -> "FgAbGroup":
@@ -117,7 +117,8 @@ class FgAbGroup:
         return (0,) * self.ngens
 
     def from_vector(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Canonical form of the element with generator coordinates x."""
+        """Canonical form of the element with generator coordinates x;
+        it is zero exactly when x lies in im(rels)."""
         return self.reduce(self._u.apply(x))
 
     def to_vector(self, y: Sequence[int]) -> tuple[int, ...]:
@@ -155,9 +156,8 @@ class AbHom:
         self.matrix = matrix
         if check and source.rels.ncols:
             carried = matrix @ source.rels
-            for j in range(carried.ncols):
-                if solve(target.rels, carried.col(j)) is None:
-                    raise ValueError("matrix does not respect source relations")
+            if any(any(target.from_vector(c)) for c in carried.cols()):
+                raise ValueError("matrix does not respect source relations")
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "AbHom":
@@ -183,14 +183,18 @@ class AbHom:
         if self.matrix.ncols != other.matrix.ncols:
             return False
         diff = self.matrix - other.matrix
-        for j in range(diff.ncols):
-            if solve(self.target.rels, diff.col(j)) is None:
-                return False
-        return True
+        return not any(any(self.target.from_vector(c)) for c in diff.cols())
 
     @property
     def is_zero_map(self) -> bool:
         return self.equal_as_maps(AbHom.zero(self.source, self.target))
+
+    def preimage(self, vec: Sequence[int]) -> tuple[int, ...] | None:
+        """Generator coordinates x with self(x) = vec modulo the target's
+        relations, or None if vec is outside the image."""
+        big = IntMatrix.hstack([self.matrix, self.target.rels])
+        x = solve(big, list(vec))
+        return None if x is None else x[: self.source.ngens]
 
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup with its inclusion into the source."""
@@ -210,16 +214,12 @@ class AbHom:
     def inverse(self) -> "AbHom":
         """Two-sided inverse of an isomorphism, found by integer solving."""
         big = IntMatrix.hstack([self.matrix, self.target.rels])
-        cols = []
-        for i in range(self.target.ngens):
-            e = [0] * self.target.ngens
-            e[i] = 1
-            x = solve(big, e)
-            if x is None:
-                raise ValueError("homomorphism is not invertible")
-            cols.append(x[: self.source.ngens])
+        x = solve(big, IntMatrix.identity(self.target.ngens))
+        if x is None:
+            raise ValueError("homomorphism is not invertible")
         inv = AbHom(self.target, self.source,
-                    IntMatrix.from_cols(cols, self.source.ngens), check=False)
+                    IntMatrix(x.rows[: self.source.ngens], x.ncols),
+                    check=False)
         if not inv.compose(self).equal_as_maps(AbHom.identity(self.source)):
             raise ValueError("homomorphism is not invertible")
         return inv
@@ -229,14 +229,12 @@ class AbHom:
         if incl.target.ngens != self.target.ngens:
             raise ValueError("codomain mismatch")
         big = IntMatrix.hstack([incl.matrix, self.target.rels])
-        cols = []
-        for j in range(self.matrix.ncols):
-            x = solve(big, self.matrix.col(j))
-            if x is None:
-                raise ValueError("map does not factor through the subgroup")
-            cols.append(x[: incl.source.ngens])
+        x = solve(big, self.matrix)
+        if x is None:
+            raise ValueError("map does not factor through the subgroup")
         return AbHom(self.source, incl.source,
-                     IntMatrix.from_cols(cols, incl.source.ngens), check=False)
+                     IntMatrix(x.rows[: incl.source.ngens], x.ncols),
+                     check=False)
 
     def __repr__(self) -> str:
         return f"AbHom<{self.source.describe()} -> {self.target.describe()}>"

@@ -42,12 +42,8 @@ def _add_block(blocks: dict, key: tuple[int, int], mat: IntMatrix):
 
 def element_preimage(h: AbHom, elem) -> tuple[int, ...] | None:
     """Canonical coordinates of some preimage of a target element, or None."""
-    vec = h.target.to_vector(elem)
-    aug = IntMatrix.hstack([h.matrix, h.target.rels])
-    x = solve(aug, vec)
-    if x is None:
-        return None
-    return h.source.from_vector(x[: h.source.ngens])
+    x = h.preimage(h.target.to_vector(elem))
+    return None if x is None else h.source.from_vector(x)
 
 
 def element_in_image(h: AbHom, elem) -> bool:

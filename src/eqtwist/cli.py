@@ -24,7 +24,7 @@ from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .em import CocycleModel
 from .equivariant import GSimplicialSet, fixed_point_system
-from .fixtures import load_json, load_setup, load_theory_data
+from .fixtures import load_json, load_setup, load_theory_data, parsing
 from .groups import FiniteGroup, OrbitCategory
 from .twisting import GroupTwist, classifying_map
 
@@ -95,14 +95,17 @@ def cmd_validate(args):
     checked = []
 
     def load():
-        gx = GSimplicialSet.from_json(load_json(args.complex))
+        with parsing():
+            gx = GSimplicialSet.from_json(load_json(args.complex))
         checked.append("complex")
         cat = OrbitCategory(gx.group)
         ph = fixed_point_system(gx, cat)
         checked.append("fixed point system")
         system = None
         if args.coeffs:
-            system = CoefficientSystem.from_json(cat, load_json(args.coeffs))
+            with parsing():
+                system = CoefficientSystem.from_json(cat,
+                                                     load_json(args.coeffs))
             checked.append("coefficient system")
         if not args.twist:
             if args.action:
@@ -111,8 +114,9 @@ def cmd_validate(args):
         tdata = load_json(args.twist)
         adata = load_json(args.action) if args.action else None
         if "pi" in tdata:
-            pi = FiniteGroup.from_json(tdata["pi"])
-            twist = GroupTwist.from_json(gx.space, pi, tdata["values"])
+            with parsing():
+                pi = FiniteGroup.from_json(tdata["pi"])
+                twist = GroupTwist.from_json(gx.space, pi, tdata["values"])
             checked.append("twisting identities")
             _theta_naturality(cat, ph, twist)
             checked.append("classifying map naturality")
@@ -123,14 +127,16 @@ def cmd_validate(args):
                 if adata is None:
                     local = LocalSystem.trivial(system, pi)
                 elif "phi" in adata:
-                    local = LocalSystem.from_json(system, pi, adata)
+                    with parsing():
+                        local = LocalSystem.from_json(system, pi, adata)
                     checked.append("coefficient action")
                 else:
                     raise ValueError(
                         "action file for a group twist must carry 'phi'")
                 GroupTwistProvider(local, twist, gx=gx)
         elif "kappa" in tdata:
-            PathChoice.from_json(ph, tdata["kappa"])
+            with parsing():
+                PathChoice.from_json(ph, tdata["kappa"])
             checked.append("edge paths")
             if adata is not None:
                 if system is None:
@@ -140,7 +146,8 @@ def cmd_validate(args):
                     raise ValueError(
                         "action file for an edge path twist must carry "
                         "'edges'")
-                EdgeActionSystem.from_json(ph, system, adata["edges"])
+                with parsing():
+                    EdgeActionSystem.from_json(ph, system, adata["edges"])
                 checked.append("edge holonomies")
         else:
             raise ValueError("twist file carries neither 'pi' nor 'kappa'")
@@ -254,14 +261,16 @@ def _canonical_cost(cat, system, i_max, p_max):
 
 def cmd_cartan_check(args):
     def load():
-        if args.group:
-            grp = FiniteGroup.from_json(load_json(args.group))
-        elif args.complex:
-            grp = GSimplicialSet.from_json(load_json(args.complex)).group
-        else:
-            grp = FiniteGroup.trivial()
+        with parsing():
+            if args.group:
+                grp = FiniteGroup.from_json(load_json(args.group))
+            elif args.complex:
+                grp = GSimplicialSet.from_json(load_json(args.complex)).group
+            else:
+                grp = FiniteGroup.trivial()
         cat = OrbitCategory(grp)
-        system = CoefficientSystem.from_json(cat, load_json(args.coeffs))
+        with parsing():
+            system = CoefficientSystem.from_json(cat, load_json(args.coeffs))
         th = load_theory_data(args.theory)
         i_max, p_max = th["i_max"], th["p_max"]
         if args.bounds:

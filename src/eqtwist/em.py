@@ -157,13 +157,8 @@ class CocycleModel:
     def lift(self, q: int, vec: Sequence[int]):
         """Canonical coordinates of the cocycle with the given ambient
         generator coordinates, or None if it is not a cocycle."""
-        from .intmat import solve
-        big = IntMatrix.hstack([self.inclusions[q].matrix,
-                                self.ambient.levels[q].rels])
-        x = solve(big, list(vec))
-        if x is None:
-            return None
-        return self.levels[q].from_vector(x[: self.levels[q].ngens])
+        x = self.inclusions[q].preimage(vec)
+        return None if x is None else self.levels[q].from_vector(x)
 
 
 def materialize_cocycles(k: CocycleModel, truncation: int | None = None) \

@@ -17,9 +17,10 @@ File formats:
   theory    {"canonical": true, "i_max": i, "p_max": p}
 
 All loaders validate as they go and raise ValueError with the offending
-item named.
+item named; a file of the wrong shape is reported the same way.
 """
 
+import contextlib
 import json
 import os
 
@@ -39,8 +40,30 @@ def fixture_path(name: str) -> str:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object a file holds; every input format is an object."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
+@contextlib.contextmanager
+def parsing():
+    """Block that reads JSON data into objects.
+
+    A file of the wrong shape (a missing key, a list where an object
+    belongs) fails inside a `from_json` with KeyError, TypeError,
+    IndexError or AttributeError; in this block it raises the ValueError
+    of bad input instead.  Only parsing belongs here, so the errors of
+    the computations between parsing steps pass through unchanged.
+    """
+    try:
+        yield
+    except KeyError as ex:
+        raise ValueError(f"malformed input: missing key {ex}") from ex
+    except (TypeError, IndexError, AttributeError) as ex:
+        raise ValueError(f"malformed input: {ex}") from ex
 
 
 class Setup:
@@ -71,12 +94,14 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     ValueError out of here always means bad input, not a broken run.
     """
     out = Setup()
-    out.gx = GSimplicialSet.from_json(load_json(complex_path))
+    with parsing():
+        out.gx = GSimplicialSet.from_json(load_json(complex_path))
     out.cat = OrbitCategory(out.gx.group)
     out.ph = fixed_point_system(out.gx, out.cat)
     if coeffs_path is not None:
-        out.system = CoefficientSystem.from_json(out.cat,
-                                                 load_json(coeffs_path))
+        with parsing():
+            out.system = CoefficientSystem.from_json(out.cat,
+                                                     load_json(coeffs_path))
     if twist_path is None:
         if action_path is not None:
             raise ValueError("an action file needs a twist file")
@@ -87,14 +112,16 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     adata = load_json(action_path) if action_path is not None else None
     if "pi" in tdata:
         out.twist_kind = "group"
-        out.pi = FiniteGroup.from_json(tdata["pi"])
-        out.twist = GroupTwist.from_json(out.gx.space, out.pi,
-                                         tdata["values"])
+        with parsing():
+            out.pi = FiniteGroup.from_json(tdata["pi"])
+            out.twist = GroupTwist.from_json(out.gx.space, out.pi,
+                                             tdata["values"])
         if out.system is not None:
             if adata is None:
                 local = LocalSystem.trivial(out.system, out.pi)
             elif "phi" in adata:
-                local = LocalSystem.from_json(out.system, out.pi, adata)
+                with parsing():
+                    local = LocalSystem.from_json(out.system, out.pi, adata)
             else:
                 raise ValueError(
                     "action file for a group twist must carry 'phi'")
@@ -103,13 +130,15 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
             out.twist.check_equivariant(out.gx)
     elif "kappa" in tdata:
         out.twist_kind = "kappa"
-        out.choice = PathChoice.from_json(out.ph, tdata["kappa"])
+        with parsing():
+            out.choice = PathChoice.from_json(out.ph, tdata["kappa"])
         if out.system is not None:
             if adata is None or "edges" not in adata:
                 raise ValueError(
                     "an edge path twist needs an action file with 'edges'")
-            out.actions = EdgeActionSystem.from_json(out.ph, out.system,
-                                                     adata["edges"])
+            with parsing():
+                out.actions = EdgeActionSystem.from_json(
+                    out.ph, out.system, adata["edges"])
             out.provider = EdgePathProvider(out.ph, out.choice, out.actions)
     else:
         raise ValueError("twist file carries neither 'pi' nor 'kappa'")

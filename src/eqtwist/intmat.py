@@ -5,10 +5,16 @@ point enters at any stage.  Matrices are stored as tuples of row tuples
 and treated as immutable.  A matrix with zero rows or zero columns is
 legal and must carry an explicit column count, since several quotient
 and kernel computations produce genuinely empty shapes.
+
+One elimination serves a matrix: `smith_normal_form` returns the
+inverse of its row transform u together with d, u and v, built by
+mirroring each row operation, and `solve` answers a whole matrix of
+right-hand sides from a single normal form.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -16,15 +22,17 @@ class IntMatrix:
     """Immutable integer matrix with an explicit shape.
 
     >>> a = IntMatrix([[2, 0], [0, 3]])
-    >>> d, u, v = smith_normal_form(a)
+    >>> d, u, v, uinv = smith_normal_form(a)
     >>> d.diagonal()
     (1, 6)
+    >>> u @ uinv == IntMatrix.identity(2)
+    True
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rs = tuple(tuple(int(x) for x in r) for r in rows)
+        rs = tuple(tuple(map(int, r)) for r in rows)
         if rs:
             w = len(rs[0])
             if any(len(r) != w for r in rs):
@@ -88,14 +96,14 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[j] * vec[j] for j in range(self.ncols)) for r in self.rows)
+        return tuple(sum(map(mul, r, vec)) for r in self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         bt = other.transpose()
         return IntMatrix(
-            [[sum(x * y for x, y in zip(r, c)) for c in bt.rows] for r in self.rows],
+            [[sum(map(mul, r, c)) for c in bt.rows] for r in self.rows],
             other.ncols,
         )
 
@@ -137,21 +145,36 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (d, u, v) with u*a*v = d in Smith normal form.
+def smith_normal_form(
+    a: IntMatrix,
+) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (d, u, v, uinv) with u*a*v = d in Smith normal form.
 
     d is diagonal with nonnegative entries d_1 | d_2 | ... (zeros trail),
-    u and v are unimodular.  Elementary row operations accumulate in u,
-    column operations in v.
+    u and v are unimodular and uinv is the inverse of u.  Elementary row
+    operations accumulate in u, column operations in v, and every row
+    operation on u is mirrored in uinv as the inverse column operation
+    (a row swap as the same column swap, a row negation as the same
+    column negation, row_i -= q*row_j as col_j += q*col_i), so the
+    inverse costs no second elimination.
+
+    The pivot is the first entry of least absolute value in row-major
+    order, so the search stops at the first entry of absolute value 1;
+    and a pivot 1 divides everything, so the divisibility scan of the
+    remaining submatrix is skipped for it.  Neither shortcut changes
+    which operations run, hence d, u and v are the same as without them.
     """
     m, n = a.nrows, a.ncols
     s = [list(r) for r in a.rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # uinv is kept transposed, so its column operations are row operations
+    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
         for r in s:
@@ -162,11 +185,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def negate_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
+        w[i] = [-x for x in w[i]]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j; uinv: col_j += q * col_i
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def col_sub(i, j, q):
         # col_i -= q * col_j
@@ -176,20 +201,29 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             r[i] -= q * r[j]
 
     def row_add(i, j):
+        # row_i += row_j; uinv: col_j -= col_i
         s[i] = [x + y for x, y in zip(s[i], s[j])]
         u[i] = [x + y for x, y in zip(u[i], u[j])]
+        w[j] = [x - y for x, y in zip(w[j], w[i])]
 
-    t = 0
-    while t < min(m, n):
-        # locate a minimal nonzero entry in the trailing submatrix
+    def find_pivot(t):
+        # the first nonzero entry of least absolute value in the trailing
+        # submatrix, in row-major order; nothing is smaller than a unit
         piv = None
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 x = s[i][j]
                 if x != 0 and (best is None or abs(x) < best):
+                    if abs(x) == 1:
+                        return (i, j)
                     best = abs(x)
                     piv = (i, j)
+        return piv
+
+    t = 0
+    while t < min(m, n):
+        piv = find_pivot(t)
         if piv is None:
             break
         if piv[0] != t:
@@ -229,6 +263,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 continue
             # pivot must divide the whole remaining submatrix
             p = s[t][t]
+            if p == 1:
+                break
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -244,7 +280,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for i in range(min(m, n)):
         if s[i][i] < 0:
             negate_row(i)
-    return IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n)
+    return (IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n),
+            IntMatrix(zip(*w), m))
 
 
 def determinant(a: IntMatrix) -> int:
@@ -273,31 +310,45 @@ def determinant(a: IntMatrix) -> int:
     return sign * s[n - 1][n - 1]
 
 
-def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of a @ x = b, or None if none exists."""
-    if len(b) != a.nrows:
+def solve(
+    a: IntMatrix, b: Sequence[int] | IntMatrix
+) -> tuple[int, ...] | IntMatrix | None:
+    """One integer solution x of a @ x = b, or None if none exists.
+
+    b is a vector, or a matrix whose columns are right-hand sides; then x
+    is a matrix, and None means some column of b has no solution.  A
+    single Smith normal form u*a*v = d serves every column: a @ x = c has
+    a solution exactly when u*c has entries d_i*y_i for integers y_i, and
+    then x = v*y.
+    """
+    if isinstance(b, IntMatrix):
+        rhs, height = b.cols(), b.nrows
+    else:
+        rhs, height = [b], len(b)
+    if height != a.nrows:
         raise ValueError("rhs length mismatch")
-    d, u, v = smith_normal_form(a)
-    c = u.apply(b)
-    y = [0] * a.ncols
-    k = min(a.nrows, a.ncols)
-    for i in range(k):
-        di = d.rows[i][i]
-        if di:
-            if c[i] % di:
+    d, u, v, _uinv = smith_normal_form(a)
+    diag = d.diagonal()
+    xs = []
+    for c in rhs:
+        y = [0] * a.ncols
+        for i, ci in enumerate(u.apply(c)):
+            di = diag[i] if i < len(diag) else 0
+            if di:
+                y[i], r = divmod(ci, di)
+                if r:
+                    return None
+            elif ci:
                 return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    for i in range(k, a.nrows):
-        if c[i]:
-            return None
-    return v.apply(y)
+        xs.append(v.apply(y))
+    if isinstance(b, IntMatrix):
+        return IntMatrix.from_cols(xs, a.ncols)
+    return xs[0]
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of a, as a list of column vectors."""
-    d, _u, v = smith_normal_form(a)
+    d, _u, v, _uinv = smith_normal_form(a)
     k = min(a.nrows, a.ncols)
     free = [j for j in range(a.ncols) if j >= k or d.rows[j][j] == 0]
     return [v.col(j) for j in free]

@@ -1,11 +1,13 @@
 """Presented abelian groups: normal forms, kernels, cohomology."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from eqtwist import abgroups, intmat
 from eqtwist.abgroups import (AbHom, CochainComplex, FgAbGroup, Subquotient,
                               cohomology_at, direct_sum,
                               enumerate_automorphisms)
-from eqtwist.intmat import IntMatrix
+from eqtwist.intmat import IntMatrix, solve
 
 
 def test_normal_forms():
@@ -121,3 +123,73 @@ def test_kernel_elements_die(rel_rows):
     if ker.is_finite:
         for el in ker.elements():
             assert h.apply(incl.apply(el)) == g.zero()
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Record every Smith normal form abgroups runs, directly or through
+    the solvers of intmat."""
+    calls = []
+    real = intmat.smith_normal_form
+
+    def counting(a):
+        calls.append((a.nrows, a.ncols))
+        return real(a)
+
+    monkeypatch.setattr(abgroups, "smith_normal_form", counting)
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    return calls
+
+
+def test_each_presentation_is_eliminated_once(snf_calls):
+    # Z/2 + Z/6 + Z^3 on five generators: one elimination, not one more
+    # per generator
+    g = FgAbGroup(5, IntMatrix([[2, 0], [0, 6], [0, 6], [0, 0], [0, 0]]))
+    assert len(snf_calls) == 1
+    assert g.normal_form() == (3, (2, 6))
+
+
+def test_relation_checks_and_comparisons_run_no_elimination(snf_calls):
+    g = FgAbGroup.from_relations(2, [[4], [0]])  # Z/4 + Z
+    z2 = FgAbGroup.cyclic(2)
+    shear = IntMatrix([[1, 1], [0, 1]])
+    snf_calls.clear()
+    h = AbHom(g, g, shear, check=True)
+    with pytest.raises(ValueError):
+        AbHom(z2, g, IntMatrix([[1], [0]]), check=True)
+    assert h.equal_as_maps(AbHom(g, g, IntMatrix([[5, 1], [0, 1]])))
+    assert not h.equal_as_maps(AbHom.identity(g))
+    assert AbHom(g, g, IntMatrix([[4, 0], [0, 0]])).is_zero_map
+    assert not h.is_zero_map
+    assert snf_calls == []
+
+
+def test_factor_through_and_inverse_run_one_elimination_each(snf_calls):
+    g = FgAbGroup.from_relations(2, [[4], [0]])  # Z/4 + Z
+    double = AbHom(g, g, IntMatrix([[2, 0], [0, 0]]))
+    _ker, incl = double.kernel()
+    shear = AbHom(g, g, IntMatrix([[1, 1], [0, 1]]))
+    snf_calls.clear()
+    fact = double.factor_through(incl)
+    assert len(snf_calls) == 1
+    assert incl.compose(fact).equal_as_maps(double)
+    snf_calls.clear()
+    inv = shear.inverse()
+    assert len(snf_calls) == 1
+    assert inv.equal_as_maps(AbHom(g, g, IntMatrix([[1, -1], [0, 1]])))
+
+
+@given(st.integers(0, 3).flatmap(lambda k: st.lists(
+           st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+           min_size=3, max_size=3)),
+       st.data())
+def test_reduction_decides_relation_membership(rel_rows, data):
+    ncols = len(rel_rows[0])
+    g = FgAbGroup(3, IntMatrix(rel_rows, ncols))
+    vec = st.lists(st.integers(-12, 12), min_size=3, max_size=3)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=ncols,
+                                max_size=ncols))
+    # one vector of the relation span, one arbitrary vector
+    for x in (g.rels.apply(coeffs), data.draw(vec)):
+        assert (g.from_vector(x) == g.zero()) == \
+            (solve(g.rels, x) is not None)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eqtwist import cli
+from eqtwist import cli, fixtures
 from eqtwist.fixtures import fixture_path
 
 
@@ -231,6 +231,61 @@ def test_a_missing_input_file_is_an_input_error(capsys, tmp_path):
     assert missing in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _without_group():
+    with open(fx("s1.json")) as fh:
+        data = json.load(fh)
+    del data["group"]
+    return data
+
+
+MALFORMED_COMPLEXES = {
+    "a list": lambda: [1, 2],
+    "no group": _without_group,
+}
+
+COMPLEX_COMMANDS = {
+    "validate": ["validate"],
+    "fixedpoints": ["fixedpoints"],
+    "bredon": ["bredon", "--coeffs", fx("coeffs_z.json"), "--nmax", "1"],
+    "twisted": ["twisted", "--coeffs", fx("coeffs_z.json"),
+                "--twist", fx("twist_s1_z2.json"), "--nmax", "1"],
+    "cartan-check": ["cartan-check", "--theory", fx("theory_canonical.json"),
+                     "--coeffs", fx("coeffs_z2.json")],
+    "crosscheck": ["crosscheck", "--coeffs", fx("coeffs_z2.json"),
+                   "--twist", fx("twist_s1_z2.json")],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_COMPLEXES))
+@pytest.mark.parametrize("command", sorted(COMPLEX_COMMANDS))
+def test_a_malformed_complex_is_an_input_error(capsys, tmp_path, command,
+                                               shape):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(MALFORMED_COMPLEXES[shape]()))
+    argv = COMPLEX_COMMANDS[command] + ["--complex", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, command", [
+    (cli, ["validate"]),
+    (fixtures, ["bredon", "--coeffs", fx("coeffs_z.json"), "--nmax", "1"]),
+], ids=["validate", "load_setup"])
+def test_a_library_error_after_parsing_is_not_an_input_error(
+        capsys, monkeypatch, module, command):
+    # only the parsing steps report shape errors as bad input; a TypeError
+    # out of a computation on well-formed input is a bug and propagates
+    def boom(gx, cat):
+        raise TypeError("synthetic library bug")
+    monkeypatch.setattr(module, "fixed_point_system", boom)
+    with pytest.raises(TypeError, match="synthetic library bug"):
+        cli.main(command + ["--complex", fx("s1.json")])
 
 
 def test_em_info_orders(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from eqtwist.intmat import IntMatrix, determinant, smith_normal_form, solve
@@ -25,15 +26,18 @@ def is_unimodular(m):
 
 @given(matrices())
 def test_snf_factorization(a):
-    d, u, v = smith_normal_form(a)
+    d, u, v, uinv = smith_normal_form(a)
     assert (u @ a) @ v == d
     assert is_unimodular(u)
     assert is_unimodular(v)
+    ident = IntMatrix.identity(a.nrows)
+    assert u @ uinv == ident
+    assert uinv @ u == ident
 
 
 @given(matrices())
 def test_snf_divisibility_chain(a):
-    d, _, _ = smith_normal_form(a)
+    d, _, _, _ = smith_normal_form(a)
     diag = list(d.diagonal())
     for i, x in enumerate(diag):
         assert x >= 0
@@ -53,6 +57,59 @@ def test_solve_recovers_solvable_systems(a, data):
     got = solve(a, list(b))
     assert got is not None
     assert a.apply(got) == b
+
+
+@given(matrices(), st.data())
+def test_solve_with_a_matrix_agrees_column_by_column(a, data):
+    rhs = st.lists(entries, min_size=a.nrows, max_size=a.nrows)
+    cols = data.draw(st.lists(rhs, max_size=3))
+    # at least one more right-hand side is solvable by construction
+    xs = data.draw(st.lists(st.lists(entries, min_size=a.ncols,
+                                     max_size=a.ncols), min_size=1,
+                            max_size=2))
+    cols += [list(a.apply(x)) for x in xs]
+    b = IntMatrix.from_cols(cols, a.nrows)
+    each = [solve(a, c) for c in cols]
+    got = solve(a, b)
+    if None in each:
+        assert got is None
+    else:
+        assert got == IntMatrix.from_cols(each, a.ncols)
+        assert a @ got == b
+    # the solvable columns alone always solve together
+    tail = IntMatrix.from_cols(cols[len(cols) - len(xs):], a.nrows)
+    assert a @ solve(a, tail) == tail
+
+
+def test_snf_of_empty_shapes():
+    for m, n in [(0, 0), (0, 3), (3, 0)]:
+        a = IntMatrix.zeros(m, n)
+        d, u, v, uinv = smith_normal_form(a)
+        assert d == a
+        assert u == uinv == IntMatrix.identity(m)
+        assert v == IntMatrix.identity(n)
+    assert solve(IntMatrix.zeros(2, 0), [0, 0]) == ()
+    assert solve(IntMatrix.zeros(2, 0), [0, 1]) is None
+    assert solve(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3)) \
+        == IntMatrix.zeros(0, 3)
+
+
+def test_invariant_factors_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    @given(matrices(5))
+    def agree(a):
+        d, _, _, _ = smith_normal_form(a)
+        ours = [x for x in d.diagonal() if x]
+        m = sympy.Matrix([list(r) for r in a.rows])
+        # sympy lists the zero factors too
+        theirs = [abs(int(x))
+                  for x in invariant_factors(m, domain=sympy.ZZ) if x]
+        assert ours == theirs
+        assert len(ours) == m.rank()
+
+    agree()
 
 
 def test_solve_reports_unsolvable():
