@@ -659,6 +659,13 @@ class LiftSystem:
         self.diffs = {}
         for n in range(nmax):
             self.diffs[n] = self._descend_delta(n)
+        self._cylinders = {}
+
+    def cylinder_laws(self, n: int) -> "_CylinderLaws":
+        """The degree-n cylinder laws of `vertical_homotopy`, built once."""
+        if n not in self._cylinders:
+            self._cylinders[n] = _CylinderLaws(self, n)
+        return self._cylinders[n]
 
     def _descend_delta(self, n: int) -> AbHom:
         blocks = {}
@@ -789,6 +796,65 @@ def cylinder_with_action(gx: GSimplicialSet, truncation: int | None = None):
     return pc, i0, i1, pr, gcyl
 
 
+class _CylinderLaws:
+    """The degree-n face laws of lifts on the cylinder, valued in the
+    kernel term Z^n, that `vertical_homotopy` solves against.
+
+    ends        per end orbit: its orbit type, the base cell it lies
+                over, whether it lies at end 0, the inclusion of Z^n
+                into A^n at its level, and its offset and group among
+                the unknowns
+    end_laws    the face laws of the end cells
+    laws        the face laws of the middle cells
+    aug         the columns of `laws` at the middle unknowns, next to
+                the relations of its target
+    """
+
+    def __init__(self, ls: LiftSystem, n: int):
+        theory = ls.theory
+        if n >= theory.i_max:
+            raise ValueError("kernel term needs the next differential")
+        pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ls.ec.gx)
+        maxdim = 0
+        for q, ids in pc.complex.cells.items():
+            if ids:
+                maxdim = max(maxdim, q)
+        if maxdim > theory.p_max:
+            raise ValueError("theory truncated below the cylinder dimension")
+        zn = kernel_term(theory, n)
+        cells = LiftCells(pc.complex, ls.ec.cat,
+                          {q: gcyl.orbits(q) for q in range(maxdim + 1)},
+                          maxdim)
+        groups = cells.groups(zn)
+        amb, offs = direct_sum(groups)
+        self.ends = []
+        end_rows = set()
+        for vi, (q, o) in enumerate(cells.orbits):
+            rx, ry = pc.pair_of[o.rep]
+            if ry.base != "0-1":
+                end_rows.add(vi)
+                self.ends.append((o.stab_key, rx, ry.base == "0",
+                                  zn.inclusions[o.stab_key][q], offs[vi],
+                                  groups[vi]))
+
+        def twist(hkey, rep, lvl):
+            inc = zn.inclusions[hkey][lvl]
+            ph = theory.psi(hkey, ls.provider.phi_hom(hkey, pc.pair_of[rep][0]),
+                            n, lvl)
+            return ph.compose(inc).factor_through(inc)
+
+        self.end_laws = cells.face_constraints(zn, twist, rows=end_rows,
+                                               source_sum=amb)
+        middles = [vi for vi in range(len(groups)) if vi not in end_rows]
+        self.laws = cells.face_constraints(zn, twist, rows=set(middles),
+                                           source_sum=amb)
+        free = [self.laws.matrix.col(j) for vi in middles
+                for j in range(offs[vi], offs[vi] + groups[vi].ngens)]
+        self.aug = IntMatrix.hstack([
+            IntMatrix.from_cols(free, self.laws.matrix.nrows),
+            self.laws.target.rels])
+
+
 def vertical_homotopy(ls: LiftSystem, n: int, f, g) -> bool:
     """Whether degree-n lifts f and g are equivariantly vertically
     homotopic.
@@ -797,56 +863,22 @@ def vertical_homotopy(ls: LiftSystem, n: int, f, g) -> bool:
     a lift on the cylinder, valued in the kernel term Z^n, restricting
     to f and g at the ends.  With the end values fixed, the face laws
     of the middle cells are linear in the middle values, so the answer
-    is one integer solve; Z^n need not be finite.
+    is one integer solve; Z^n need not be finite.  The laws are built
+    on the first call for (ls, n) and kept on ls.
     """
-    ec = ls.ec
-    theory = ls.theory
-    if n >= theory.i_max:
-        raise ValueError("kernel term needs the next differential")
-    pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ec.gx)
-    maxdim = 0
-    for q, ids in pc.complex.cells.items():
-        if ids:
-            maxdim = max(maxdim, q)
-    if maxdim > theory.p_max:
-        raise ValueError("theory truncated below the cylinder dimension")
-    zn = kernel_term(theory, n)
-    cells = LiftCells(pc.complex, ec.cat,
-                      {q: gcyl.orbits(q) for q in range(maxdim + 1)}, maxdim)
-    groups = cells.groups(zn)
-    amb, offs = direct_sum(groups)
-    x = [0] * amb.ngens  # the end values; the middle ones are unknown
-    ends = set()
-    for vi, (q, o) in enumerate(cells.orbits):
-        rx, ry = pc.pair_of[o.rep]
-        if ry.base == "0-1":
-            continue
-        aval = ls.value_at(n, f if ry.base == "0" else g, o.stab_key, rx)
-        zv = element_preimage(zn.inclusions[o.stab_key][q], aval)
+    cyl = ls.cylinder_laws(n)
+    x = [0] * cyl.end_laws.source.ngens  # the middle values are unknown
+    for hkey, rx, at_f, inc, off, group in cyl.ends:
+        zv = element_preimage(inc, ls.value_at(n, f if at_f else g, hkey, rx))
         if zv is None:
             # an end value escapes the kernel term; no homotopy can
             # restrict to it
             return False
-        ends.add(vi)
-        x[offs[vi]: offs[vi] + groups[vi].ngens] = groups[vi].to_vector(zv)
-
-    def twist(hkey, rep, lvl):
-        inc = zn.inclusions[hkey][lvl]
-        ph = theory.psi(hkey, ls.provider.phi_hom(hkey, pc.pair_of[rep][0]),
-                        n, lvl)
-        return ph.compose(inc).factor_through(inc)
-
-    end_laws = cells.face_constraints(zn, twist, rows=ends, source_sum=amb)
+        x[off: off + group.ngens] = group.to_vector(zv)
+    end_laws = cyl.end_laws
     if any(end_laws.target.from_vector(end_laws.matrix.apply(x))):
         raise ValueError("end restriction violates the face laws")
-    middles = [vi for vi in range(len(groups)) if vi not in ends]
-    laws = cells.face_constraints(zn, twist, rows=set(middles),
-                                  source_sum=amb)
-    free = [laws.matrix.col(j) for vi in middles
-            for j in range(offs[vi], offs[vi] + groups[vi].ngens)]
-    aug = IntMatrix.hstack([IntMatrix.from_cols(free, laws.matrix.nrows),
-                            laws.target.rels])
-    return solve(aug, [-c for c in laws.matrix.apply(x)]) is not None
+    return solve(cyl.aug, [-c for c in cyl.laws.matrix.apply(x)]) is not None
 
 
 # named presentations for contraction checks -------------------------

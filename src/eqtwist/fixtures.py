@@ -149,8 +149,9 @@ def load_theory_data(theory_path: str) -> dict:
     data = load_json(theory_path)
     if not data.get("canonical"):
         raise ValueError("only canonical theory descriptors are supported")
-    i_max = int(data["i_max"])
-    p_max = int(data["p_max"])
+    with parsing():
+        i_max = int(data["i_max"])
+        p_max = int(data["p_max"])
     if i_max < 1 or p_max < 1:
         raise ValueError("theory bounds must be positive")
     return {"i_max": i_max, "p_max": p_max}

@@ -9,12 +9,17 @@ and kernel computations produce genuinely empty shapes.
 One elimination serves a matrix: `smith_normal_form` returns the
 inverse of its row transform u together with d, u and v, built by
 mirroring each row operation, and `solve` answers a whole matrix of
-right-hand sides from a single normal form.
+right-hand sides from a single normal form.  The elimination keeps its
+matrices as sparse rows, so each step costs the nonzeros it touches;
+coboundaries are a few percent nonzero.  Its pivot order is fixed,
+because the canonical coordinates of every presented group are read
+off u: another order would give the same groups in other coordinates.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import chain
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -47,19 +52,30 @@ class IntMatrix:
         self.ncols = ncols
 
     @classmethod
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...],
+                 ncols: int) -> "IntMatrix":
+        # rows already are tuples of ncols ints: no checks, no copies
+        out = object.__new__(cls)
+        out.rows = rows
+        out.nrows = len(rows)
+        out.ncols = ncols
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._of_rows(_dense([{i: 1} for i in range(n)], n), n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)], n)
+        return cls._of_rows(((0,) * n,) * m, n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(nrows)], len(cols))
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls._of_rows(rows, len(cols))
 
     @classmethod
     def hstack(cls, mats: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -68,8 +84,9 @@ class IntMatrix:
         m = mats[0].nrows
         if any(a.nrows != m for a in mats):
             raise ValueError("row count mismatch")
-        rows = [sum((list(a.rows[i]) for a in mats), []) for i in range(m)]
-        return cls(rows, sum(a.ncols for a in mats))
+        rows = tuple(tuple(chain.from_iterable(rs))
+                     for rs in zip(*(a.rows for a in mats)))
+        return cls._of_rows(rows, sum(a.ncols for a in mats))
 
     @classmethod
     def block_diag(cls, mats: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -79,19 +96,22 @@ class IntMatrix:
         r = c = 0
         for a in mats:
             for i in range(a.nrows):
-                out[r + i][c : c + a.ncols] = list(a.rows[i])
+                out[r + i][c : c + a.ncols] = a.rows[i]
             r += a.nrows
             c += a.ncols
-        return cls(out, n)
+        return cls._of_rows(tuple(map(tuple, out)), n)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
+        return tuple(map(itemgetter(j), self.rows))
 
     def cols(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.ncols)]
+        return list(self._columns())
+
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.col(j) for j in range(self.ncols)], self.nrows)
+        return IntMatrix._of_rows(self._columns(), self.nrows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
@@ -101,28 +121,29 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        bt = other.transpose()
-        return IntMatrix(
-            [[sum(map(mul, r, c)) for c in bt.rows] for r in self.rows],
+        bt = other._columns()
+        return IntMatrix._of_rows(
+            tuple(tuple([sum(map(mul, r, c)) for c in bt]) for r in self.rows),
             other.ncols,
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+        return IntMatrix._of_rows(
+            tuple(tuple(map(add, r, s)) for r, s in zip(self.rows, other.rows)),
             self.ncols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+        return IntMatrix._of_rows(
+            tuple(tuple(map(sub, r, s)) for r, s in zip(self.rows, other.rows)),
             self.ncols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.rows], self.ncols)
+        return IntMatrix._of_rows(tuple(tuple(map(neg, r)) for r in self.rows),
+                                  self.ncols)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -145,6 +166,37 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
 
 
+# sparse rows: {column: value} dicts that store no zero
+
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src, for q != 0."""
+    for c, y in src.items():
+        x = dst.get(c, 0) + q * y
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
+
+
+def _dense(rows: list[dict], width: int) -> tuple[tuple[int, ...], ...]:
+    out = []
+    for r in rows:
+        row = [0] * width
+        for j, x in r.items():
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_transposed(rows: list[dict],
+                      height: int) -> tuple[tuple[int, ...], ...]:
+    out = [[0] * len(rows) for _ in range(height)]
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            out[j][i] = x
+    return tuple(map(tuple, out))
+
+
 def smith_normal_form(
     a: IntMatrix,
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -163,63 +215,120 @@ def smith_normal_form(
     and a pivot 1 divides everything, so the divisibility scan of the
     remaining submatrix is skipped for it.  Neither shortcut changes
     which operations run, hence d, u and v are the same as without them.
+
+    All four matrices are kept as sparse rows while the elimination
+    runs, with v and uinv transposed so that their column operations are
+    row operations, and a column index of the working matrix; each
+    operation costs the nonzeros it touches.  The pivot order is part of
+    the contract, not a tuning choice: the canonical coordinates of every
+    presented group are read off u, so an order that picks other pivots
+    (unit pivots first, say) would print the same groups in other
+    coordinates.
     """
     m, n = a.nrows, a.ncols
-    s = [list(r) for r in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # uinv is kept transposed, so its column operations are row operations
-    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    s = [{j: x for j, x in enumerate(r) if x} for r in a.rows]
+    # rows_of[j]: the rows of s with a nonzero in column j
+    rows_of = [set() for _ in range(n)]
+    for i, r in enumerate(s):
+        for j in r:
+            rows_of[j].add(i)
+    u = [{i: 1} for i in range(m)]
+    vt = [{j: 1} for j in range(n)]
+    w = [{i: 1} for i in range(m)]  # uinv, transposed
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
+        si, sj = s[i], s[j]
+        for c in si:
+            if c not in sj:
+                rs = rows_of[c]
+                rs.remove(i)
+                rs.add(j)
+        for c in sj:
+            if c not in si:
+                rs = rows_of[c]
+                rs.remove(j)
+                rs.add(i)
+        s[i], s[j] = sj, si
         u[i], u[j] = u[j], u[i]
         w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for r in rows_of[i] | rows_of[j]:
+            row = s[r]
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        w[i] = [-x for x in w[i]]
+        for row in (s[i], u[i], w[i]):
+            for c in row:
+                row[c] = -row[c]
+
+    def add_to_row(i, j, q):
+        # s: row_i += q * row_j, keeping the column index
+        dst = s[i]
+        for c, y in s[j].items():
+            x = dst.get(c)
+            if x is None:
+                dst[c] = q * y
+                rows_of[c].add(i)
+            else:
+                x += q * y
+                if x:
+                    dst[c] = x
+                else:
+                    del dst[c]
+                    rows_of[c].remove(i)
 
     def row_sub(i, j, q):
         # row_i -= q * row_j; uinv: col_j += q * col_i
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
+        add_to_row(i, j, -q)
+        _axpy(u[i], u[j], -q)
+        _axpy(w[j], w[i], q)
 
     def col_sub(i, j, q):
         # col_i -= q * col_j
-        for r in s:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
+        ri = rows_of[i]
+        for r in rows_of[j]:
+            row = s[r]
+            x = row.get(i)
+            y = q * row[j]
+            if x is None:
+                row[i] = -y
+                ri.add(r)
+            elif x == y:
+                del row[i]
+                ri.remove(r)
+            else:
+                row[i] = x - y
+        _axpy(vt[i], vt[j], -q)
 
     def row_add(i, j):
         # row_i += row_j; uinv: col_j -= col_i
-        s[i] = [x + y for x, y in zip(s[i], s[j])]
-        u[i] = [x + y for x, y in zip(u[i], u[j])]
-        w[j] = [x - y for x, y in zip(w[j], w[i])]
+        add_to_row(i, j, 1)
+        _axpy(u[i], u[j], 1)
+        _axpy(w[j], w[i], -1)
 
     def find_pivot(t):
         # the first nonzero entry of least absolute value in the trailing
-        # submatrix, in row-major order; nothing is smaller than a unit
-        piv = None
-        best = None
+        # submatrix, in row-major order; nothing is smaller than a unit.
+        # Rows t.. hold no entry left of column t.
+        best = bi = bj = 0
         for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    if abs(x) == 1:
-                        return (i, j)
-                    best = abs(x)
-                    piv = (i, j)
-        return piv
+            for j, x in s[i].items():
+                ax = abs(x)
+                if best == 0 or ax < best:
+                    best, bi, bj = ax, i, j
+                elif ax == best and i == bi and j < bj:
+                    bj = j
+            if best == 1:
+                break
+        return (bi, bj) if best else None
 
     t = 0
     while t < min(m, n):
@@ -233,55 +342,54 @@ def smith_normal_form(
         if s[t][t] < 0:
             negate_row(t)
         while True:
+            # clear column t below the pivot, rows ascending, then row t
+            # right of it, columns ascending; a nonzero remainder is a
+            # strictly smaller pivot and starts the pass again
             restart = False
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    if q:
-                        row_sub(i, t, q)
-                    if s[i][t]:
-                        # remainder is a strictly smaller pivot
-                        swap_rows(i, t)
-                        restart = True
-                        break
+            p = s[t][t]
+            for i in sorted(rows_of[t]):
+                if i == t:
+                    continue
+                q = s[i][t] // p
+                if q:
+                    row_sub(i, t, q)
+                if t in s[i]:
+                    swap_rows(i, t)
+                    restart = True
+                    break
             if restart:
                 continue
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
+            for j in sorted(s[t]):
+                if j == t:
+                    continue
+                q = s[t][j] // p
+                if q:
+                    col_sub(j, t, q)
+                if j in s[t]:
+                    swap_cols(j, t)
+                    restart = True
+                    break
             if restart:
-                continue
-            if any(s[i][t] for i in range(t + 1, m)):
-                continue
-            if any(s[t][j] for j in range(t + 1, n)):
                 continue
             # pivot must divide the whole remaining submatrix
-            p = s[t][t]
             if p == 1:
                 break
             bad = None
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
+                if any(map(p.__rmod__, s[i].values())):
+                    bad = i
                     break
             if bad is None:
                 break
             row_add(t, bad)
         t += 1
     for i in range(min(m, n)):
-        if s[i][i] < 0:
+        if s[i].get(i, 0) < 0:
             negate_row(i)
-    return (IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n),
-            IntMatrix(zip(*w), m))
+    return (IntMatrix._of_rows(_dense(s, n), n),
+            IntMatrix._of_rows(_dense(u, m), m),
+            IntMatrix._of_rows(_dense_transposed(vt, n), n),
+            IntMatrix._of_rows(_dense_transposed(w, m), m))
 
 
 def determinant(a: IntMatrix) -> int:

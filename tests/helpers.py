@@ -4,8 +4,8 @@ Complexes come from the bundled fixture files so the tests exercise the
 same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks and the
-brute-force vertical homotopy search live here too: the tests use them
-as references, the package does not.
+brute-force vertical homotopy search and the dense Smith normal form
+live here too: the tests use them as references, the package does not.
 """
 
 from eqtwist.abgroups import AbHom, FgAbGroup
@@ -21,7 +21,8 @@ from eqtwist.equivariant import GSimplicialSet, fixed_point_system
 from eqtwist.fixtures import fixture_path, load_json
 from eqtwist.groups import FiniteGroup, OrbitCategory
 from eqtwist.intmat import IntMatrix
-from eqtwist.simplicial import FiniteSimplicialSet, SimplexRef, nondeg
+from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef, nondeg,
+                                product)
 from eqtwist.twisting import GroupTwist
 
 
@@ -47,6 +48,21 @@ def sphere2_gx():
 
 def delta2_gx():
     return load_gx("delta2.json")
+
+
+def ngon_space(n: int) -> FiniteSimplicialSet:
+    """The n-gon: vertices v0..v{n-1}, edge ei from vi to v{i+1}."""
+    cells = {0: [f"v{i}" for i in range(n)], 1: [f"e{i}" for i in range(n)]}
+    faces = {f"e{i}": (nondeg(f"v{(i + 1) % n}"), nondeg(f"v{i}"))
+             for i in range(n)}
+    return FiniteSimplicialSet(1, cells, faces)
+
+
+def torus_gx(a: int, b: int) -> GSimplicialSet:
+    """The product of an a-gon and a b-gon, over the trivial group."""
+    pc = product(ngon_space(a), ngon_space(b), truncation=3)
+    pc.complex.validate()
+    return GSimplicialSet(pc.complex, FiniteGroup.trivial(), {})
 
 
 def constant_setup(gx, coeff: FgAbGroup):
@@ -330,3 +346,147 @@ def vertical_homotopy_oracle(ls: LiftSystem, n: int, f, g,
     except BudgetExceeded:
         return None, state["tried"]
     return found, state["tried"]
+
+
+# dense Smith normal form ----------------------------------------------
+# The elimination intmat.smith_normal_form ran before it kept sparse
+# rows, kept verbatim: the sparse one must make the same operations, so
+# both return the same (d, u, v, uinv) entry for entry.
+
+def dense_smith_normal_form(
+    a: IntMatrix,
+) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (d, u, v, uinv) with u*a*v = d in Smith normal form.
+
+    d is diagonal with nonnegative entries d_1 | d_2 | ... (zeros trail),
+    u and v are unimodular and uinv is the inverse of u.  Elementary row
+    operations accumulate in u, column operations in v, and every row
+    operation on u is mirrored in uinv as the inverse column operation
+    (a row swap as the same column swap, a row negation as the same
+    column negation, row_i -= q*row_j as col_j += q*col_i), so the
+    inverse costs no second elimination.
+
+    The pivot is the first entry of least absolute value in row-major
+    order, so the search stops at the first entry of absolute value 1;
+    and a pivot 1 divides everything, so the divisibility scan of the
+    remaining submatrix is skipped for it.  Neither shortcut changes
+    which operations run, hence d, u and v are the same as without them.
+    """
+    m, n = a.nrows, a.ncols
+    s = [list(r) for r in a.rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # uinv is kept transposed, so its column operations are row operations
+    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+        w[i] = [-x for x in w[i]]
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j; uinv: col_j += q * col_i
+        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
+
+    def col_sub(i, j, q):
+        # col_i -= q * col_j
+        for r in s:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def row_add(i, j):
+        # row_i += row_j; uinv: col_j -= col_i
+        s[i] = [x + y for x, y in zip(s[i], s[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
+        w[j] = [x - y for x, y in zip(w[j], w[i])]
+
+    def find_pivot(t):
+        # the first nonzero entry of least absolute value in the trailing
+        # submatrix, in row-major order; nothing is smaller than a unit
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = s[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    if abs(x) == 1:
+                        return (i, j)
+                    best = abs(x)
+                    piv = (i, j)
+        return piv
+
+    t = 0
+    while t < min(m, n):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        if s[t][t] < 0:
+            negate_row(t)
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    if q:
+                        row_sub(i, t, q)
+                    if s[i][t]:
+                        # remainder is a strictly smaller pivot
+                        swap_rows(i, t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    if q:
+                        col_sub(j, t, q)
+                    if s[t][j]:
+                        swap_cols(j, t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            if any(s[i][t] for i in range(t + 1, m)):
+                continue
+            if any(s[t][j] for j in range(t + 1, n)):
+                continue
+            # pivot must divide the whole remaining submatrix
+            p = s[t][t]
+            if p == 1:
+                break
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if s[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad)
+        t += 1
+    for i in range(min(m, n)):
+        if s[i][i] < 0:
+            negate_row(i)
+    return (IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n),
+            IntMatrix(zip(*w), m))

@@ -23,6 +23,7 @@ from helpers import (
     s1_twisted,
     s1_untwisted,
     sphere2_gx,
+    torus_gx,
     triangle_kappa,
 )
 
@@ -125,3 +126,18 @@ def test_evaluate_cochain_reads_components():
     assert evaluate_cochain(ec, 1, (3,), "e", nondeg("e")) == (3,)
     # normalized cochains vanish on degenerate simplices
     assert evaluate_cochain(ec, 1, (3,), "e", SimplexRef((0,), "v")) == (0,)
+
+
+def test_the_six_by_six_torus():
+    gx = torus_gx(6, 6)
+    cells = gx.space.cells
+    assert [len(cells[q]) for q in range(3)] == [36, 108, 72]
+    assert sum((-1) ** q * len(ids) for q, ids in cells.items()) == 0
+    z2 = FgAbGroup.from_relations(1, [[2]])
+    for coeff, want in [(Z, [(1, ()), (2, ()), (1, ())]),
+                        (z2, [(0, (2,)), (0, (2, 2)), (0, (2,))])]:
+        cat, system = constant_setup(gx, coeff)
+        ec = EquivariantCochains(gx, cat, system, 3)
+        cc = untwisted_complex(ec)
+        assert [cc.cohomology(n).group.normal_form()
+                for n in range(3)] == want

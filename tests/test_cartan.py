@@ -2,6 +2,7 @@
 
 import pytest
 
+from eqtwist import cartan
 from eqtwist.abgroups import FgAbGroup
 from eqtwist.bredon import EquivariantCochains, TrivialTwistProvider
 from eqtwist.cartan import (
@@ -222,6 +223,29 @@ def test_vertical_homotopy_agrees_with_the_search_and_the_image():
                     ls.diffs[0], lifts.add(f, lifts.neg(g))), (name, f, g)
                 pairs += 1
     assert pairs == 44
+
+
+def test_vertical_homotopy_builds_the_cylinder_once(monkeypatch):
+    built = {"cylinder": 0, "kernel term": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cartan, "cylinder_with_action",
+                        counting("cylinder", cartan.cylinder_with_action))
+    monkeypatch.setattr(cartan, "kernel_term",
+                        counting("kernel term", cartan.kernel_term))
+    ls = _lift_system(s1_untwisted(Z4))
+    lifts = ls.groups[1]
+    pairs = [(f, g) for f in lifts.elements() for g in lifts.elements()]
+    assert len(pairs) == 16
+    found = [vertical_homotopy(ls, 1, f, g) for f, g in pairs]
+    assert found == [element_in_image(ls.diffs[0], lifts.add(f, lifts.neg(g)))
+                     for f, g in pairs]
+    assert built == {"cylinder": 1, "kernel term": 1}
 
 
 def test_vertical_homotopy_needs_the_next_differential():

@@ -316,3 +316,74 @@ def test_internal_breach_exits_three(capsys, monkeypatch):
                          "--coeffs", fx("coeffs_z.json"), "--nmax", "1")
     assert code == 3
     assert err.startswith("internal invariant breach: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["cartan-check", "--coeffs", fx("coeffs_z2.json"), "--bounds", "1,1"],
+    ["crosscheck", "--complex", fx("s1.json"),
+     "--coeffs", fx("coeffs_z2.json"), "--nmax", "0"],
+], ids=["cartan-check", "crosscheck"])
+def test_a_theory_without_bounds_is_an_input_error(capsys, tmp_path,
+                                                   command):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"canonical": True}))
+    code, out, err = run(capsys, *command, "--theory", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: malformed input: missing key 'i_max'\n"
+
+
+def _coeffs(**constant):
+    return {"constant": constant}
+
+
+def _twist(**data):
+    base = {"pi": {"elements": ["e", "t"], "table": [[0, 1], [1, 0]]},
+            "values": {"e": "t"}}
+    base.update(data)
+    return {k: v for k, v in base.items() if v is not None}
+
+
+# (file kind, malformed contents); each case is fed in place of one good
+# file of an otherwise valid command line
+MALFORMED_FILES = {
+    "rels as an int": ("coeffs", _coeffs(gens=1, rels=2)),
+    "no gens": ("coeffs", _coeffs(rels=[[2]])),
+    "ragged rels": ("coeffs", _coeffs(gens=2, rels=[[2, 0], [0]])),
+    "constant as a list": ("coeffs", {"constant": [1, [[2]]]}),
+    "twist without pi": ("twist", {"values": {"e": "t"}}),
+    "pi as a list": ("twist", _twist(pi=["e", "t"])),
+    "values as a list": ("twist", _twist(values=["t"])),
+    "phi as a list": ("action", {"phi": [[-1]]}),
+    "matrix as an int": ("action", {"phi": {"e": {"t": -1}}}),
+    "string bounds": ("theory", {"canonical": True, "i_max": "two",
+                                 "p_max": "three"}),
+    "list bounds": ("theory", {"canonical": True, "i_max": [2],
+                               "p_max": 2}),
+}
+
+FILE_COMMANDS = {
+    "coeffs": [["bredon", "--complex", fx("s1.json"), "--nmax", "1"]],
+    "twist": [["twisted", "--complex", fx("s1.json"),
+               "--coeffs", fx("coeffs_z2.json"), "--nmax", "1"]],
+    "action": [["twisted", "--complex", fx("s1.json"),
+                "--coeffs", fx("coeffs_z2.json"),
+                "--twist", fx("twist_s1_z2.json"), "--nmax", "1"]],
+    "theory": [["cartan-check", "--coeffs", fx("coeffs_z2.json"),
+                "--bounds", "1,1"],
+               ["crosscheck", "--complex", fx("s1.json"),
+                "--coeffs", fx("coeffs_z2.json"), "--nmax", "0"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_a_malformed_input_file_is_an_input_error(capsys, tmp_path, case):
+    kind, data = MALFORMED_FILES[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    for command in FILE_COMMANDS[kind]:
+        code, out, err = run(capsys, *command, f"--{kind}", str(path))
+        assert (code, out) == (1, ""), (command, err)
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -3,9 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from eqtwist.abgroups import FgAbGroup
+from eqtwist.bredon import EquivariantCochains, untwisted_complex
 from eqtwist.intmat import IntMatrix, determinant, smith_normal_form, solve
+
+from helpers import constant_setup, dense_smith_normal_form, torus_gx
 
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -141,3 +145,64 @@ def test_determinant_multiplicative(rows):
     a = IntMatrix(rows, 3)
     b = IntMatrix([[0, 1, 2], [1, 1, 0], [0, 0, 1]], 3)
     assert determinant(a @ b) == determinant(a) * determinant(b)
+
+
+# the sparse elimination makes the dense one's operations ---------------
+
+NONZERO = [1, -1, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]
+
+
+@st.composite
+def sparse_or_dense(draw, max_dim=9):
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    # about 1 in 10, 4 in 10 or 12 in 13 entries nonzero
+    zeros = draw(st.sampled_from([108, 18, 1]))
+    entry = st.sampled_from([0] * zeros + NONZERO)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return IntMatrix(rows, n)
+
+
+@settings(max_examples=400)
+@given(sparse_or_dense())
+def test_snf_makes_the_operations_of_the_dense_elimination(a):
+    assert smith_normal_form(a) == dense_smith_normal_form(a)
+
+
+def test_snf_of_a_torsion_block_and_a_coboundary_matches_the_dense_one():
+    twos = IntMatrix.block_diag([IntMatrix([[2]])] * 40
+                                + [IntMatrix([[4, 6], [6, 9]])])
+    gx = torus_gx(4, 3)
+    cat, system = constant_setup(gx, FgAbGroup.from_relations(1, [[2]]))
+    cc = untwisted_complex(EquivariantCochains(gx, cat, system, 3))
+    d1 = cc.diffs[1]
+    # the matrix whose kernel gives H^1: the coboundary next to the
+    # relations of its target
+    coboundary = IntMatrix.hstack([d1.matrix, d1.target.rels])
+    for a in (twos, d1.matrix, coboundary):
+        assert smith_normal_form(a) == dense_smith_normal_form(a)
+
+
+def _is_canonical(a):
+    # what the public constructor would build from the same rows
+    public = IntMatrix(a.rows, a.ncols)
+    return (type(a.rows) is tuple
+            and all(type(r) is tuple and len(r) == a.ncols for r in a.rows)
+            and all(type(x) is int for r in a.rows for x in r)
+            and a.nrows == len(a.rows)
+            and a == public and hash(a) == hash(public))
+
+
+@given(sparse_or_dense(5))
+def test_built_matrices_have_the_public_shape(a):
+    at = a.transpose()
+    built = [*smith_normal_form(a), at, a @ at, at @ a,
+             IntMatrix.hstack([a, a]), IntMatrix.identity(a.nrows),
+             IntMatrix.zeros(a.nrows, a.ncols), a + a, a - a, -a,
+             IntMatrix.block_diag([a, at]),
+             IntMatrix.from_cols(a.cols(), a.nrows)]
+    assert all(_is_canonical(m) for m in built)
+    assert at.transpose() == a
+    assert IntMatrix.from_cols(a.cols(), a.nrows) == a
+    assert at.rows == tuple(a.col(j) for j in range(a.ncols))
