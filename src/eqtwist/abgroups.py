@@ -339,11 +339,12 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> tuple[FgAbGroup, list[int]]:
 def assemble_hom(
     source_groups: Sequence[FgAbGroup],
     target_groups: Sequence[FgAbGroup],
-    blocks: dict[tuple[int, int], IntMatrix],
+    blocks: Iterable[tuple[tuple[int, int], IntMatrix]],
     source_sum: FgAbGroup | None = None,
     target_sum: FgAbGroup | None = None,
 ) -> AbHom:
-    """Hom between direct sums from a sparse dict of (target_i, source_j) blocks."""
+    """Hom between direct sums from sparse ((target_i, source_j), block)
+    pairs; blocks that share a key are added."""
     if source_sum is None:
         source_sum, _ = direct_sum(source_groups)
     if target_sum is None:
@@ -359,7 +360,7 @@ def assemble_hom(
         toff.append(pos)
         pos += g.ngens
     mat = [[0] * source_sum.ngens for _ in range(target_sum.ngens)]
-    for (ti, sj), b in blocks.items():
+    for (ti, sj), b in blocks:
         if b.nrows != target_groups[ti].ngens or b.ncols != source_groups[sj].ngens:
             raise ValueError("block shape mismatch")
         for r in range(b.nrows):

@@ -23,7 +23,6 @@ from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice, loop_of_simplex
 from .equivariant import GSimplicialSet, OGComplex
 from .groups import OrbitCategory
-from .intmat import IntMatrix
 from .simplicial import SimplexRef, nondeg
 from .twisting import GroupTwist
 
@@ -133,7 +132,7 @@ def _face_block(ec: EquivariantCochains, hkey: str, n: int,
 
 def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
     """delta^n with the d_0 term corrected by the provider."""
-    blocks: dict[tuple[int, int], IntMatrix] = {}
+    blocks = []
     for xi, ox in enumerate(ec.orbits[n + 1]):
         hkey = ox.stab_key
         xref = nondeg(ox.rep)
@@ -144,9 +143,8 @@ def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
             j, hom = fb
             if i == 0:
                 hom = provider.phi_inv_hom(hkey, xref).compose(hom)
-            mat = hom.matrix if i % 2 == 0 else -hom.matrix
-            prev = blocks.get((xi, j))
-            blocks[(xi, j)] = mat if prev is None else prev + mat
+            blocks.append(((xi, j), hom.matrix if i % 2 == 0
+                           else -hom.matrix))
     return assemble_hom(ec.summands[n], ec.summands[n + 1], blocks,
                         source_sum=ec.groups[n],
                         target_sum=ec.groups[n + 1])

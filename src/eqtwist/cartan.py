@@ -35,11 +35,6 @@ from .intmat import IntMatrix, solve
 from .simplicial import FiniteSimplicialSet, SimplexRef, cylinder, nondeg
 
 
-def _add_block(blocks: dict, key: tuple[int, int], mat: IntMatrix):
-    prev = blocks.get(key)
-    blocks[key] = mat if prev is None else prev + mat
-
-
 def element_preimage(h: AbHom, elem) -> tuple[int, ...] | None:
     """Canonical coordinates of some preimage of a target element, or None."""
     x = h.preimage(h.target.to_vector(elem))
@@ -53,17 +48,15 @@ def element_in_image(h: AbHom, elem) -> bool:
 # simplicial abelian groups ------------------------------------------
 
 class SimplicialAb:
-    """Simplicial abelian group up to a level bound, as explicit homs."""
+    """Simplicial abelian group up to a level bound, as explicit homs;
+    `validate`, run by `check_axioms`, checks the identities."""
 
     def __init__(self, levels: list[FgAbGroup],
                  faces: dict[tuple[int, int], AbHom],
-                 degs: dict[tuple[int, int], AbHom],
-                 check: bool = True):
+                 degs: dict[tuple[int, int], AbHom]):
         self.levels = list(levels)
         self.faces = faces
         self.degs = degs
-        if check:
-            self.validate()
 
     @property
     def top(self) -> int:
@@ -122,7 +115,7 @@ def simplicial_ab_of_model(model: CochainModel) -> SimplicialAb:
              for q in range(1, model.top + 1) for i in range(q + 1)}
     degs = {(q, j): model.deg_hom(j, q)
             for q in range(model.top) for j in range(q + 1)}
-    return SimplicialAb(model.levels, faces, degs, check=False)
+    return SimplicialAb(model.levels, faces, degs)
 
 
 def moore_subgroup(sab: SimplicialAb, q: int) -> tuple[FgAbGroup, AbHom]:
@@ -130,7 +123,7 @@ def moore_subgroup(sab: SimplicialAb, q: int) -> tuple[FgAbGroup, AbHom]:
     g = sab.levels[q]
     if q == 0:
         return g, AbHom.identity(g)
-    blocks = {(i, 0): sab.faces[(q, i + 1)].matrix for i in range(q)}
+    blocks = [((i, 0), sab.faces[(q, i + 1)].matrix) for i in range(q)]
     hom = assemble_hom([g], [sab.levels[q - 1]] * q, blocks)
     return hom.kernel()
 
@@ -150,15 +143,14 @@ def moore_homotopy(sab: SimplicialAb, n: int) -> FgAbGroup:
 
 
 class OGSimplicialAb:
-    """Contravariant functor from the orbit category to SimplicialAb."""
+    """Contravariant functor from the orbit category to SimplicialAb;
+    `validate`, run by `check_axioms`, checks functoriality."""
 
     def __init__(self, cat: OrbitCategory, objects: dict[str, SimplicialAb],
-                 maps: dict[str, list[AbHom]], check: bool = True):
+                 maps: dict[str, list[AbHom]]):
         self.cat = cat
         self.objects = objects
         self.maps = maps
-        if check:
-            self.validate()
 
     @property
     def top(self) -> int:
@@ -248,7 +240,7 @@ def canonical_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
                 models[(tgt, i)].postcompose_hom(q, coeffs.maps[m.key],
                                                  models[(src, i)])
                 for q in range(p_max + 1)]
-        terms.append(OGSimplicialAb(cat, objects, maps, check=False))
+        terms.append(OGSimplicialAb(cat, objects, maps))
     deltas = []
     for i in range(i_max):
         deltas.append({s.key: [delta_hom(models[(s.key, i)],
@@ -290,7 +282,7 @@ def kernel_term(theory: CartanTheory, n: int) -> OGSimplicialAb:
             for j in range(q + 1):
                 degs[(q, j)] = amb.degs[(q, j)].compose(
                     inc[q]).factor_through(inc[q + 1])
-        objects[skey] = SimplicialAb(subs, faces, degs, check=False)
+        objects[skey] = SimplicialAb(subs, faces, degs)
         incls[skey] = inc
     maps = {}
     for m in cat.all_morphisms():
@@ -299,7 +291,7 @@ def kernel_term(theory: CartanTheory, n: int) -> OGSimplicialAb:
             theory.terms[n].maps[m.key][q].compose(
                 incls[tgt][q]).factor_through(incls[src][q])
             for q in range(theory.p_max + 1)]
-    out = OGSimplicialAb(cat, objects, maps, check=False)
+    out = OGSimplicialAb(cat, objects, maps)
     out.inclusions = incls
     return out
 
@@ -584,7 +576,7 @@ class LiftCells:
         d_i x minus d_i of its own value, where d_0 is followed by
         twist(orbit type, x, q - 1), an endomorphism of that level.
         """
-        blocks = {}
+        blocks = []
         tgroups = []
         for vi, (q, o) in enumerate(self.orbits):
             if q == 0 or (rows is not None and vi not in rows):
@@ -598,16 +590,12 @@ class LiftCells:
                     face = twist(hkey, o.rep, q - 1).compose(face)
                 ti = len(tgroups)
                 tgroups.append(obj.levels[q - 1])
-                _add_block(blocks, (ti, vi), -face.matrix)
+                blocks.append(((ti, vi), -face.matrix))
                 col, hom = self.evaluation(term, hkey,
                                            self.space.face(i, xref))
-                _add_block(blocks, (ti, col), hom.matrix)
-        groups = self.groups(term)
-        if source_sum is None:
-            source_sum, _offs = direct_sum(groups)
-        if not tgroups:
-            return AbHom.zero(source_sum, FgAbGroup.trivial())
-        return assemble_hom(groups, tgroups, blocks, source_sum=source_sum)
+                blocks.append(((ti, col), hom.matrix))
+        return assemble_hom(self.groups(term), tgroups, blocks,
+                            source_sum=source_sum)
 
 
 class LiftSystem:
@@ -631,12 +619,9 @@ class LiftSystem:
         self.theory = theory
         self.provider = provider
         self.nmax = nmax
-        maxdim = 0
-        for q, os in ec.orbits.items():
-            if os:
-                maxdim = max(maxdim, q)
         self.cells = LiftCells(ec.gx.space, ec.cat, ec.orbits,
-                               min(maxdim, theory.p_max))
+                               min(ec.gx.space.dimension, ec.nmax,
+                                   theory.p_max))
         self.var_groups = {}
         self.ambient = {}
         self.offsets = {}
@@ -668,9 +653,8 @@ class LiftSystem:
         return self._cylinders[n]
 
     def _descend_delta(self, n: int) -> AbHom:
-        blocks = {}
-        for vi, (q, o) in enumerate(self.cells.orbits):
-            blocks[(vi, vi)] = self.theory.deltas[n][o.stab_key][q].matrix
+        blocks = [((vi, vi), self.theory.deltas[n][o.stab_key][q].matrix)
+                  for vi, (q, o) in enumerate(self.cells.orbits)]
         big = assemble_hom(self.var_groups[n], self.var_groups[n + 1], blocks,
                            source_sum=self.ambient[n],
                            target_sum=self.ambient[n + 1])
@@ -701,7 +685,7 @@ class LiftSystem:
         its own coordinates, as the canonical theory does.
         """
         ec = self.ec
-        blocks = {}
+        blocks = []
         for bj, o in enumerate(ec.orbits[n]):
             vi = self.cells.index[o.rep]
             vg = self.var_groups[n][vi]
@@ -709,7 +693,7 @@ class LiftSystem:
             if vg.ngens != mg.ngens:
                 raise ValueError(
                     "theory coordinates do not project onto coefficients")
-            blocks[(bj, vi)] = IntMatrix.identity(mg.ngens)
+            blocks.append(((bj, vi), IntMatrix.identity(mg.ngens)))
         big = assemble_hom(self.var_groups[n], ec.summands[n], blocks,
                            source_sum=self.ambient[n],
                            target_sum=ec.groups[n])
@@ -739,10 +723,7 @@ def crosscheck_theorem(gx: GSimplicialSet, cat: OrbitCategory,
     differentials.
     """
     space = gx.space
-    maxdim = 0
-    for q, ids in space.cells.items():
-        if ids:
-            maxdim = max(maxdim, q)
+    maxdim = space.dimension
     ecn = min(space.truncation, max(nmax + 1, maxdim))
     ec = EquivariantCochains(gx, cat, system, ecn)
     if theory is None:
@@ -815,10 +796,7 @@ class _CylinderLaws:
         if n >= theory.i_max:
             raise ValueError("kernel term needs the next differential")
         pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ls.ec.gx)
-        maxdim = 0
-        for q, ids in pc.complex.cells.items():
-            if ids:
-                maxdim = max(maxdim, q)
+        maxdim = pc.complex.dimension
         if maxdim > theory.p_max:
             raise ValueError("theory truncated below the cylinder dimension")
         zn = kernel_term(theory, n)

@@ -158,7 +158,7 @@ def classifying_complex(sg: SimplicialFiniteGroup,
         trunc, elements,
         lambda i, q, t: classifying_face(sg, i, q, t),
         lambda j, q, t: classifying_deg(sg, j, q, t),
-        id_of, check=True)
+        id_of)
 
 
 def classifying_twist(sg: SimplicialFiniteGroup, wbar: Materialized):
@@ -179,7 +179,7 @@ def group_complex(sg: SimplicialFiniteGroup,
         trunc, lambda q: list(sg.levels[q].names),
         lambda i, q, name: sg.face(i, q, name),
         lambda j, q, name: sg.deg(j, q, name),
-        lambda q, name: f"g{q}[{name}]", check=True)
+        lambda q, name: f"g{q}[{name}]")
 
 
 def total_complex(sg: SimplicialFiniteGroup,

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 validation failure, 2 budget exhausted,
 3 internal invariant breach.  Inputs are parsed and cross validated
 before any cohomology is computed, so code 1 always points at the
-input files and code 3 at the library itself.
+input files and code 3 at the library itself.  `validate`,
+`fixedpoints`, `bredon`, `twisted` and `crosscheck` load their files
+through `fixtures.load_setup`; `validate` is that loader alone,
+reporting the checks it passed.
 
 JSON output is printed with sorted keys and fixed indentation, so a
 rerun on the same inputs is byte identical.
@@ -16,17 +19,13 @@ import re
 import sys
 
 from .abgroups import FgAbGroup
-from .bredon import (EquivariantCochains, GroupTwistProvider,
-                     twisted_complex, untwisted_complex)
+from .bredon import EquivariantCochains, twisted_complex, untwisted_complex
 from .cartan import canonical_theory, check_axioms, crosscheck_theorem
-from .classifying import SimplicialFiniteGroup, classifying_complex
-from .coefficients import CoefficientSystem, LocalSystem
-from .edgepaths import EdgeActionSystem, PathChoice
+from .coefficients import CoefficientSystem
 from .em import CocycleModel
-from .equivariant import GSimplicialSet, fixed_point_system
+from .equivariant import GSimplicialSet
 from .fixtures import load_json, load_setup, load_theory_data, parsing
 from .groups import FiniteGroup, OrbitCategory
-from .twisting import GroupTwist, classifying_map
 
 DEFAULT_BUDGET = 200000
 
@@ -73,88 +72,11 @@ def cohomology_entry(group, n: int) -> dict:
 
 # validate -----------------------------------------------------------
 
-def _theta_naturality(cat, ph, twist):
-    """Build the classifying map on every fixed complex and compare
-    along the orbit category, without assuming orbit constancy first;
-    a non natural twist is then reported by the morphism it breaks."""
-    trunc = ph.complexes[cat.subgroups[0].key].truncation
-    wbar = classifying_complex(
-        SimplicialFiniteGroup.constant(twist.pi, trunc), trunc)
-    maps = {}
-    for s in cat.subgroups:
-        maps[s.key] = classifying_map(ph.complexes[s.key], twist, wbar)
-    for m in cat.all_morphisms():
-        tr = ph.maps[m.key]
-        for cid, ref in tr.values.items():
-            if maps[m.src.key].apply(ref) != maps[m.tgt.key].values[cid]:
-                raise ValueError(
-                    f"classifying maps disagree along {m.key}")
-
-
 def cmd_validate(args):
-    checked = []
-
-    def load():
-        with parsing():
-            gx = GSimplicialSet.from_json(load_json(args.complex))
-        checked.append("complex")
-        cat = OrbitCategory(gx.group)
-        ph = fixed_point_system(gx, cat)
-        checked.append("fixed point system")
-        system = None
-        if args.coeffs:
-            with parsing():
-                system = CoefficientSystem.from_json(cat,
-                                                     load_json(args.coeffs))
-            checked.append("coefficient system")
-        if not args.twist:
-            if args.action:
-                raise ValueError("an action file needs a twist file")
-            return
-        tdata = load_json(args.twist)
-        adata = load_json(args.action) if args.action else None
-        if "pi" in tdata:
-            with parsing():
-                pi = FiniteGroup.from_json(tdata["pi"])
-                twist = GroupTwist.from_json(gx.space, pi, tdata["values"])
-            checked.append("twisting identities")
-            _theta_naturality(cat, ph, twist)
-            checked.append("classifying map naturality")
-            twist.check_equivariant(gx)
-            if adata is not None and system is None:
-                raise ValueError("a coefficient action needs --coeffs")
-            if system is not None:
-                if adata is None:
-                    local = LocalSystem.trivial(system, pi)
-                elif "phi" in adata:
-                    with parsing():
-                        local = LocalSystem.from_json(system, pi, adata)
-                    checked.append("coefficient action")
-                else:
-                    raise ValueError(
-                        "action file for a group twist must carry 'phi'")
-                GroupTwistProvider(local, twist, gx=gx)
-        elif "kappa" in tdata:
-            with parsing():
-                PathChoice.from_json(ph, tdata["kappa"])
-            checked.append("edge paths")
-            if adata is not None:
-                if system is None:
-                    raise ValueError(
-                        "edge actions need a coefficient system")
-                if "edges" not in adata:
-                    raise ValueError(
-                        "action file for an edge path twist must carry "
-                        "'edges'")
-                with parsing():
-                    EdgeActionSystem.from_json(ph, system, adata["edges"])
-                checked.append("edge holonomies")
-        else:
-            raise ValueError("twist file carries neither 'pi' nor 'kappa'")
-
-    _loading(load)
-    payload = {"ok": True, "checked": checked}
-    lines = ["ok"] + [f"checked: {c}" for c in checked]
+    setup = _loading(load_setup, args.complex, args.coeffs,
+                     args.twist, args.action)
+    payload = {"ok": True, "checked": setup.checked}
+    lines = ["ok"] + [f"checked: {c}" for c in setup.checked]
     return payload, lines
 
 
@@ -301,13 +223,11 @@ def cmd_cartan_check(args):
 
 def _lift_cost(setup, nmax):
     space = setup.gx.space
-    maxdim = max((q for q, ids in space.cells.items() if ids), default=0)
-    top = min(maxdim, space.truncation)
     ngens = max(setup.system.values[s.key].ngens
                 for s in setup.cat.subgroups)
     cost = 0
     for n in range(nmax + 2):
-        for q in range(top + 1):
+        for q in range(space.dimension + 1):
             cost += len(space.cells[q]) * ngens * math.comb(q + 1, n + 1)
     return cost
 

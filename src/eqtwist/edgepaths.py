@@ -70,12 +70,11 @@ class PathChoice:
     """
 
     def __init__(self, ph: OGComplex, basepoint: str,
-                 paths: dict[tuple[str, str], EdgeWord], check: bool = True):
+                 paths: dict[tuple[str, str], EdgeWord]):
         self.ph = ph
         self.basepoint = basepoint
         self.paths = paths
-        if check:
-            self.validate()
+        self.validate()
 
     def path_to(self, subgroup_key: str, vertex: str) -> EdgeWord:
         return self.paths[(subgroup_key, vertex)]
@@ -140,13 +139,12 @@ class EdgeActionSystem:
     complex, consistent on triangles and under transport."""
 
     def __init__(self, ph: OGComplex, system: CoefficientSystem,
-                 mats: dict[tuple[str, str], AbHom], check: bool = True):
+                 mats: dict[tuple[str, str], AbHom]):
         self.ph = ph
         self.system = system
         self.mats = mats
         self._inv: dict[tuple[str, str], AbHom] = {}
-        if check:
-            self.validate()
+        self.validate()
 
     def edge_hom(self, subgroup_key: str, eid: str, direction: int) -> AbHom:
         if direction > 0:

@@ -178,7 +178,7 @@ def materialize_cocycles(k: CocycleModel, truncation: int | None = None) \
         trunc, lambda q: k.levels[q].elements(),
         lambda i, q, el: faces[(i, q)].apply(el),
         lambda j, q, el: degs[(j, q)].apply(el),
-        id_of, check=True)
+        id_of)
 
 
 # cochains of a complex <-> maps into the models --------------------

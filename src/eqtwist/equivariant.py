@@ -23,13 +23,12 @@ class GSimplicialSet:
     """A complex with a group acting by cell permutations."""
 
     def __init__(self, space: FiniteSimplicialSet, group: FiniteGroup,
-                 perms: dict[str, dict[str, str]], check: bool = True):
+                 perms: dict[str, dict[str, str]]):
         self.space = space
         self.group = group
         self.perms = {g: dict(p) for g, p in perms.items()}
         self._close()
-        if check:
-            self.validate()
+        self.validate()
 
     def _close(self):
         g = self.group
@@ -160,12 +159,11 @@ class OGComplex:
     """
 
     def __init__(self, cat: OrbitCategory, complexes: dict,
-                 maps: dict, check: bool = True):
+                 maps: dict):
         self.cat = cat
         self.complexes = complexes
         self.maps = maps
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for s in self.cat.subgroups:
@@ -194,7 +192,7 @@ def fixed_point_system(gx: GSimplicialSet, cat: OrbitCategory) -> OGComplex:
             for cid in ids:
                 vals[cid] = nondeg(gx.perms[m.rep][cid])
         maps[m.key] = SimplicialMap(tgt_cx, src_cx, vals, check=False)
-    out = OGComplex(cat, complexes, maps, check=True)
+    out = OGComplex(cat, complexes, maps)
     # the transported cells must indeed be fixed by the source subgroup
     for m in cat.all_morphisms():
         for cid, ref in maps[m.key].values.items():

@@ -1,6 +1,11 @@
 """Bundled example inputs and the loaders shared by the command line
 tool and the test suite.
 
+`load_setup` is the one loader of a complex with its coefficients,
+twist and action, shared by the subcommands `validate`, `fixedpoints`,
+`bredon`, `twisted` and `crosscheck`; `validate` prints the checks it
+records in `Setup.checked`.
+
 File formats:
 
   complex   truncation, simplices, faces, group, action
@@ -14,7 +19,8 @@ File formats:
   action    {"phi": {subgroup: {element: matrix}}} for a group acting
             on the coefficients, or
             {"edges": {subgroup: {edge: matrix}}} for edge holonomies
-  theory    {"canonical": true, "i_max": i, "p_max": p}
+  theory    {"canonical": true, "i_max": i, "p_max": p}, with i and p
+            positive JSON integers
 
 All loaders validate as they go and raise ValueError with the offending
 item named; a file of the wrong shape is reported the same way.
@@ -30,7 +36,7 @@ from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .equivariant import GSimplicialSet, fixed_point_system
 from .groups import FiniteGroup, OrbitCategory
-from .twisting import GroupTwist
+from .twisting import GroupTwist, check_naturality
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -67,10 +73,13 @@ def parsing():
 
 
 class Setup:
-    """Everything the cohomology commands need, parsed and validated."""
+    """Everything the cohomology commands need, parsed and validated.
 
-    __slots__ = ("gx", "cat", "ph", "system", "provider",
-                 "twist_kind", "twist", "pi", "choice", "actions")
+    checked names each check passed, in the order it ran.
+    """
+
+    __slots__ = ("gx", "cat", "ph", "system", "provider", "twist_kind",
+                 "twist", "pi", "choice", "actions", "checked")
 
     def __init__(self):
         self.gx = None
@@ -83,6 +92,7 @@ class Setup:
         self.pi = None
         self.choice = None
         self.actions = None
+        self.checked = []
 
 
 def load_setup(complex_path: str, coeffs_path: str | None = None,
@@ -96,12 +106,15 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     out = Setup()
     with parsing():
         out.gx = GSimplicialSet.from_json(load_json(complex_path))
+    out.checked.append("complex")
     out.cat = OrbitCategory(out.gx.group)
     out.ph = fixed_point_system(out.gx, out.cat)
+    out.checked.append("fixed point system")
     if coeffs_path is not None:
         with parsing():
             out.system = CoefficientSystem.from_json(out.cat,
                                                      load_json(coeffs_path))
+        out.checked.append("coefficient system")
     if twist_path is None:
         if action_path is not None:
             raise ValueError("an action file needs a twist file")
@@ -116,30 +129,40 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
             out.pi = FiniteGroup.from_json(tdata["pi"])
             out.twist = GroupTwist.from_json(out.gx.space, out.pi,
                                              tdata["values"])
-        if out.system is not None:
-            if adata is None:
-                local = LocalSystem.trivial(out.system, out.pi)
-            elif "phi" in adata:
-                with parsing():
-                    local = LocalSystem.from_json(out.system, out.pi, adata)
-            else:
-                raise ValueError(
-                    "action file for a group twist must carry 'phi'")
-            out.provider = GroupTwistProvider(local, out.twist, gx=out.gx)
+        out.checked.append("twisting identities")
+        check_naturality(out.ph, out.twist)
+        out.checked.append("classifying map naturality")
+        out.twist.check_equivariant(out.gx)
+        if out.system is None:
+            if adata is not None:
+                raise ValueError("a coefficient action needs --coeffs")
+            return out
+        if adata is None:
+            local = LocalSystem.trivial(out.system, out.pi)
+        elif "phi" in adata:
+            with parsing():
+                local = LocalSystem.from_json(out.system, out.pi, adata)
+            out.checked.append("coefficient action")
         else:
-            out.twist.check_equivariant(out.gx)
+            raise ValueError("action file for a group twist must carry 'phi'")
+        out.provider = GroupTwistProvider(local, out.twist)
     elif "kappa" in tdata:
         out.twist_kind = "kappa"
         with parsing():
             out.choice = PathChoice.from_json(out.ph, tdata["kappa"])
-        if out.system is not None:
-            if adata is None or "edges" not in adata:
-                raise ValueError(
-                    "an edge path twist needs an action file with 'edges'")
-            with parsing():
-                out.actions = EdgeActionSystem.from_json(
-                    out.ph, out.system, adata["edges"])
-            out.provider = EdgePathProvider(out.ph, out.choice, out.actions)
+        out.checked.append("edge paths")
+        if out.system is None:
+            if adata is not None:
+                raise ValueError("edge actions need a coefficient system")
+            return out
+        if adata is None or "edges" not in adata:
+            raise ValueError(
+                "an edge path twist needs an action file with 'edges'")
+        with parsing():
+            out.actions = EdgeActionSystem.from_json(
+                out.ph, out.system, adata["edges"])
+        out.checked.append("edge holonomies")
+        out.provider = EdgePathProvider(out.ph, out.choice, out.actions)
     else:
         raise ValueError("twist file carries neither 'pi' nor 'kappa'")
     return out
@@ -150,8 +173,10 @@ def load_theory_data(theory_path: str) -> dict:
     if not data.get("canonical"):
         raise ValueError("only canonical theory descriptors are supported")
     with parsing():
-        i_max = int(data["i_max"])
-        p_max = int(data["p_max"])
-    if i_max < 1 or p_max < 1:
-        raise ValueError("theory bounds must be positive")
-    return {"i_max": i_max, "p_max": p_max}
+        bounds = {key: data[key] for key in ("i_max", "p_max")}
+    for key, value in bounds.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"theory bound {key!r} must be a JSON integer")
+        if value < 1:
+            raise ValueError("theory bounds must be positive")
+    return bounds

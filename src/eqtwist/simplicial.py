@@ -103,6 +103,11 @@ class FiniteSimplicialSet:
 
     # structure ------------------------------------------------------
 
+    @property
+    def dimension(self) -> int:
+        """The highest dimension holding a cell; 0 when there is none."""
+        return max((q for q, ids in self.cells.items() if ids), default=0)
+
     def dim_of(self, cid: str) -> int:
         return self._dim[cid]
 
@@ -374,14 +379,14 @@ class PairedComplex:
     def ref_of_pair(self, rx: SimplexRef, ry: SimplexRef) -> SimplexRef:
         return self._pack(rx, ry)
 
-    def projection_right(self, check: bool = True) -> SimplicialMap:
+    def projection_right(self) -> SimplicialMap:
         vals = {cid: pair[1] for cid, pair in self.pair_of.items()}
-        return SimplicialMap(self.complex, self.right, vals, check=check)
+        return SimplicialMap(self.complex, self.right, vals)
 
-    def projection_left(self, check: bool = True) -> SimplicialMap:
+    def projection_left(self) -> SimplicialMap:
         # simplicial only when there is no twist
         vals = {cid: pair[0] for cid, pair in self.pair_of.items()}
-        return SimplicialMap(self.complex, self.left, vals, check=check)
+        return SimplicialMap(self.complex, self.left, vals)
 
 
 def product(x: FiniteSimplicialSet, y: FiniteSimplicialSet,
@@ -410,7 +415,7 @@ def cylinder(x: FiniteSimplicialSet, truncation: int | None = None) \
                 vals[cid] = pc.ref_of_pair(nondeg(cid),
                                            SimplexRef(vword, vertex))
         ends.append(SimplicialMap(x, pc.complex, vals, check=False))
-    return pc, ends[0], ends[1], pc.projection_left(check=True)
+    return pc, ends[0], ends[1], pc.projection_left()
 
 
 # materialization of abstract levelwise data ------------------------
@@ -440,8 +445,7 @@ class Materialized:
 
 
 def materialize_complex(truncation: int, elements: Callable, face: Callable,
-                        deg: Callable, id_of: Callable,
-                        check: bool = True) -> Materialized:
+                        deg: Callable, id_of: Callable) -> Materialized:
     """Build a complex from levelwise element data.
 
     elements(q) lists the hashable elements in dimension q; face(i, q, el)
@@ -490,5 +494,5 @@ def materialize_complex(truncation: int, elements: Callable, face: Callable,
             el = el_of_id[cid]
             faces[cid] = tuple(ref_table[(q - 1, face(i, q, el))]
                                for i in range(q + 1))
-    fs = FiniteSimplicialSet(truncation, cells, faces, check=check)
+    fs = FiniteSimplicialSet(truncation, cells, faces)
     return Materialized(fs, el_of_id, ref_table, deg)

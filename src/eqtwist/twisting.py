@@ -21,8 +21,9 @@ above hold.
 
 from __future__ import annotations
 
-from .classifying import Materialized
-from .equivariant import GSimplicialSet
+from .classifying import (Materialized, SimplicialFiniteGroup,
+                          classifying_complex)
+from .equivariant import GSimplicialSet, OGComplex
 from .groups import FiniteGroup
 from .simplicial import FiniteSimplicialSet, SimplexRef, SimplicialMap, nondeg
 
@@ -101,7 +102,9 @@ class GroupTwist:
     @classmethod
     def from_json(cls, space: FiniteSimplicialSet, pi: FiniteGroup,
                   data: dict) -> "GroupTwist":
-        return cls(space, pi, dict(data))
+        if not isinstance(data, dict):
+            raise ValueError("twist 'values' must be a JSON object")
+        return cls(space, pi, data)
 
 
 def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
@@ -122,3 +125,19 @@ def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
                     ref = space.face(0, ref)
             values[cid] = wbar.ref_of(q, tuple(t))
     return SimplicialMap(space, wbar.complex, values, check=check)
+
+
+def check_naturality(ph: OGComplex, twist: GroupTwist):
+    """Build the classifying map on every fixed complex and compare
+    along the orbit category, without assuming orbit constancy first;
+    a non natural twist is then reported by the morphism it breaks."""
+    cat = ph.cat
+    trunc = ph.complexes[cat.subgroups[0].key].truncation
+    wbar = classifying_complex(
+        SimplicialFiniteGroup.constant(twist.pi, trunc), trunc)
+    maps = {s.key: classifying_map(ph.complexes[s.key], twist, wbar)
+            for s in cat.subgroups}
+    for m in cat.all_morphisms():
+        for cid, ref in ph.maps[m.key].values.items():
+            if maps[m.src.key].apply(ref) != maps[m.tgt.key].values[cid]:
+                raise ValueError(f"classifying maps disagree along {m.key}")

@@ -195,10 +195,10 @@ def zero_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
     levels = [zero] * (p_max + 1)
     faces = {(q, i): zh for q in range(1, p_max + 1) for i in range(q + 1)}
     degs = {(q, j): zh for q in range(p_max) for j in range(q + 1)}
-    sab = SimplicialAb(levels, faces, degs, check=False)
+    sab = SimplicialAb(levels, faces, degs)
     objects = {s.key: sab for s in cat.subgroups}
     maps = {m.key: [zh] * (p_max + 1) for m in cat.all_morphisms()}
-    term = OGSimplicialAb(cat, objects, maps, check=False)
+    term = OGSimplicialAb(cat, objects, maps)
     terms = [term] * (i_max + 1)
     deltas = [{s.key: [zh] * (p_max + 1) for s in cat.subgroups}
               for _ in range(i_max)]

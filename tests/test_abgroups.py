@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from eqtwist import abgroups, intmat
 from eqtwist.abgroups import (AbHom, CochainComplex, FgAbGroup, Subquotient,
-                              cohomology_at, direct_sum,
+                              assemble_hom, cohomology_at, direct_sum,
                               enumerate_automorphisms)
 from eqtwist.intmat import IntMatrix, solve
 
@@ -92,6 +92,16 @@ def test_direct_sum_offsets():
     total, offsets = direct_sum([z2, z, z2])
     assert offsets == [0, 1, 2]
     assert total.normal_form() == (1, (2, 2))
+
+
+def test_assemble_hom_adds_blocks_that_share_a_key():
+    z, z2 = FgAbGroup.free(1), FgAbGroup.free(2)
+    blocks = [((0, 1), IntMatrix([[1, 2]])),
+              ((0, 0), IntMatrix([[3]])),
+              ((0, 1), IntMatrix([[-1, 5]])),
+              ((1, 0), IntMatrix([[4]]))]
+    h = assemble_hom([z, z2], [z, z], blocks)
+    assert h.matrix == IntMatrix([[3, 0, 7], [4, 0, 0]])
 
 
 def test_enumerate_automorphisms():

@@ -65,6 +65,70 @@ def test_validate_checks_the_action_when_given(capsys):
     assert "coefficient action" in data["checked"]
 
 
+BASE_CHECKS = ["complex", "fixed point system", "coefficient system"]
+
+# name -> (input files besides --coeffs, checks beyond the base ones)
+CHECKED_LISTS = {
+    "coefficients only": (["--complex", fx("s1.json")], []),
+    "group twist with phi": (
+        ["--complex", fx("s1.json"), "--twist", fx("twist_s1_z2.json"),
+         "--action", fx("action_s1_z2_sign.json")],
+        ["twisting identities", "classifying map naturality",
+         "coefficient action"]),
+    "edge path twist with edges": (
+        ["--complex", fx("triangle.json"), "--twist", fx("twist_triangle.json"),
+         "--action", fx("action_triangle.json")],
+        ["edge paths", "edge holonomies"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_LISTS))
+def test_validate_lists_its_checks_in_order(capsys, case):
+    files, extra = CHECKED_LISTS[case]
+    argv = ["validate", "--coeffs", fx("coeffs_z.json")] + files
+    data = run_json(capsys, *argv)
+    assert data == {"ok": True, "checked": BASE_CHECKS + extra}
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["ok"] + [f"checked: {c}"
+                                         for c in BASE_CHECKS + extra]
+
+
+# space -> (complex, twist, action, the error of that action without
+# --coeffs)
+PARITY_INPUTS = {
+    "s1": ("s1.json", "twist_s1_z2.json", "action_s1_z2_sign.json",
+           "a coefficient action needs --coeffs"),
+    "triangle": ("triangle.json", "twist_triangle.json",
+                 "action_triangle.json",
+                 "edge actions need a coefficient system"),
+}
+
+
+@pytest.mark.parametrize("action", [False, True], ids=["bare", "action"])
+@pytest.mark.parametrize("coeffs", [False, True], ids=["plain", "coeffs"])
+@pytest.mark.parametrize("space", sorted(PARITY_INPUTS))
+def test_validate_accepts_exactly_what_twisted_loads(capsys, space, coeffs,
+                                                     action):
+    complex_file, twist, action_file, no_coeffs_error = PARITY_INPUTS[space]
+    argv = ["--complex", fx(complex_file), "--twist", fx(twist)]
+    if action:
+        argv += ["--action", fx(action_file)]
+    if not coeffs:
+        # twisted cannot run without coefficients
+        code, out, err = run(capsys, "validate", *argv)
+        if action:
+            assert (code, out, err) == (1, "", f"error: {no_coeffs_error}\n")
+        else:
+            assert code == 0, err
+        return
+    argv += ["--coeffs", fx("coeffs_z.json")]
+    code, _out, err = run(capsys, "validate", *argv)
+    twisted_code, _out, twisted_err = run(capsys, "twisted", *argv,
+                                          "--nmax", "1")
+    assert (code, err) == (twisted_code, twisted_err)
+
+
 def test_fixedpoints_lists_subgroups_in_order(capsys):
     data = run_json(capsys, "fixedpoints", "--complex", fx("refs1.json"))
     keys = [e["subgroup"] for e in data["subgroups"]]
@@ -136,6 +200,16 @@ def test_twisted_triangle_holonomy(capsys):
         {"degree": 0, "rank": 0, "torsion": []},
         {"degree": 1, "rank": 0, "torsion": [2]},
     ]
+
+
+def test_twisted_names_the_morphism_of_a_nonnatural_twist(capsys):
+    code, out, err = run(capsys, "twisted",
+                         "--complex", fx("refs1.json"),
+                         "--coeffs", fx("coeffs_z2.json"),
+                         "--twist", fx("twist_refs1_nonnatural.json"),
+                         "--nmax", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: classifying maps disagree along e|e|t\n"
 
 
 def test_twisted_needs_a_twist_file(capsys):
@@ -274,7 +348,7 @@ def test_a_malformed_complex_is_an_input_error(capsys, tmp_path, command,
 
 
 @pytest.mark.parametrize("module, command", [
-    (cli, ["validate"]),
+    (fixtures, ["validate"]),
     (fixtures, ["bredon", "--coeffs", fx("coeffs_z.json"), "--nmax", "1"]),
 ], ids=["validate", "load_setup"])
 def test_a_library_error_after_parsing_is_not_an_input_error(
@@ -354,12 +428,19 @@ MALFORMED_FILES = {
     "twist without pi": ("twist", {"values": {"e": "t"}}),
     "pi as a list": ("twist", _twist(pi=["e", "t"])),
     "values as a list": ("twist", _twist(values=["t"])),
+    "values as pairs": ("twist", _twist(values=[["e", "t"]])),
     "phi as a list": ("action", {"phi": [[-1]]}),
     "matrix as an int": ("action", {"phi": {"e": {"t": -1}}}),
     "string bounds": ("theory", {"canonical": True, "i_max": "two",
                                  "p_max": "three"}),
     "list bounds": ("theory", {"canonical": True, "i_max": [2],
                                "p_max": 2}),
+    "digit string bounds": ("theory", {"canonical": True, "i_max": "2",
+                                       "p_max": "3"}),
+    "boolean bounds": ("theory", {"canonical": True, "i_max": True,
+                                  "p_max": 2}),
+    "fractional bounds": ("theory", {"canonical": True, "i_max": 2.5,
+                                     "p_max": 2}),
 }
 
 FILE_COMMANDS = {
