@@ -20,6 +20,10 @@ relations at construction time.  Kernels, cokernels and subquotients
 are computed by integer kernel calculations, so cohomology of cochain
 complexes whose terms themselves carry torsion comes out exactly.
 
+Work is bounded in one place: inside a `column_budget(limit)` block,
+every `direct_sum` counts its generator columns before its Smith normal
+form runs, and raises `BudgetExceeded` once the count passes the limit.
+
 >>> z6a = FgAbGroup.from_relations(1, [[6]])
 >>> z6b = FgAbGroup.from_relations(2, [[2, 0], [0, 3]])
 >>> z6a.normal_form() == z6b.normal_form()
@@ -28,8 +32,10 @@ True
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
 
@@ -324,6 +330,24 @@ class CochainComplex:
         return cohomology_at(self.groups[n], incoming, outgoing)
 
 
+class BudgetExceeded(Exception):
+    """Not a ValueError, which callers read as a failed check."""
+
+
+# [count, limit] of the innermost column_budget block, or None
+_BUDGET = contextvars.ContextVar("column_budget", default=None)
+
+
+@contextlib.contextmanager
+def column_budget(limit: int) -> Iterator[None]:
+    """Bound the generator columns of the direct sums built in the block."""
+    token = _BUDGET.set([0, limit])
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
 def direct_sum(groups: Sequence[FgAbGroup]) -> tuple[FgAbGroup, list[int]]:
     """Direct sum with generator offsets of each summand."""
     offsets = []
@@ -331,6 +355,13 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> tuple[FgAbGroup, list[int]]:
     for g in groups:
         offsets.append(pos)
         pos += g.ngens
+    budget = _BUDGET.get()
+    if budget is not None:
+        budget[0] += pos
+        if budget[0] > budget[1]:
+            raise BudgetExceeded(
+                f"direct sums reached {budget[0]} generator columns, "
+                f"budget is {budget[1]}")
     rels = IntMatrix.block_diag([g.rels for g in groups]) if groups \
         else IntMatrix.zeros(0, 0)
     return FgAbGroup(pos, rels), offsets

@@ -8,17 +8,20 @@ input files and code 3 at the library itself.  `validate`,
 through `fixtures.load_setup`; `validate` is that loader alone,
 reporting the checks it passed.
 
+Every command runs inside `abgroups.column_budget(--budget)`, so the
+budget bounds the generator columns of all direct sums the command
+builds, counted over the whole run; loading builds none.
+
 JSON output is printed with sorted keys and fixed indentation, so a
 rerun on the same inputs is byte identical.
 """
 
 import argparse
 import json
-import math
 import re
 import sys
 
-from .abgroups import FgAbGroup
+from .abgroups import BudgetExceeded, FgAbGroup, column_budget
 from .bredon import EquivariantCochains, twisted_complex, untwisted_complex
 from .cartan import canonical_theory, check_axioms, crosscheck_theorem
 from .coefficients import CoefficientSystem
@@ -31,10 +34,6 @@ DEFAULT_BUDGET = 200000
 
 
 class InputError(Exception):
-    pass
-
-
-class BudgetError(Exception):
     pass
 
 
@@ -115,15 +114,9 @@ def _degree_list(args):
     return list(range(args.nmax + 1))
 
 
-def _cochain_setup(setup, degrees, budget):
+def _cochain_setup(setup, degrees):
     ecn = min(setup.gx.space.truncation, max(degrees) + 1)
-    ec = EquivariantCochains(setup.gx, setup.cat, setup.system, ecn)
-    cost = sum(ec.groups[n].ngens for n in range(ec.nmax + 1))
-    if cost > budget:
-        raise BudgetError(
-            f"cochain setup needs {cost} generator columns, "
-            f"budget is {budget}")
-    return ec
+    return EquivariantCochains(setup.gx, setup.cat, setup.system, ecn)
 
 
 def _cohomology_payload(args, cc, ec, degrees):
@@ -146,7 +139,7 @@ def cmd_bredon(args):
     setup = _loading(load_setup, args.complex, args.coeffs)
     if setup.system is None:
         raise InputError("bredon needs --coeffs")
-    ec = _cochain_setup(setup, degrees, args.budget)
+    ec = _cochain_setup(setup, degrees)
     cc = _computing(untwisted_complex, ec)
     return _cohomology_payload(args, cc, ec, degrees)
 
@@ -159,7 +152,7 @@ def cmd_twisted(args):
         raise InputError("twisted needs --coeffs")
     if setup.provider is None or setup.twist_kind is None:
         raise InputError("twisted needs --twist")
-    ec = _cochain_setup(setup, degrees, args.budget)
+    ec = _cochain_setup(setup, degrees)
     cc = _computing(twisted_complex, ec, setup.provider)
     return _cohomology_payload(args, cc, ec, degrees)
 
@@ -171,14 +164,6 @@ def _parse_bounds(text):
     if not m:
         raise ValueError("--bounds must look like 'i,p'")
     return int(m.group(1)), int(m.group(2))
-
-
-def _canonical_cost(cat, system, i_max, p_max):
-    per_level = 0
-    for i in range(i_max + 1):
-        for q in range(p_max + 1):
-            per_level += math.comb(q + 1, i + 1)
-    return sum(system.values[s.key].ngens for s in cat.subgroups) * per_level
 
 
 def cmd_cartan_check(args):
@@ -200,10 +185,6 @@ def cmd_cartan_check(args):
         return cat, system, i_max, p_max
 
     cat, system, i_max, p_max = _loading(load)
-    cost = _canonical_cost(cat, system, i_max, p_max)
-    if cost > args.budget:
-        raise BudgetError(
-            f"theory needs {cost} generator columns, budget is {args.budget}")
     theory = _computing(canonical_theory, cat, system, i_max, p_max)
     rep = _computing(check_axioms, theory)
     payload = {
@@ -220,17 +201,6 @@ def cmd_cartan_check(args):
 
 
 # crosscheck ---------------------------------------------------------
-
-def _lift_cost(setup, nmax):
-    space = setup.gx.space
-    ngens = max(setup.system.values[s.key].ngens
-                for s in setup.cat.subgroups)
-    cost = 0
-    for n in range(nmax + 2):
-        for q in range(space.dimension + 1):
-            cost += len(space.cells[q]) * ngens * math.comb(q + 1, n + 1)
-    return cost
-
 
 def cmd_crosscheck(args):
     setup = _loading(load_setup, args.complex, args.coeffs,
@@ -250,11 +220,6 @@ def cmd_crosscheck(args):
             raise InputError("theory bounds truncate below --nmax + 1")
         theory = _computing(canonical_theory, setup.cat, setup.system,
                             th["i_max"], th["p_max"])
-    cost = _lift_cost(setup, nmax)
-    if cost > args.budget:
-        raise BudgetError(
-            f"lift system needs {cost} generator columns, "
-            f"budget is {args.budget}")
     report = _computing(crosscheck_theorem, setup.gx, setup.cat,
                         setup.system, setup.provider, nmax, theory)
     lines = []
@@ -294,11 +259,6 @@ def cmd_em_info(args):
         return FgAbGroup.from_relations(1, [[int(m.group(1))]])
 
     a = _loading(load)
-    cost = sum(math.comb(q + 1, args.n + 1) for q in range(args.q + 1))
-    if cost > args.budget:
-        raise BudgetError(
-            f"cocycle model needs {cost} generator columns, "
-            f"budget is {args.budget}")
     model = _computing(CocycleModel, a, args.n, args.q)
     orders = [_finite_order(g) for g in model.levels]
     payload = {"A": args.A, "n": args.n, "q": args.q, "orders": orders}
@@ -392,11 +352,14 @@ def main(argv=None) -> int:
         # exhausted budgets, so fold them into the input error code
         return 0 if ex.code in (0, None) else 1
     try:
-        payload, lines = args.fn(args)
+        if args.budget < 0:
+            raise InputError("--budget must be nonnegative")
+        with column_budget(args.budget):
+            payload, lines = args.fn(args)
     except InputError as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 1
-    except BudgetError as ex:
+    except BudgetExceeded as ex:
         sys.stderr.write(f"budget exhausted: {ex}\n")
         return 2
     except InternalError as ex:

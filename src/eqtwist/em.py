@@ -50,20 +50,22 @@ class CochainModel:
             self.offsets.append(offs)
 
     def block_hom(self, q_from: int, q_to: int,
-                  assign: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
-                  ) -> AbHom:
+                  assign: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]],
+                  target_model: "CochainModel | None" = None) -> AbHom:
         """Hom whose output at subset beta is a signed sum of inputs.
 
-        assign maps each output subset to (input subset, sign) pairs.
+        assign maps each output subset of target_model (this model by
+        default) to (input subset, sign) pairs.
         """
+        tm = self if target_model is None else target_model
         src = self.levels[q_from]
-        tgt = self.levels[q_to]
+        tgt = tm.levels[q_to]
         k = self.coeff.ngens
         mat = [[0] * src.ngens for _ in range(tgt.ngens)]
-        out_index = {b: i for i, b in enumerate(self.subsets[q_to])}
+        out_index = {b: i for i, b in enumerate(tm.subsets[q_to])}
         in_index = {b: i for i, b in enumerate(self.subsets[q_from])}
         for beta, terms in assign.items():
-            r0 = self.offsets[q_to][out_index[beta]]
+            r0 = tm.offsets[q_to][out_index[beta]]
             for alpha, sign in terms:
                 c0 = self.offsets[q_from][in_index[alpha]]
                 for t in range(k):
@@ -114,18 +116,7 @@ def delta_hom(c_n: CochainModel, c_n1: CochainModel, q: int) -> AbHom:
             alpha = gamma[:k] + gamma[k + 1:]
             terms.append((alpha, -1 if k % 2 else 1))
         assign[gamma] = terms
-    src = c_n.levels[q]
-    tgt = c_n1.levels[q]
-    kgen = c_n.coeff.ngens
-    mat = [[0] * src.ngens for _ in range(tgt.ngens)]
-    in_index = {b: i for i, b in enumerate(c_n.subsets[q])}
-    for gi, gamma in enumerate(c_n1.subsets[q]):
-        r0 = c_n1.offsets[q][gi]
-        for alpha, sign in assign[gamma]:
-            c0 = c_n.offsets[q][in_index[alpha]]
-            for t in range(kgen):
-                mat[r0 + t][c0 + t] += sign
-    return AbHom(src, tgt, IntMatrix(mat, src.ngens), check=False)
+    return c_n.block_hom(q, q, assign, c_n1)
 
 
 class CocycleModel:

@@ -170,7 +170,7 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
 
 def load_theory_data(theory_path: str) -> dict:
     data = load_json(theory_path)
-    if not data.get("canonical"):
+    if data.get("canonical") is not True:
         raise ValueError("only canonical theory descriptors are supported")
     with parsing():
         bounds = {key: data[key] for key in ("i_max", "p_max")}

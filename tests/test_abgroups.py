@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from eqtwist import abgroups, intmat
-from eqtwist.abgroups import (AbHom, CochainComplex, FgAbGroup, Subquotient,
-                              assemble_hom, cohomology_at, direct_sum,
+from eqtwist import abgroups, cli, intmat
+from eqtwist.abgroups import (AbHom, BudgetExceeded, CochainComplex,
+                              FgAbGroup, Subquotient, assemble_hom,
+                              cohomology_at, column_budget, direct_sum,
                               enumerate_automorphisms)
+from eqtwist.fixtures import fixture_path
 from eqtwist.intmat import IntMatrix, solve
 
 
@@ -92,6 +94,31 @@ def test_direct_sum_offsets():
     total, offsets = direct_sum([z2, z, z2])
     assert offsets == [0, 1, 2]
     assert total.normal_form() == (1, (2, 2))
+
+
+def test_column_budget_counts_every_direct_sum():
+    z2 = FgAbGroup.cyclic(2)
+    with column_budget(4):
+        direct_sum([z2, z2])
+        direct_sum([z2, z2])
+        with pytest.raises(BudgetExceeded) as info:
+            direct_sum([z2])
+    assert not isinstance(info.value, ValueError)
+    assert "5 generator columns" in str(info.value)
+    assert "budget is 4" in str(info.value)
+    # no limit outside a block
+    total, _ = direct_sum([z2] * 10)
+    assert total.ngens == 10
+
+
+def test_an_exhausted_cli_run_leaves_no_budget_behind(capsys):
+    code = cli.main(["bredon", "--complex", str(fixture_path("refs1.json")),
+                     "--coeffs", str(fixture_path("coeffs_z.json")),
+                     "--nmax", "1", "--budget", "2"])
+    capsys.readouterr()
+    assert code == 2
+    total, _ = direct_sum([FgAbGroup.free(5)])
+    assert total.ngens == 5
 
 
 def test_assemble_hom_adds_blocks_that_share_a_key():

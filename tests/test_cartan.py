@@ -3,7 +3,7 @@
 import pytest
 
 from eqtwist import cartan
-from eqtwist.abgroups import FgAbGroup
+from eqtwist.abgroups import BudgetExceeded, FgAbGroup, column_budget
 from eqtwist.bredon import EquivariantCochains, TrivialTwistProvider
 from eqtwist.cartan import (
     AxiomReport,
@@ -164,6 +164,19 @@ def test_comparison_accepts_an_explicit_theory():
     report = crosscheck_theorem(gx, cat, system, provider, 1, theory=theory)
     assert report["all_match"] is True
     assert report["iso"] is True
+
+
+def test_comparison_lets_an_exhausted_budget_through(monkeypatch):
+    gx, cat, system, provider = s1_twisted(Z4)
+    with column_budget(3), pytest.raises(BudgetExceeded):
+        crosscheck_theorem(gx, cat, system, provider, 2)
+
+    # raised inside the iso step, whose ValueError means "no iso"
+    def exhausted(self, n):
+        raise BudgetExceeded("synthetic")
+    monkeypatch.setattr(LiftSystem, "bredon_iso", exhausted)
+    with pytest.raises(BudgetExceeded):
+        crosscheck_theorem(gx, cat, system, provider, 2)
 
 
 def _lift_system(setup):

@@ -381,6 +381,50 @@ def test_em_info_budget(capsys):
     assert "generator columns" in err
 
 
+@pytest.mark.parametrize("budget,code", [("14", 2), ("15", 0)])
+def test_em_info_budget_counts_the_built_columns(capsys, budget, code):
+    # levels 0..3 of C(Z2, 1) and C(Z2, 2): 0+1+3+6 + 0+0+1+4 = 15
+    assert run(capsys, "em-info", "--A", "Z2", "--n", "1", "--q", "3",
+               "--budget", budget)[0] == code
+
+
+@pytest.mark.parametrize("budget,code", [("2", 2), ("3", 0)])
+def test_bredon_budget_counts_the_cochain_columns(capsys, budget, code):
+    assert run(capsys, "bredon", "--complex", fx("refs1.json"),
+               "--coeffs", fx("coeffs_z.json"), "--nmax", "1",
+               "--budget", budget)[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z4.json"),
+     "--twist", fx("twist_s1_z4.json"),
+     "--action", fx("action_s1_z4_sign.json"), "--budget", "10"],
+    ["--complex", fx("refs1.json"), "--coeffs", fx("coeffs_z2.json"),
+     "--theory", fx("theory_canonical.json"), "--nmax", "1",
+     "--budget", "8"],
+], ids=["lift system", "explicit theory"])
+def test_crosscheck_budget(capsys, argv):
+    code, out, err = run(capsys, "crosscheck", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exhausted: ")
+    assert "generator columns" in err
+
+
+def test_a_negative_budget_is_an_input_error(capsys):
+    code, out, err = run(capsys, "bredon", "--complex", fx("refs1.json"),
+                         "--coeffs", fx("coeffs_z.json"), "--nmax", "1",
+                         "--budget", "-1")
+    assert (code, out, err) == (1, "", "error: --budget must be nonnegative\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--complex", fx("s1.json")],
+    ["fixedpoints", "--complex", fx("refs1.json")],
+])
+def test_a_zero_budget_admits_commands_that_build_no_sums(capsys, command):
+    assert run(capsys, *command, "--budget", "0")[0] == 0
+
+
 def test_internal_breach_exits_three(capsys, monkeypatch):
     def boom(ec):
         raise ValueError("synthetic breach")
@@ -441,6 +485,10 @@ MALFORMED_FILES = {
                                   "p_max": 2}),
     "fractional bounds": ("theory", {"canonical": True, "i_max": 2.5,
                                      "p_max": 2}),
+    "canonical as a string": ("theory", {"canonical": "no", "i_max": 2,
+                                         "p_max": 2}),
+    "canonical as a number": ("theory", {"canonical": 1, "i_max": 2,
+                                         "p_max": 2}),
 }
 
 FILE_COMMANDS = {
