@@ -28,6 +28,19 @@ form runs, and raises `BudgetExceeded` once the count passes the limit.
 >>> z6b = FgAbGroup.from_relations(2, [[2, 0], [0, 3]])
 >>> z6a.normal_form() == z6b.normal_form()
 True
+
+A `DirectSum`, built by `direct_sum`, is a group that keeps its
+summands and the generator offset of each.  Every hom between direct
+sums (coboundaries, face laws, model operators) is assembled from
+blocks by `assemble_hom`, which reads the layout from its two sums.
+
+>>> s = direct_sum([z6a, FgAbGroup.free(2), z6b])
+>>> s.offsets, s.span(2), s.describe()
+([0, 1, 3], slice(3, 5, None), 'Z^2 x C6 x C6')
+>>> t = direct_sum([FgAbGroup.free(1)])
+>>> assemble_hom(t, s, [((0, 0), IntMatrix([[1]])),
+...                     ((1, 0), IntMatrix([[2], [3]]))]).matrix.rows
+((1,), (2,), (3,), (0,), (0,))
 """
 
 from __future__ import annotations
@@ -348,8 +361,9 @@ def column_budget(limit: int) -> Iterator[None]:
         _BUDGET.reset(token)
 
 
-def direct_sum(groups: Sequence[FgAbGroup]) -> tuple[FgAbGroup, list[int]]:
-    """Direct sum with generator offsets of each summand."""
+def direct_sum(groups: Sequence[FgAbGroup]) -> DirectSum:
+    """Direct sum of the groups; its generator columns are charged to
+    the column budget before its Smith normal form runs."""
     offsets = []
     pos = 0
     for g in groups:
@@ -364,41 +378,42 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> tuple[FgAbGroup, list[int]]:
                 f"budget is {budget[1]}")
     rels = IntMatrix.block_diag([g.rels for g in groups]) if groups \
         else IntMatrix.zeros(0, 0)
-    return FgAbGroup(pos, rels), offsets
+    return DirectSum(groups, offsets, rels)
+
+
+class DirectSum(FgAbGroup):
+    """A direct sum that keeps its layout: summand j occupies the
+    generators offsets[j] .. offsets[j] + summands[j].ngens - 1.
+    Built by `direct_sum`."""
+
+    __slots__ = ("summands", "offsets")
+
+    def __init__(self, summands: Sequence[FgAbGroup], offsets: list[int],
+                 rels: IntMatrix):
+        super().__init__(rels.nrows, rels)
+        self.summands = list(summands)
+        self.offsets = offsets
+
+    def span(self, j: int) -> slice:
+        """The generator coordinates of summand j."""
+        return slice(self.offsets[j], self.offsets[j] + self.summands[j].ngens)
 
 
 def assemble_hom(
-    source_groups: Sequence[FgAbGroup],
-    target_groups: Sequence[FgAbGroup],
+    source: DirectSum,
+    target: DirectSum,
     blocks: Iterable[tuple[tuple[int, int], IntMatrix]],
-    source_sum: FgAbGroup | None = None,
-    target_sum: FgAbGroup | None = None,
 ) -> AbHom:
     """Hom between direct sums from sparse ((target_i, source_j), block)
     pairs; blocks that share a key are added."""
-    if source_sum is None:
-        source_sum, _ = direct_sum(source_groups)
-    if target_sum is None:
-        target_sum, _ = direct_sum(target_groups)
-    soff = []
-    pos = 0
-    for g in source_groups:
-        soff.append(pos)
-        pos += g.ngens
-    toff = []
-    pos = 0
-    for g in target_groups:
-        toff.append(pos)
-        pos += g.ngens
-    mat = [[0] * source_sum.ngens for _ in range(target_sum.ngens)]
+    placed = []
     for (ti, sj), b in blocks:
-        if b.nrows != target_groups[ti].ngens or b.ncols != source_groups[sj].ngens:
+        if b.nrows != target.summands[ti].ngens or \
+                b.ncols != source.summands[sj].ngens:
             raise ValueError("block shape mismatch")
-        for r in range(b.nrows):
-            for c in range(b.ncols):
-                mat[toff[ti] + r][soff[sj] + c] += b.rows[r][c]
-    return AbHom(source_sum, target_sum, IntMatrix(mat, source_sum.ngens),
-                 check=False)
+        placed.append((target.offsets[ti], source.offsets[sj], b))
+    mat = IntMatrix.from_blocks(target.ngens, source.ngens, placed)
+    return AbHom(source, target, mat, check=False)
 
 
 def enumerate_automorphisms(g: FgAbGroup) -> list[AbHom] | None:

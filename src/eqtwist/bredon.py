@@ -44,12 +44,9 @@ class EquivariantCochains:
         self.system = system
         self.nmax = nmax
         self.orbits = {n: gx.orbits(n) for n in range(nmax + 1)}
-        self.summands = {n: [system.values[o.stab_key] for o in self.orbits[n]]
-                         for n in range(nmax + 1)}
-        self.groups = {}
-        self.offsets = {}
-        for n in range(nmax + 1):
-            self.groups[n], self.offsets[n] = direct_sum(self.summands[n])
+        self.groups = {n: direct_sum([system.values[o.stab_key]
+                                      for o in self.orbits[n]])
+                       for n in range(nmax + 1)}
         self.orbit_index = {}
         for n in range(nmax + 1):
             idx = {}
@@ -145,9 +142,7 @@ def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
                 hom = provider.phi_inv_hom(hkey, xref).compose(hom)
             blocks.append(((xi, j), hom.matrix if i % 2 == 0
                            else -hom.matrix))
-    return assemble_hom(ec.summands[n], ec.summands[n + 1], blocks,
-                        source_sum=ec.groups[n],
-                        target_sum=ec.groups[n + 1])
+    return assemble_hom(ec.groups[n], ec.groups[n + 1], blocks)
 
 
 def twisted_complex(ec: EquivariantCochains, provider) -> CochainComplex:
@@ -178,7 +173,6 @@ def evaluate_cochain(ec: EquivariantCochains, n: int,
     g = orb.transporters[ref.base]
     m = ec.cat.coset_morphism(ec.cat.by_key[skey],
                               ec.cat.by_key[orb.stab_key], g)
-    lo = ec.offsets[n][j]
-    piece = ec.summands[n][j].reduce(
-        tuple(coords[lo:lo + ec.summands[n][j].ngens]))
+    cochains = ec.groups[n]
+    piece = cochains.summands[j].reduce(coords[cochains.span(j)])
     return target.reduce(ec.system.maps[m.key].apply(piece))

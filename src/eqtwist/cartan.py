@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .abgroups import (AbHom, FgAbGroup, assemble_hom, cohomology_at,
-                       direct_sum, enumerate_automorphisms)
+from .abgroups import (AbHom, DirectSum, FgAbGroup, assemble_hom,
+                       cohomology_at, direct_sum, enumerate_automorphisms)
 from .bredon import EquivariantCochains, twisted_coboundary, twisted_complex
 from .coefficients import CoefficientSystem
 from .classifying import SimplicialFiniteGroup, contraction, total_elements
@@ -124,22 +124,19 @@ def moore_subgroup(sab: SimplicialAb, q: int) -> tuple[FgAbGroup, AbHom]:
     if q == 0:
         return g, AbHom.identity(g)
     blocks = [((i, 0), sab.faces[(q, i + 1)].matrix) for i in range(q)]
-    hom = assemble_hom([g], [sab.levels[q - 1]] * q, blocks)
+    hom = assemble_hom(direct_sum([g]), direct_sum([sab.levels[q - 1]] * q),
+                       blocks)
     return hom.kernel()
 
 
-def moore_homotopy(sab: SimplicialAb, n: int) -> FgAbGroup:
-    """Homotopy pi_n as homology of the Moore complex (d_0 differential)."""
-    if n + 1 > sab.top:
-        raise ValueError("levels up to n+1 are required")
-    sub_n, inc_n = moore_subgroup(sab, n)
-    _sub_up, inc_up = moore_subgroup(sab, n + 1)
-    incoming = sab.faces[(n + 1, 0)].compose(inc_up).factor_through(inc_n)
-    outgoing = None
-    if n >= 1:
-        _sub_dn, inc_dn = moore_subgroup(sab, n - 1)
-        outgoing = sab.faces[(n, 0)].compose(inc_n).factor_through(inc_dn)
-    return cohomology_at(sub_n, incoming, outgoing).group
+def moore_homotopy(sab: SimplicialAb) -> list[FgAbGroup]:
+    """Homotopy pi_0 .. pi_{top-1} as homology of the Moore complex
+    N_top -> ... -> N_0 under d_0; each N_q and each d_0 is built once."""
+    incs = [moore_subgroup(sab, q)[1] for q in range(sab.top + 1)]
+    d0 = [None] + [sab.faces[(q, 0)].compose(incs[q]).factor_through(
+        incs[q - 1]) for q in range(1, sab.top + 1)]
+    return [cohomology_at(incs[n].source, d0[n + 1], d0[n]).group
+            for n in range(sab.top)]
 
 
 class OGSimplicialAb:
@@ -406,8 +403,7 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     for i in range(theory.i_max + 1):
         for s in cat.subgroups:
             sab = theory.terms[i].objects[s.key]
-            for nn in range(theory.p_max):
-                g = moore_homotopy(sab, nn)
+            for nn, g in enumerate(moore_homotopy(sab)):
                 if not g.is_trivial:
                     rep.failures[3].append(
                         f"pi_{nn} of A^{i}({s.key}) = {g.describe()}")
@@ -547,8 +543,10 @@ class LiftCells:
                     self.index[cid] = len(self.orbits)
                 self.orbits.append((q, o))
 
-    def groups(self, term: OGSimplicialAb) -> list[FgAbGroup]:
-        return [term.objects[o.stab_key].levels[q] for q, o in self.orbits]
+    def ambient(self, term: OGSimplicialAb) -> DirectSum:
+        """The direct sum of the unknowns' groups, in unknown order."""
+        return direct_sum([term.objects[o.stab_key].levels[q]
+                           for q, o in self.orbits])
 
     def evaluation(self, term: OGSimplicialAb, hkey: str,
                    ref: SimplexRef) -> tuple[int, AbHom]:
@@ -565,11 +563,10 @@ class LiftCells:
             hom = obj.degs[(lvl, jj)].compose(hom)
         return vi, hom
 
-    def face_constraints(self, term: OGSimplicialAb, twist,
-                         rows=None, source_sum: FgAbGroup | None = None) \
-            -> AbHom:
-        """The face laws of an assignment, as one hom whose kernel is the
-        lifts.
+    def face_constraints(self, source: DirectSum, term: OGSimplicialAb,
+                         twist, rows=None) -> AbHom:
+        """The face laws of an assignment, as one hom out of the ambient
+        sum `source` of term whose kernel is the lifts.
 
         Each unknown x of dimension q >= 1 (restricted to `rows` when
         given) contributes q + 1 target summands: its value at the face
@@ -594,8 +591,7 @@ class LiftCells:
                 col, hom = self.evaluation(term, hkey,
                                            self.space.face(i, xref))
                 blocks.append(((ti, col), hom.matrix))
-        return assemble_hom(self.groups(term), tgroups, blocks,
-                            source_sum=source_sum)
+        return assemble_hom(source, direct_sum(tgroups), blocks)
 
 
 class LiftSystem:
@@ -622,24 +618,17 @@ class LiftSystem:
         self.cells = LiftCells(ec.gx.space, ec.cat, ec.orbits,
                                min(ec.gx.space.dimension, ec.nmax,
                                    theory.p_max))
-        self.var_groups = {}
         self.ambient = {}
-        self.offsets = {}
         self.groups = {}
         self.inclusions = {}
         for n in range(nmax + 1):
-            vg = self.cells.groups(theory.terms[n])
-            amb, offs = direct_sum(vg)
-            self.var_groups[n] = vg
-            self.ambient[n] = amb
-            self.offsets[n] = offs
+            amb = self.ambient[n] = self.cells.ambient(theory.terms[n])
 
             def twist(hkey, rep, lvl):
                 return theory.psi(hkey, provider.phi_hom(hkey, nondeg(rep)),
                                   n, lvl)
 
-            laws = self.cells.face_constraints(theory.terms[n], twist,
-                                               source_sum=amb)
+            laws = self.cells.face_constraints(amb, theory.terms[n], twist)
             self.groups[n], self.inclusions[n] = laws.kernel()
         self.diffs = {}
         for n in range(nmax):
@@ -655,9 +644,7 @@ class LiftSystem:
     def _descend_delta(self, n: int) -> AbHom:
         blocks = [((vi, vi), self.theory.deltas[n][o.stab_key][q].matrix)
                   for vi, (q, o) in enumerate(self.cells.orbits)]
-        big = assemble_hom(self.var_groups[n], self.var_groups[n + 1], blocks,
-                           source_sum=self.ambient[n],
-                           target_sum=self.ambient[n + 1])
+        big = assemble_hom(self.ambient[n], self.ambient[n + 1], blocks)
         return big.compose(self.inclusions[n]).factor_through(
             self.inclusions[n + 1])
 
@@ -667,10 +654,9 @@ class LiftSystem:
 
     def var_value(self, n: int, elem, vi: int) -> tuple[int, ...]:
         """The vi-th coordinate of a degree-n element, in A^n terms."""
-        gen = self.ambient[n].to_vector(self.inclusions[n].apply(elem))
-        g = self.var_groups[n][vi]
-        off = self.offsets[n][vi]
-        return g.from_vector(gen[off: off + g.ngens])
+        amb = self.ambient[n]
+        gen = amb.to_vector(self.inclusions[n].apply(elem))
+        return amb.summands[vi].from_vector(gen[amb.span(vi)])
 
     def value_at(self, n: int, elem, hkey: str,
                  ref: SimplexRef) -> tuple[int, ...]:
@@ -685,18 +671,16 @@ class LiftSystem:
         its own coordinates, as the canonical theory does.
         """
         ec = self.ec
+        amb, cochains = self.ambient[n], ec.groups[n]
         blocks = []
         for bj, o in enumerate(ec.orbits[n]):
             vi = self.cells.index[o.rep]
-            vg = self.var_groups[n][vi]
-            mg = ec.summands[n][bj]
-            if vg.ngens != mg.ngens:
+            ngens = cochains.summands[bj].ngens
+            if amb.summands[vi].ngens != ngens:
                 raise ValueError(
                     "theory coordinates do not project onto coefficients")
-            blocks.append(((bj, vi), IntMatrix.identity(mg.ngens)))
-        big = assemble_hom(self.var_groups[n], ec.summands[n], blocks,
-                           source_sum=self.ambient[n],
-                           target_sum=ec.groups[n])
+            blocks.append(((bj, vi), IntMatrix.identity(ngens)))
+        big = assemble_hom(amb, cochains, blocks)
         return big.compose(self.inclusions[n])
 
     def describe(self, n: int) -> str:
@@ -783,7 +767,7 @@ class _CylinderLaws:
 
     ends        per end orbit: its orbit type, the base cell it lies
                 over, whether it lies at end 0, the inclusion of Z^n
-                into A^n at its level, and its offset and group among
+                into A^n at its level, and its span and group among
                 the unknowns
     end_laws    the face laws of the end cells
     laws        the face laws of the middle cells
@@ -803,8 +787,7 @@ class _CylinderLaws:
         cells = LiftCells(pc.complex, ls.ec.cat,
                           {q: gcyl.orbits(q) for q in range(maxdim + 1)},
                           maxdim)
-        groups = cells.groups(zn)
-        amb, offs = direct_sum(groups)
+        amb = cells.ambient(zn)
         self.ends = []
         end_rows = set()
         for vi, (q, o) in enumerate(cells.orbits):
@@ -812,8 +795,8 @@ class _CylinderLaws:
             if ry.base != "0-1":
                 end_rows.add(vi)
                 self.ends.append((o.stab_key, rx, ry.base == "0",
-                                  zn.inclusions[o.stab_key][q], offs[vi],
-                                  groups[vi]))
+                                  zn.inclusions[o.stab_key][q], amb.span(vi),
+                                  amb.summands[vi]))
 
         def twist(hkey, rep, lvl):
             inc = zn.inclusions[hkey][lvl]
@@ -821,13 +804,12 @@ class _CylinderLaws:
                             n, lvl)
             return ph.compose(inc).factor_through(inc)
 
-        self.end_laws = cells.face_constraints(zn, twist, rows=end_rows,
-                                               source_sum=amb)
-        middles = [vi for vi in range(len(groups)) if vi not in end_rows]
-        self.laws = cells.face_constraints(zn, twist, rows=set(middles),
-                                           source_sum=amb)
-        free = [self.laws.matrix.col(j) for vi in middles
-                for j in range(offs[vi], offs[vi] + groups[vi].ngens)]
+        self.end_laws = cells.face_constraints(amb, zn, twist, rows=end_rows)
+        middles = [vi for vi in range(len(cells.orbits))
+                   if vi not in end_rows]
+        self.laws = cells.face_constraints(amb, zn, twist, rows=set(middles))
+        cols = self.laws.matrix.cols()
+        free = [c for vi in middles for c in cols[amb.span(vi)]]
         self.aug = IntMatrix.hstack([
             IntMatrix.from_cols(free, self.laws.matrix.nrows),
             self.laws.target.rels])
@@ -846,13 +828,13 @@ def vertical_homotopy(ls: LiftSystem, n: int, f, g) -> bool:
     """
     cyl = ls.cylinder_laws(n)
     x = [0] * cyl.end_laws.source.ngens  # the middle values are unknown
-    for hkey, rx, at_f, inc, off, group in cyl.ends:
+    for hkey, rx, at_f, inc, span, group in cyl.ends:
         zv = element_preimage(inc, ls.value_at(n, f if at_f else g, hkey, rx))
         if zv is None:
             # an end value escapes the kernel term; no homotopy can
             # restrict to it
             return False
-        x[off: off + group.ngens] = group.to_vector(zv)
+        x[span] = group.to_vector(zv)
     end_laws = cyl.end_laws
     if any(end_laws.target.from_vector(end_laws.matrix.apply(x))):
         raise ValueError("end restriction violates the face laws")

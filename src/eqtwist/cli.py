@@ -163,7 +163,10 @@ def _parse_bounds(text):
     m = re.fullmatch(r"(\d+),(\d+)", text.strip())
     if not m:
         raise ValueError("--bounds must look like 'i,p'")
-    return int(m.group(1)), int(m.group(2))
+    bounds = int(m.group(1)), int(m.group(2))
+    if min(bounds) < 1:
+        raise ValueError("theory bounds must be positive")
+    return bounds
 
 
 def cmd_cartan_check(args):
@@ -207,12 +210,13 @@ def cmd_crosscheck(args):
                      args.twist, args.action)
     if setup.system is None:
         raise InputError("crosscheck needs --coeffs")
-    nmax = args.nmax if args.nmax is not None else 2
+    truncation = setup.gx.space.truncation
+    nmax = args.nmax if args.nmax is not None else min(2, truncation)
     if nmax < 0:
         raise InputError("--nmax must be nonnegative")
-    if nmax > setup.gx.space.truncation:
-        raise InputError(f"--nmax exceeds the truncation "
-                         f"{setup.gx.space.truncation} of the complex")
+    if nmax > truncation:
+        raise InputError(f"--nmax exceeds the truncation {truncation} "
+                         "of the complex")
     theory = None
     if args.theory:
         th = _loading(load_theory_data, args.theory)

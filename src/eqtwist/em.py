@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .abgroups import AbHom, FgAbGroup, direct_sum
+from .abgroups import AbHom, FgAbGroup, assemble_hom, direct_sum
 from .intmat import IntMatrix
 from .simplicial import (FiniteSimplicialSet, Materialized, SimplexRef,
                          apply_monotone, materialize_complex, nondeg)
@@ -42,12 +42,10 @@ class CochainModel:
         self.n = n
         self.top = top
         self.subsets = {q: vertex_subsets(q, n + 1) for q in range(top + 1)}
-        self.levels = []
-        self.offsets = []
-        for q in range(top + 1):
-            g, offs = direct_sum([a] * len(self.subsets[q]))
-            self.levels.append(g)
-            self.offsets.append(offs)
+        self.levels = [direct_sum([a] * len(self.subsets[q]))
+                       for q in range(top + 1)]
+        plus = IntMatrix.identity(a.ngens)
+        self._signed = {1: plus, -1: -plus}  # the blocks of block_hom
 
     def block_hom(self, q_from: int, q_to: int,
                   assign: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]],
@@ -55,22 +53,14 @@ class CochainModel:
         """Hom whose output at subset beta is a signed sum of inputs.
 
         assign maps each output subset of target_model (this model by
-        default) to (input subset, sign) pairs.
+        default) to (input subset, sign) pairs, each sign 1 or -1.
         """
         tm = self if target_model is None else target_model
-        src = self.levels[q_from]
-        tgt = tm.levels[q_to]
-        k = self.coeff.ngens
-        mat = [[0] * src.ngens for _ in range(tgt.ngens)]
         out_index = {b: i for i, b in enumerate(tm.subsets[q_to])}
         in_index = {b: i for i, b in enumerate(self.subsets[q_from])}
-        for beta, terms in assign.items():
-            r0 = tm.offsets[q_to][out_index[beta]]
-            for alpha, sign in terms:
-                c0 = self.offsets[q_from][in_index[alpha]]
-                for t in range(k):
-                    mat[r0 + t][c0 + t] += sign
-        return AbHom(src, tgt, IntMatrix(mat, src.ngens), check=False)
+        blocks = [((out_index[beta], in_index[alpha]), self._signed[sign])
+                  for beta, terms in assign.items() for alpha, sign in terms]
+        return assemble_hom(self.levels[q_from], tm.levels[q_to], blocks)
 
     def face_hom(self, i: int, q: int) -> AbHom:
         assign = {}
@@ -99,10 +89,8 @@ class CochainModel:
         tm = self if target_model is None else target_model
         if tm.n != self.n:
             raise ValueError("models have different cochain degrees")
-        blocks = [h.matrix] * len(self.subsets[q])
-        mat = IntMatrix.block_diag(blocks) if blocks else \
-            IntMatrix.zeros(0, 0)
-        return AbHom(self.levels[q], tm.levels[q], mat, check=False)
+        blocks = [((j, j), h.matrix) for j in range(len(self.subsets[q]))]
+        return assemble_hom(self.levels[q], tm.levels[q], blocks)
 
 
 def delta_hom(c_n: CochainModel, c_n1: CochainModel, q: int) -> AbHom:

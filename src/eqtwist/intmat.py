@@ -90,16 +90,27 @@ class IntMatrix:
 
     @classmethod
     def block_diag(cls, mats: Sequence["IntMatrix"]) -> "IntMatrix":
-        m = sum(a.nrows for a in mats)
-        n = sum(a.ncols for a in mats)
-        out = [[0] * n for _ in range(m)]
+        placed = []
         r = c = 0
         for a in mats:
-            for i in range(a.nrows):
-                out[r + i][c : c + a.ncols] = a.rows[i]
+            placed.append((r, c, a))
             r += a.nrows
             c += a.ncols
-        return cls._of_rows(tuple(map(tuple, out)), n)
+        return cls.from_blocks(r, c, placed)
+
+    @classmethod
+    def from_blocks(cls, nrows: int, ncols: int,
+                    placed: Iterable[tuple[int, int, "IntMatrix"]]) \
+            -> "IntMatrix":
+        """The nrows x ncols sum of blocks, each (r, c, a) putting the
+        top left entry of a at row r, column c; blocks must fit."""
+        out = [[0] * ncols for _ in range(nrows)]
+        for r, c, a in placed:
+            for i, row in enumerate(a.rows, r):
+                target = out[i]
+                for j, x in enumerate(row, c):
+                    target[j] += x
+        return cls._of_rows(tuple(map(tuple, out)), ncols)
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(map(itemgetter(j), self.rows))

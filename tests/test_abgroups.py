@@ -91,8 +91,8 @@ def test_cohomology_at_with_torsion():
 def test_direct_sum_offsets():
     z2 = FgAbGroup.cyclic(2)
     z = FgAbGroup.free(1)
-    total, offsets = direct_sum([z2, z, z2])
-    assert offsets == [0, 1, 2]
+    total = direct_sum([z2, z, z2])
+    assert total.offsets == [0, 1, 2]
     assert total.normal_form() == (1, (2, 2))
 
 
@@ -107,7 +107,7 @@ def test_column_budget_counts_every_direct_sum():
     assert "5 generator columns" in str(info.value)
     assert "budget is 4" in str(info.value)
     # no limit outside a block
-    total, _ = direct_sum([z2] * 10)
+    total = direct_sum([z2] * 10)
     assert total.ngens == 10
 
 
@@ -117,7 +117,7 @@ def test_an_exhausted_cli_run_leaves_no_budget_behind(capsys):
                      "--nmax", "1", "--budget", "2"])
     capsys.readouterr()
     assert code == 2
-    total, _ = direct_sum([FgAbGroup.free(5)])
+    total = direct_sum([FgAbGroup.free(5)])
     assert total.ngens == 5
 
 
@@ -127,8 +127,15 @@ def test_assemble_hom_adds_blocks_that_share_a_key():
               ((0, 0), IntMatrix([[3]])),
               ((0, 1), IntMatrix([[-1, 5]])),
               ((1, 0), IntMatrix([[4]]))]
-    h = assemble_hom([z, z2], [z, z], blocks)
+    h = assemble_hom(direct_sum([z, z2]), direct_sum([z, z]), blocks)
     assert h.matrix == IntMatrix([[3, 0, 7], [4, 0, 0]])
+
+
+def test_assemble_hom_rejects_a_block_that_misfits_its_summands():
+    z, z2 = FgAbGroup.free(1), FgAbGroup.free(2)
+    with pytest.raises(ValueError, match="block shape mismatch"):
+        assemble_hom(direct_sum([z, z2]), direct_sum([z]),
+                     [((0, 1), IntMatrix([[1]]))])
 
 
 def test_enumerate_automorphisms():

@@ -177,9 +177,9 @@ def test_criterion_5_eilenberg_maclane_suite():
         cat, system = constant_setup(gx, Z4)
         theory = canonical_theory(cat, system, 2, 3)
         sab = kernel_term(theory, 1).objects["e"]
-        assert moore_homotopy(sab, 0).order() == 1
-        assert moore_homotopy(sab, 1).order() == 4
-        assert moore_homotopy(sab, 2).order() == 1
+        assert moore_homotopy(sab)[0].order() == 1
+        assert moore_homotopy(sab)[1].order() == 4
+        assert moore_homotopy(sab)[2].order() == 1
         for a, space in itertools.product(
                 (Z2, Z4), (circle_gx().space, delta2_gx().space)):
             km = CocycleModel(a, 1, space.truncation)

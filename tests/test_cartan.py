@@ -57,6 +57,22 @@ def test_axioms_pass_for_the_trivial_group():
     assert verdicts(report) == [True] * 5
 
 
+@pytest.mark.parametrize("bounds,calls", [((2, 3), 12), ((4, 5), 30)])
+def test_axiom_3_builds_each_moore_subgroup_once(monkeypatch, bounds, calls):
+    # one N_q per (term, level): (i_max + 1) * (p_max + 1) over one orbit
+    built = []
+    real = cartan.moore_subgroup
+
+    def counting(sab, q):
+        built.append((id(sab), q))
+        return real(sab, q)
+
+    monkeypatch.setattr(cartan, "moore_subgroup", counting)
+    cat, system = constant_setup(circle_gx(), Z2)
+    assert check_axioms(canonical_theory(cat, system, *bounds)).ok(3)
+    assert len(built) == len(set(built)) == calls
+
+
 def test_axioms_pass_for_constant_coefficients_over_c2():
     cat = c2_category()
     system = CoefficientSystem.constant(cat, Z2)

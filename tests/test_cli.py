@@ -256,6 +256,22 @@ def test_cartan_check_budget(capsys):
     assert err.startswith("budget exhausted: ")
 
 
+@pytest.mark.parametrize("budget,code", [("76", 2), ("77", 0)])
+def test_cartan_check_budget_counts_the_built_columns(capsys, budget, code):
+    assert run(capsys, "cartan-check", "--theory", fx("theory_canonical.json"),
+               "--coeffs", fx("coeffs_z2.json"), "--bounds", "2,3",
+               "--budget", budget)[0] == code
+
+
+@pytest.mark.parametrize("bounds", ["0,2", "3,0"])
+def test_bounds_must_be_positive_as_in_a_theory_file(capsys, bounds):
+    # the same values in a theory file are cases of MALFORMED_FILES
+    code, out, err = run(capsys, "cartan-check",
+                         "--theory", fx("theory_canonical.json"),
+                         "--coeffs", fx("coeffs_z2.json"), "--bounds", bounds)
+    assert (code, out, err) == (1, "", "error: theory bounds must be positive\n")
+
+
 def test_crosscheck_twisted_circle(capsys):
     data = run_json(capsys, "crosscheck",
                     "--complex", fx("s1.json"),
@@ -293,6 +309,14 @@ def test_crosscheck_rejects_a_degree_beyond_the_truncation(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --nmax exceeds the truncation 2 of the complex\n"
+
+
+def test_crosscheck_defaults_nmax_to_the_truncation_when_it_is_below_two(
+        capsys):
+    data = run_json(capsys, "crosscheck", "--complex", fx("sphere0.json"),
+                    "--coeffs", fx("coeffs_z.json"))
+    assert [e["degree"] for e in data["degrees"]] == [0, 1]
+    assert data["all_match"] is True
 
 
 def test_a_missing_input_file_is_an_input_error(capsys, tmp_path):
@@ -485,6 +509,8 @@ MALFORMED_FILES = {
                                   "p_max": 2}),
     "fractional bounds": ("theory", {"canonical": True, "i_max": 2.5,
                                      "p_max": 2}),
+    "zero i_max": ("theory", {"canonical": True, "i_max": 0, "p_max": 2}),
+    "zero p_max": ("theory", {"canonical": True, "i_max": 3, "p_max": 0}),
     "canonical as a string": ("theory", {"canonical": "no", "i_max": 2,
                                          "p_max": 2}),
     "canonical as a number": ("theory", {"canonical": 1, "i_max": 2,

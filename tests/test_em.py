@@ -49,9 +49,9 @@ def test_moore_homotopy_of_the_z4_model():
     theory = canonical_theory(cat, system, 2, 3)
     sab = kernel_term(theory, 1).objects["e"]
     assert [g.order() for g in sab.levels] == [1, 4, 16, 64]
-    assert moore_homotopy(sab, 0).order() == 1
-    assert moore_homotopy(sab, 1).order() == 4
-    assert moore_homotopy(sab, 2).order() == 1
+    assert moore_homotopy(sab)[0].order() == 1
+    assert moore_homotopy(sab)[1].order() == 4
+    assert moore_homotopy(sab)[2].order() == 1
 
 
 def _valid_assignments(fs, a):
