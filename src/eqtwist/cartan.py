@@ -25,7 +25,7 @@ import itertools
 
 from .abgroups import (AbHom, DirectSum, FgAbGroup, assemble_hom,
                        cohomology_at, direct_sum, enumerate_automorphisms)
-from .bredon import EquivariantCochains, twisted_coboundary, twisted_complex
+from .bredon import EquivariantCochains, twisted_complex
 from .coefficients import CoefficientSystem
 from .classifying import SimplicialFiniteGroup, contraction, total_elements
 from .em import CochainModel, delta_hom
@@ -445,6 +445,13 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
                 "identity only")
             found = [AbHom.identity(mgrp)]
         auts[s.key] = found
+    # psi(skey, a, i, q) of every automorphism a, built once: psis[skey]
+    # holds them in the order of auts[skey], by (i, q)
+    psis = {skey: [{(i, q): theory.psi(skey, a, i, q)
+                    for i in range(theory.i_max + 1)
+                    for q in range(theory.p_max + 1)}
+                   for a in skey_auts]
+            for skey, skey_auts in auts.items()}
     for s in cat.subgroups:
         skey = s.key
         mgrp = theory.coeffs.values[skey]
@@ -456,45 +463,40 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
                 if not got.equal_as_maps(AbHom.identity(lv)):
                     rep.failures[5].append(
                         f"psi(id) at {skey}, A^{i}, level {q} is not id")
-        for a, b in itertools.product(auts[skey], repeat=2):
+        pairs = itertools.product(zip(auts[skey], psis[skey]), repeat=2)
+        for (a, psi_a), (b, psi_b) in pairs:
             ab = a.compose(b)
             for i in range(theory.i_max + 1):
                 for q in range(theory.p_max + 1):
                     lhs = theory.psi(skey, ab, i, q)
-                    rhs = theory.psi(skey, a, i, q).compose(
-                        theory.psi(skey, b, i, q))
+                    rhs = psi_a[(i, q)].compose(psi_b[(i, q)])
                     if not lhs.equal_as_maps(rhs):
                         rep.failures[5].append(
                             f"psi not multiplicative at {skey}, A^{i}, "
                             f"level {q}")
-        for a in auts[skey]:
+        for psi_a in psis[skey]:
             for i in range(theory.i_max + 1):
                 obj = theory.terms[i].objects[skey]
                 for q in range(1, theory.p_max + 1):
                     for j in range(q + 1):
-                        lhs = obj.faces[(q, j)].compose(
-                            theory.psi(skey, a, i, q))
-                        rhs = theory.psi(skey, a, i, q - 1).compose(
-                            obj.faces[(q, j)])
+                        lhs = obj.faces[(q, j)].compose(psi_a[(i, q)])
+                        rhs = psi_a[(i, q - 1)].compose(obj.faces[(q, j)])
                         if not lhs.equal_as_maps(rhs):
                             rep.failures[5].append(
                                 f"psi at {skey}, A^{i} misses d{j} "
                                 f"at level {q}")
                 for q in range(theory.p_max):
                     for j in range(q + 1):
-                        lhs = obj.degs[(q, j)].compose(
-                            theory.psi(skey, a, i, q))
-                        rhs = theory.psi(skey, a, i, q + 1).compose(
-                            obj.degs[(q, j)])
+                        lhs = obj.degs[(q, j)].compose(psi_a[(i, q)])
+                        rhs = psi_a[(i, q + 1)].compose(obj.degs[(q, j)])
                         if not lhs.equal_as_maps(rhs):
                             rep.failures[5].append(
                                 f"psi at {skey}, A^{i} misses s{j} "
                                 f"at level {q}")
             for i in range(theory.i_max):
                 for q in range(theory.p_max + 1):
-                    lhs = theory.deltas[i][skey][q].compose(
-                        theory.psi(skey, a, i, q))
-                    rhs = theory.psi(skey, a, i + 1, q).compose(
+                    lhs = theory.deltas[i][skey][q].compose(psi_a[(i, q)])
+                    rhs = psi_a[(i + 1, q)].compose(
                         theory.deltas[i][skey][q])
                     if not lhs.equal_as_maps(rhs):
                         rep.failures[5].append(
@@ -503,16 +505,16 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     for m in cat.all_morphisms():
         src, tgt = m.src.key, m.tgt.key
         res = theory.coeffs.maps[m.key]
-        for a in auts[src]:
-            for b in auts[tgt]:
+        for a, psi_a in zip(auts[src], psis[src]):
+            for b, psi_b in zip(auts[tgt], psis[tgt]):
                 if not a.compose(res).equal_as_maps(res.compose(b)):
                     continue
                 for i in range(theory.i_max + 1):
                     for q in range(theory.p_max + 1):
-                        lhs = theory.psi(src, a, i, q).compose(
+                        lhs = psi_a[(i, q)].compose(
                             theory.terms[i].maps[m.key][q])
                         rhs = theory.terms[i].maps[m.key][q].compose(
-                            theory.psi(tgt, b, i, q))
+                            psi_b[(i, q)])
                         if not lhs.equal_as_maps(rhs):
                             rep.failures[5].append(
                                 f"psi not natural along {m.key} at A^{i}, "
@@ -733,7 +735,7 @@ def crosscheck_theorem(gx: GSimplicialSet, cat: OrbitCategory,
         for n in range(nmax + 1):
             if n + 1 not in phis or n not in ls.diffs:
                 continue
-            lhs = twisted_coboundary(ec, provider, n).compose(phis[n])
+            lhs = tc.diffs[n].compose(phis[n])
             rhs = phis[n + 1].compose(ls.diffs[n])
             commutes = commutes and lhs.equal_as_maps(rhs)
         report["commutes"] = commutes

@@ -9,17 +9,23 @@ and kernel computations produce genuinely empty shapes.
 One elimination serves a matrix: `smith_normal_form` returns the
 inverse of its row transform u together with d, u and v, built by
 mirroring each row operation, and `solve` answers a whole matrix of
-right-hand sides from a single normal form.  The elimination keeps its
-matrices as sparse rows, so each step costs the nonzeros it touches;
-coboundaries are a few percent nonzero.  Its pivot order is fixed,
-because the canonical coordinates of every presented group are read
-off u: another order would give the same groups in other coordinates.
+right-hand sides from a single normal form.  `kernel_basis` runs the
+same elimination without u and its inverse, which a kernel never
+reads.  The elimination keeps its matrices as sparse rows, so each step
+costs the nonzeros it touches; coboundaries are a few percent nonzero.
+Once a pivot has passed the divisibility scan it divides everything
+below it, so it is a floor: the next pivot search stops at the first
+row holding an entry equal to it, and a pivot equal to it skips the
+scan.  The pivot order is fixed, because the canonical coordinates of
+every presented group are read off u: another order would give the
+same groups in other coordinates.  Products (`apply`, `@`) skip the
+zero entries of the vector and of both factors.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, itemgetter, mul, neg, sub
+from itertools import chain, compress
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -125,18 +131,28 @@ class IntMatrix:
         return IntMatrix._of_rows(self._columns(), self.nrows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        # only the nonzero entries of vec contribute
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, r, vec)) for r in self.rows)
+        nz = list(_nonzeros(vec))
+        return tuple([sum([r[j] * x for j, x in nz]) for r in self.rows])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        # row i of the product is the sum of a_ik * (row k of other) over
+        # the nonzero a_ik, each row k taken at its nonzero entries
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        bt = other._columns()
-        return IntMatrix._of_rows(
-            tuple(tuple([sum(map(mul, r, c)) for c in bt]) for r in self.rows),
-            other.ncols,
-        )
+        n = other.ncols
+        sparse = [list(_nonzeros(r)) for r in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [0] * n
+            for k in compress(range(self.ncols), r):
+                x = r[k]
+                for j, y in sparse[k]:
+                    acc[j] += x * y
+            out.append(tuple(acc))
+        return IntMatrix._of_rows(tuple(out), n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -178,6 +194,11 @@ class IntMatrix:
 
 
 # sparse rows: {column: value} dicts that store no zero
+
+def _nonzeros(row: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """The (index, entry) pairs of the nonzero entries of row."""
+    return zip(compress(range(len(row)), row), filter(None, row))
+
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
     """dst += q * src, for q != 0."""
@@ -222,10 +243,13 @@ def smith_normal_form(
     inverse costs no second elimination.
 
     The pivot is the first entry of least absolute value in row-major
-    order, so the search stops at the first entry of absolute value 1;
-    and a pivot 1 divides everything, so the divisibility scan of the
-    remaining submatrix is skipped for it.  Neither shortcut changes
-    which operations run, hence d, u and v are the same as without them.
+    order.  Once a pivot p passes the divisibility scan, p divides every
+    entry of the rows below it, and p becomes the floor (it starts at
+    1): the search for the next pivot stops at the first row holding an
+    entry of absolute value floor, since no entry can be smaller, and a
+    pivot equal to the floor skips the scan, since it divides
+    everything.  Neither shortcut changes which operations run, hence
+    d, u and v are the same as without them.
 
     All four matrices are kept as sparse rows while the elimination
     runs, with v and uinv transposed so that their column operations are
@@ -237,15 +261,34 @@ def smith_normal_form(
     coordinates.
     """
     m, n = a.nrows, a.ncols
-    s = [{j: x for j, x in enumerate(r) if x} for r in a.rows]
+    s, vt, u, w = _eliminate(a, True)
+    return (IntMatrix._of_rows(_dense(s, n), n),
+            IntMatrix._of_rows(_dense(u, m), m),
+            IntMatrix._of_rows(_dense_transposed(vt, n), n),
+            IntMatrix._of_rows(_dense_transposed(w, m), m))
+
+
+def _eliminate(a: IntMatrix, with_u: bool):
+    """The elimination of `smith_normal_form` on sparse rows.
+
+    Returns (s, vt, u, w): the reduced matrix, v transposed, u, and uinv
+    transposed, each a list of {column: value} rows.  Without with_u the
+    row transforms u and w are not kept (both come back None); the row
+    and column operations that run are the same either way.
+    """
+    m, n = a.nrows, a.ncols
+    s = [dict(_nonzeros(r)) for r in a.rows]
     # rows_of[j]: the rows of s with a nonzero in column j
     rows_of = [set() for _ in range(n)]
     for i, r in enumerate(s):
         for j in r:
             rows_of[j].add(i)
-    u = [{i: 1} for i in range(m)]
     vt = [{j: 1} for j in range(n)]
-    w = [{i: 1} for i in range(m)]  # uinv, transposed
+    if with_u:
+        u = [{i: 1} for i in range(m)]
+        w = [{i: 1} for i in range(m)]  # uinv, transposed
+    else:
+        u = w = None
 
     def swap_rows(i, j):
         si, sj = s[i], s[j]
@@ -260,8 +303,9 @@ def smith_normal_form(
                 rs.remove(j)
                 rs.add(i)
         s[i], s[j] = sj, si
-        u[i], u[j] = u[j], u[i]
-        w[i], w[j] = w[j], w[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+            w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
         for r in rows_of[i] | rows_of[j]:
@@ -276,7 +320,7 @@ def smith_normal_form(
         vt[i], vt[j] = vt[j], vt[i]
 
     def negate_row(i):
-        for row in (s[i], u[i], w[i]):
+        for row in (s[i],) if u is None else (s[i], u[i], w[i]):
             for c in row:
                 row[c] = -row[c]
 
@@ -299,8 +343,9 @@ def smith_normal_form(
     def row_sub(i, j, q):
         # row_i -= q * row_j; uinv: col_j += q * col_i
         add_to_row(i, j, -q)
-        _axpy(u[i], u[j], -q)
-        _axpy(w[j], w[i], q)
+        if u is not None:
+            _axpy(u[i], u[j], -q)
+            _axpy(w[j], w[i], q)
 
     def col_sub(i, j, q):
         # col_i -= q * col_j
@@ -322,13 +367,15 @@ def smith_normal_form(
     def row_add(i, j):
         # row_i += row_j; uinv: col_j -= col_i
         add_to_row(i, j, 1)
-        _axpy(u[i], u[j], 1)
-        _axpy(w[j], w[i], -1)
+        if u is not None:
+            _axpy(u[i], u[j], 1)
+            _axpy(w[j], w[i], -1)
 
-    def find_pivot(t):
+    def find_pivot(t, floor):
         # the first nonzero entry of least absolute value in the trailing
-        # submatrix, in row-major order; nothing is smaller than a unit.
-        # Rows t.. hold no entry left of column t.
+        # submatrix, in row-major order; every entry there is a multiple
+        # of floor, so nothing is smaller.  Rows t.. hold no entry left
+        # of column t.
         best = bi = bj = 0
         for i in range(t, m):
             for j, x in s[i].items():
@@ -337,13 +384,16 @@ def smith_normal_form(
                     best, bi, bj = ax, i, j
                 elif ax == best and i == bi and j < bj:
                     bj = j
-            if best == 1:
+            if best == floor:
                 break
         return (bi, bj) if best else None
 
+    # floor divides every entry of rows t..: the last pivot that passed
+    # the divisibility scan (1 before any did)
+    floor = 1
     t = 0
     while t < min(m, n):
-        piv = find_pivot(t)
+        piv = find_pivot(t, floor)
         if piv is None:
             break
         if piv[0] != t:
@@ -382,8 +432,9 @@ def smith_normal_form(
                     break
             if restart:
                 continue
-            # pivot must divide the whole remaining submatrix
-            if p == 1:
+            # pivot must divide the whole remaining submatrix; the floor
+            # divides it already
+            if p == floor:
                 break
             bad = None
             for i in range(t + 1, m):
@@ -391,16 +442,14 @@ def smith_normal_form(
                     bad = i
                     break
             if bad is None:
+                floor = p
                 break
             row_add(t, bad)
         t += 1
     for i in range(min(m, n)):
         if s[i].get(i, 0) < 0:
             negate_row(i)
-    return (IntMatrix._of_rows(_dense(s, n), n),
-            IntMatrix._of_rows(_dense(u, m), m),
-            IntMatrix._of_rows(_dense_transposed(vt, n), n),
-            IntMatrix._of_rows(_dense_transposed(w, m), m))
+    return s, vt, u, w
 
 
 def determinant(a: IntMatrix) -> int:
@@ -466,8 +515,18 @@ def solve(
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of a, as a list of column vectors."""
-    d, _u, v, _uinv = smith_normal_form(a)
-    k = min(a.nrows, a.ncols)
-    free = [j for j in range(a.ncols) if j >= k or d.rows[j][j] == 0]
-    return [v.col(j) for j in free]
+    """Basis of the integer kernel of a, as a list of column vectors.
+
+    These are the columns j of v in u*a*v = d whose d_j is zero, read
+    off the same elimination as `smith_normal_form` without keeping u
+    or uinv, which a kernel does not need.
+
+    >>> kernel_basis(IntMatrix([[2, 4, 6]]))
+    [(-2, 1, 0), (-3, 0, 1)]
+    >>> kernel_basis(IntMatrix([[1, 0], [0, 3]]))
+    []
+    """
+    s, vt, _u, _w = _eliminate(a, False)
+    # d_j is zero past the last row, or where s keeps no diagonal entry
+    free = [vt[j] for j in range(a.ncols) if j >= a.nrows or j not in s[j]]
+    return list(_dense(free, a.ncols))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eqtwist import cartan
+from eqtwist import bredon, cartan, em
 from eqtwist.abgroups import BudgetExceeded, FgAbGroup, column_budget
 from eqtwist.bredon import EquivariantCochains, TrivialTwistProvider
 from eqtwist.cartan import (
@@ -23,7 +23,8 @@ from eqtwist.classifying import (
     contraction_identities,
 )
 from eqtwist.coefficients import CoefficientSystem
-from eqtwist.groups import FiniteGroup
+from eqtwist.fixtures import fixture_path, load_json, load_setup
+from eqtwist.groups import FiniteGroup, OrbitCategory
 
 from helpers import (
     c2_category,
@@ -71,6 +72,36 @@ def test_axiom_3_builds_each_moore_subgroup_once(monkeypatch, bounds, calls):
     cat, system = constant_setup(circle_gx(), Z2)
     assert check_axioms(canonical_theory(cat, system, *bounds)).ok(3)
     assert len(built) == len(set(built)) == calls
+
+
+def test_axiom_5_builds_each_psi_once(monkeypatch):
+    # cartan-check --bounds 3,4 with coeffs_z4.json over the trivial
+    # group: psi of each of the two automorphisms once per (i, q), the
+    # identity and the 4 products a*b once per (i, q) each, and the 20
+    # restriction maps of canonical_theory: 20 + 40 + 20 + 80 = 160
+    built = []
+    real = em.CochainModel.postcompose_hom
+
+    def counting(self, *args):
+        built.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(em.CochainModel, "postcompose_hom", counting)
+    cat = OrbitCategory(FiniteGroup.trivial())
+    system = CoefficientSystem.from_json(
+        cat, load_json(fixture_path("coeffs_z4.json")))
+    report = check_axioms(canonical_theory(cat, system, 3, 4))
+    assert len(built) <= 160
+    assert report.lines() == [
+        "checked within bounds i_max=3, p_max=4",
+        "axiom 1: pass",
+        "  note: multiplicative structure not modelled",
+        "axiom 2: pass",
+        "  note: degree 0 read as defining Z^0, not checked",
+        "axiom 3: pass",
+        "axiom 4: pass",
+        "axiom 5: pass",
+    ]
 
 
 def test_axioms_pass_for_constant_coefficients_over_c2():
@@ -170,6 +201,35 @@ def test_comparison_theorem(name, setup):
     assert all(entry["match"] for entry in report["degrees"])
     assert report["all_match"] is True
     # the explicit cochain-level map is an isomorphism of complexes
+    assert report["iso"] is True
+    assert report["commutes"] is True
+
+
+def test_comparison_reuses_the_twisted_coboundaries(monkeypatch):
+    # crosscheck on s1.json with Z/4 and the sign twist: the commutation
+    # check reads the three differentials of the twisted complex
+    built = []
+    real = bredon.twisted_coboundary
+
+    def counting(ec, provider, n):
+        built.append(n)
+        return real(ec, provider, n)
+
+    monkeypatch.setattr(bredon, "twisted_coboundary", counting)
+    monkeypatch.setattr(cartan, "twisted_coboundary", counting,
+                        raising=False)
+    setup = load_setup(fixture_path("s1.json"),
+                       fixture_path("coeffs_z4.json"),
+                       fixture_path("twist_s1_z4.json"),
+                       fixture_path("action_s1_z4_sign.json"))
+    report = crosscheck_theorem(setup.gx, setup.cat, setup.system,
+                                setup.provider, 2)
+    assert sorted(built) == [0, 1, 2]
+    assert [(e["bredon"], e["lift"], e["match"])
+            for e in report["degrees"]] == [("C2", "C2", True),
+                                            ("C2", "C2", True),
+                                            ("0", "0", True)]
+    assert report["all_match"] is True
     assert report["iso"] is True
     assert report["commutes"] is True
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from eqtwist.abgroups import FgAbGroup
 from eqtwist.bredon import EquivariantCochains, untwisted_complex
-from eqtwist.intmat import IntMatrix, determinant, smith_normal_form, solve
+from eqtwist.intmat import (IntMatrix, determinant, kernel_basis,
+                            smith_normal_form, solve)
 
 from helpers import constant_setup, dense_smith_normal_form, torus_gx
 
@@ -182,6 +183,90 @@ def test_snf_of_a_torsion_block_and_a_coboundary_matches_the_dense_one():
     coboundary = IntMatrix.hstack([d1.matrix, d1.target.rels])
     for a in (twos, d1.matrix, coboundary):
         assert smith_normal_form(a) == dense_smith_normal_form(a)
+
+
+def dense_kernel_basis(a):
+    # the columns j of the dense elimination's v with d_j = 0
+    d, _u, v, _uinv = dense_smith_normal_form(a)
+    k = min(a.nrows, a.ncols)
+    return [v.col(j) for j in range(a.ncols) if j >= k or d.rows[j][j] == 0]
+
+
+@settings(max_examples=400)
+@given(sparse_or_dense())
+def test_kernel_basis_is_the_free_columns_of_the_dense_v(a):
+    assert kernel_basis(a) == dense_kernel_basis(a)
+
+
+def _floor_cases():
+    gx = torus_gx(4, 3)
+    cat, system = constant_setup(gx, FgAbGroup.from_relations(1, [[2]]))
+    d1 = untwisted_complex(EquivariantCochains(gx, cat, system, 3)).diffs[1]
+    coboundary = IntMatrix.hstack([d1.matrix, d1.target.rels])
+    # once the unit pivots are spent the floor is 2, and each later 2
+    # ends the pivot search in its row and skips the divisibility scan
+    yield IntMatrix.block_diag([IntMatrix([[2]])] * 40 + [coboundary])
+    # under the floor 2, pivots 4 restart on a remainder 2 or fail the
+    # scan next to a 6; a pivot 6 then passes the scan and raises the
+    # floor to 6, which a later pivot meets and so skips the scan
+    yield IntMatrix.block_diag([
+        IntMatrix([[2]]), IntMatrix([[4, 6], [6, 4]]),
+        IntMatrix([[4, 0], [0, 6]]), IntMatrix([[6, 12], [18, 6]]),
+        IntMatrix([[4, 2, 6], [6, 4, 2], [2, 6, 4]])])
+    yield IntMatrix([[4, 6, 2], [6, 4, 12], [2, 4, 6], [12, 6, 18]])
+
+
+@pytest.mark.parametrize("a", list(_floor_cases()))
+def test_the_divisor_floor_keeps_the_dense_operations(a):
+    assert smith_normal_form(a) == dense_smith_normal_form(a)
+    assert kernel_basis(a) == dense_kernel_basis(a)
+
+
+# sparse products against a plain sum of products ----------------------
+
+@st.composite
+def product_pair(draw):
+    a = draw(sparse_or_dense(6))
+    k = draw(st.integers(0, 6))
+    zeros = draw(st.sampled_from([108, 18, 1]))
+    entry = st.sampled_from([0] * zeros + NONZERO)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=a.ncols, max_size=a.ncols))
+    x = draw(st.lists(entry, min_size=a.ncols, max_size=a.ncols))
+    return a, IntMatrix(rows, k), x
+
+
+def _reference_product(a, b):
+    return [[sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+@settings(max_examples=300)
+@given(product_pair())
+def test_sparse_products_match_the_sum_of_products(pair):
+    a, b, x = pair
+    got = a.apply(x)
+    assert got == tuple(sum(a.rows[i][k] * x[k] for k in range(a.ncols))
+                        for i in range(a.nrows))
+    assert all(type(y) is int for y in got)
+    assert a.apply([0] * a.ncols) == (0,) * a.nrows
+    prod = a @ b
+    assert prod == IntMatrix(_reference_product(a, b), b.ncols)
+    assert _is_canonical(prod)
+    zero = IntMatrix.zeros(b.nrows, b.ncols)
+    assert _is_canonical(a @ zero)
+    assert a @ zero == IntMatrix.zeros(a.nrows, b.ncols)
+
+
+def test_products_of_empty_shapes():
+    for m, k, n in [(0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 0, 0)]:
+        a = IntMatrix([[1] * k] * m, k)
+        b = IntMatrix([[2] * n] * k, n)
+        prod = a @ b
+        assert prod == IntMatrix([[2 * k] * n] * m, n)
+        assert _is_canonical(prod)
+        assert a.apply([5] * k) == (5 * k,) * m
+        assert a.apply([0] * k) == (0,) * m
 
 
 def _is_canonical(a):
