@@ -19,6 +19,13 @@ Homomorphisms are integer matrices on generators, checked to respect
 relations at construction time.  Kernels, cokernels and subquotients
 are computed by integer kernel calculations, so cohomology of cochain
 complexes whose terms themselves carry torsion comes out exactly.
+Cohomology at a term runs two kernel eliminations and one Smith normal
+form: `kernel_basis` gives generators K of the cocycles, a second one
+gives the relations of H among them, and the SNF presents H.  The
+cocycle group itself is never presented, and `is_iso` tests
+injectivity by membership of K instead.  A `CochainComplex` checks
+d o d = 0 for each pair once, at construction; `cohomology_at`, called
+on a pair of its own, checks it there.
 
 Work is bounded in one place: inside a `column_budget(limit)` block,
 every `direct_sum` counts its generator columns before its Smith normal
@@ -215,20 +222,28 @@ class AbHom:
         x = solve(big, list(vec))
         return None if x is None else x[: self.source.ngens]
 
-    def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
-        """Kernel subgroup with its inclusion into the source."""
+    def kernel_generators(self) -> list[tuple[int, ...]]:
+        """Generator coordinates of elements that generate the kernel:
+        the nonzero source parts of a basis of ker [matrix | target.rels]."""
         big = IntMatrix.hstack([self.matrix, self.target.rels])
         vecs = [v[: self.source.ngens] for v in kernel_basis(big)]
-        vecs = [v for v in vecs if any(v)]
-        return subgroup_from_generators(self.source, vecs)
+        return [v for v in vecs if any(v)]
+
+    def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
+        """Kernel subgroup with its inclusion into the source."""
+        return subgroup_from_generators(self.source, self.kernel_generators())
 
     def cokernel(self) -> FgAbGroup:
         rels = IntMatrix.hstack([self.target.rels, self.matrix])
         return FgAbGroup(self.target.ngens, rels)
 
     def is_iso(self) -> bool:
-        k, _ = self.kernel()
-        return k.is_trivial and self.cokernel().is_trivial
+        """Injective when every kernel generator is zero in the source,
+        which needs no presentation of the kernel; then surjective."""
+        for v in self.kernel_generators():
+            if any(self.source.from_vector(v)):
+                return False
+        return self.cokernel().is_trivial
 
     def inverse(self) -> "AbHom":
         """Two-sided inverse of an isomorphism, found by integer solving."""
@@ -299,26 +314,36 @@ def cohomology_at(
     """Cohomology ker(outgoing)/im(incoming) at the group `at`.
 
     Either map may be None, meaning the zero map.  When both are present
-    their composite must vanish.
+    their composite must vanish; it is checked here.
     """
     if incoming is not None and outgoing is not None:
         if not outgoing.compose(incoming).is_zero_map:
             raise ValueError("not a complex: d o d != 0")
+    return _subquotient(at, incoming, outgoing)
+
+
+def _subquotient(
+    at: FgAbGroup,
+    incoming: AbHom | None,
+    outgoing: AbHom | None,
+) -> Subquotient:
+    """ker(outgoing)/im(incoming) for maps whose composite is known to
+    vanish.  The kernel generators K span the cocycles; the relations
+    of H are the K-parts of a basis of ker [K | incoming | at.rels], so
+    the kernel itself is never presented."""
     if outgoing is not None:
-        ker, incl = outgoing.kernel()
+        kmat = IntMatrix.from_cols(outgoing.kernel_generators(), at.ngens)
     else:
-        ker, incl = at, AbHom.identity(at)
-    pieces = [incl.matrix]
+        kmat = IntMatrix.identity(at.ngens)
+    pieces = [kmat]
     if incoming is not None:
         pieces.append(incoming.matrix)
     pieces.append(at.rels)
     big = IntMatrix.hstack(pieces)
-    rel_cols = [v[: ker.ngens] for v in kernel_basis(big)]
+    rel_cols = [v[: kmat.ncols] for v in kernel_basis(big)]
     rel_cols = [c for c in rel_cols if any(c)]
-    h = FgAbGroup(ker.ngens,
-                  IntMatrix.from_cols(rel_cols, ker.ngens) if rel_cols
-                  else IntMatrix.zeros(ker.ngens, 0))
-    return Subquotient(h, incl.matrix.cols())
+    h = FgAbGroup(kmat.ncols, IntMatrix.from_cols(rel_cols, kmat.ncols))
+    return Subquotient(h, kmat.cols())
 
 
 class CochainComplex:
@@ -338,9 +363,10 @@ class CochainComplex:
                     raise ValueError(f"d o d != 0 at degree {n}")
 
     def cohomology(self, n: int) -> Subquotient:
+        # the constructor checked d o d = 0 for this pair
         incoming = self.diffs[n - 1] if n >= 1 else None
         outgoing = self.diffs[n] if n < len(self.diffs) else None
-        return cohomology_at(self.groups[n], incoming, outgoing)
+        return _subquotient(self.groups[n], incoming, outgoing)
 
 
 class BudgetExceeded(Exception):

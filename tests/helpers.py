@@ -3,12 +3,13 @@
 Complexes come from the bundled fixture files so the tests exercise the
 same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
-variations.  The planted negative controls of the axiom checks and the
-brute-force vertical homotopy search and the dense Smith normal form
-live here too: the tests use them as references, the package does not.
+variations.  The planted negative controls of the axiom checks, the
+brute-force vertical homotopy search, the dense Smith normal form and
+the kernel-presenting cohomology live here too: the tests use them as
+references, the package does not.
 """
 
-from eqtwist.abgroups import AbHom, FgAbGroup
+from eqtwist.abgroups import AbHom, FgAbGroup, Subquotient
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
                             GroupTwistProvider, TrivialTwistProvider,
                             twisted_complex, untwisted_complex)
@@ -20,6 +21,7 @@ from eqtwist.edgepaths import EdgeActionSystem, PathChoice
 from eqtwist.equivariant import GSimplicialSet, fixed_point_system
 from eqtwist.fixtures import fixture_path, load_json
 from eqtwist.groups import FiniteGroup, OrbitCategory
+from eqtwist import intmat
 from eqtwist.intmat import IntMatrix
 from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef, nondeg,
                                 product)
@@ -178,6 +180,35 @@ def with_zero_delta(theory: CartanTheory, at: int = 1) -> CartanTheory:
             deltas.append({skey: [AbHom.zero(h.source, h.target)
                                   for h in homs]
                            for skey, homs in dd.items()})
+    return CartanTheory(theory.cat, theory.coeffs, theory.terms, deltas,
+                        theory.psi, theory.i_max, theory.p_max)
+
+
+def with_nonzero_square(theory: CartanTheory, at: int = 1) -> CartanTheory:
+    """Copy whose delta^at o delta^(at-1) is nonzero at the top level
+    of every orbit.
+
+    At that level, delta^at gains a 1 in its first row, in the column
+    of the first nonzero row of delta^(at-1), so the composite picks up
+    that row.  Axiom 1 reports the square; exactness is undefined there.
+    """
+    if not 1 <= at < theory.i_max:
+        raise ValueError("the planted degree must be interior")
+    q = theory.p_max
+    planted = {}
+    for skey, homs in theory.deltas[at].items():
+        h, below = homs[q], theory.deltas[at - 1][skey][q]
+        col = next((i for i, row in enumerate(below.matrix.rows) if any(row)),
+                   None)
+        if col is None or not h.target.ngens:
+            raise ValueError(f"no square to plant at {skey}, level {q}")
+        rows = [list(r) for r in h.matrix.rows]
+        rows[0][col] += 1
+        planted[skey] = homs[:q] + [
+            AbHom(h.source, h.target, IntMatrix(rows, h.source.ngens))
+        ] + homs[q + 1:]
+    deltas = list(theory.deltas)
+    deltas[at] = planted
     return CartanTheory(theory.cat, theory.coeffs, theory.terms, deltas,
                         theory.psi, theory.i_max, theory.p_max)
 
@@ -490,3 +521,37 @@ def dense_smith_normal_form(
             negate_row(i)
     return (IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n),
             IntMatrix(zip(*w), m))
+
+
+# cohomology through a presented kernel -------------------------------
+# `abgroups.cohomology_at` and `AbHom.is_iso` as they were when both
+# built the kernel as a group: one more `kernel_basis` and one more
+# Smith normal form per call.  The package must agree with them on
+# every relation matrix and representative.  Both reach `kernel_basis`
+# through its module, so a spy on intmat counts their eliminations.
+
+def reference_cohomology_at(at: FgAbGroup, incoming: AbHom | None,
+                            outgoing: AbHom | None) -> Subquotient:
+    if incoming is not None and outgoing is not None:
+        if not outgoing.compose(incoming).is_zero_map:
+            raise ValueError("not a complex: d o d != 0")
+    if outgoing is not None:
+        ker, incl = outgoing.kernel()
+    else:
+        ker, incl = at, AbHom.identity(at)
+    pieces = [incl.matrix]
+    if incoming is not None:
+        pieces.append(incoming.matrix)
+    pieces.append(at.rels)
+    big = IntMatrix.hstack(pieces)
+    rel_cols = [v[: ker.ngens] for v in intmat.kernel_basis(big)]
+    rel_cols = [c for c in rel_cols if any(c)]
+    h = FgAbGroup(ker.ngens,
+                  IntMatrix.from_cols(rel_cols, ker.ngens) if rel_cols
+                  else IntMatrix.zeros(ker.ngens, 0))
+    return Subquotient(h, incl.matrix.cols())
+
+
+def reference_is_iso(h: AbHom) -> bool:
+    k, _ = h.kernel()
+    return k.is_trivial and h.cokernel().is_trivial

@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from eqtwist import abgroups, cli, intmat
+from eqtwist import cli
 from eqtwist.abgroups import (AbHom, BudgetExceeded, CochainComplex,
                               FgAbGroup, Subquotient, assemble_hom,
                               cohomology_at, column_budget, direct_sum,
                               enumerate_automorphisms)
 from eqtwist.fixtures import fixture_path
-from eqtwist.intmat import IntMatrix, solve
+from eqtwist.intmat import IntMatrix, kernel_basis, solve
+
+from helpers import reference_cohomology_at, reference_is_iso
 
 
 def test_normal_forms():
@@ -169,22 +171,6 @@ def test_kernel_elements_die(rel_rows):
             assert h.apply(incl.apply(el)) == g.zero()
 
 
-@pytest.fixture
-def snf_calls(monkeypatch):
-    """Record every Smith normal form abgroups runs, directly or through
-    the solvers of intmat."""
-    calls = []
-    real = intmat.smith_normal_form
-
-    def counting(a):
-        calls.append((a.nrows, a.ncols))
-        return real(a)
-
-    monkeypatch.setattr(abgroups, "smith_normal_form", counting)
-    monkeypatch.setattr(intmat, "smith_normal_form", counting)
-    return calls
-
-
 def test_each_presentation_is_eliminated_once(snf_calls):
     # Z/2 + Z/6 + Z^3 on five generators: one elimination, not one more
     # per generator
@@ -237,3 +223,103 @@ def test_reduction_decides_relation_membership(rel_rows, data):
     for x in (g.rels.apply(coeffs), data.draw(vec)):
         assert (g.from_vector(x) == g.zero()) == \
             (solve(g.rels, x) is not None)
+
+
+# the coboundaries of the 2-simplex with Z/4 coefficients:
+# C^0 = C^1 = (Z/4)^3, C^2 = Z/4, and a last map to the trivial group
+Z4_CUBE = FgAbGroup(3, IntMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 4]]))
+SIMPLEX_GROUPS = [Z4_CUBE, Z4_CUBE, FgAbGroup.cyclic(4), FgAbGroup.trivial()]
+SIMPLEX_MATRICES = [IntMatrix([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]),
+                    IntMatrix([[1, -1, 1]]),
+                    IntMatrix.zeros(0, 1)]
+
+
+def simplex_diffs(planted=None):
+    """The 2-simplex's differentials; `planted` replaces d^1."""
+    mats = list(SIMPLEX_MATRICES)
+    if planted is not None:
+        mats[1] = planted
+    return [AbHom(SIMPLEX_GROUPS[n], SIMPLEX_GROUPS[n + 1], m)
+            for n, m in enumerate(mats)]
+
+
+def test_a_complex_with_a_nonzero_square_is_refused():
+    diffs = simplex_diffs(planted=IntMatrix([[1, 0, 1]]))
+    with pytest.raises(ValueError, match="^d o d != 0 at degree 0$"):
+        CochainComplex(SIMPLEX_GROUPS, diffs)
+
+
+def test_cohomology_at_refuses_a_nonzero_square():
+    d0, d1, _d2 = simplex_diffs(planted=IntMatrix([[1, 0, 1]]))
+    with pytest.raises(ValueError, match="^not a complex: d o d != 0$"):
+        cohomology_at(Z4_CUBE, d0, d1)
+
+
+def test_each_square_of_a_complex_is_checked_once(monkeypatch):
+    diffs = simplex_diffs()
+    composites = []
+    real = AbHom.compose
+
+    def spy(self, first):
+        composites.append((self, first))
+        return real(self, first)
+
+    monkeypatch.setattr(AbHom, "compose", spy)
+    cc = CochainComplex(SIMPLEX_GROUPS, diffs)
+    forms = [cc.cohomology(n).group.normal_form()
+             for n in range(len(SIMPLEX_GROUPS))]
+    assert forms == [(0, (4,)), (0, ()), (0, ()), (0, ())]
+    assert len(composites) == len(diffs) - 1
+    for n, (second, first) in enumerate(composites):
+        assert second is diffs[n + 1] and first is diffs[n]
+
+
+def test_cohomology_at_presents_no_kernel(eliminations):
+    d0, d1, _d2 = simplex_diffs()
+    for cohomology, kernels, snfs in ((cohomology_at, 2, 1),
+                                      (reference_cohomology_at, 3, 2)):
+        eliminations["snf"].clear()
+        eliminations["kernel_basis"].clear()
+        h = cohomology(Z4_CUBE, d0, d1)
+        assert h.group.normal_form() == (0, ())
+        assert len(eliminations["kernel_basis"]) == kernels
+        assert len(eliminations["snf"]) == snfs
+
+
+def test_is_iso_presents_no_kernel(eliminations):
+    z4 = FgAbGroup.cyclic(4)
+    triple = AbHom(z4, z4, IntMatrix([[3]]))
+    eliminations["snf"].clear()
+    assert triple.is_iso()
+    # one kernel, and one Smith normal form for the cokernel
+    assert len(eliminations["kernel_basis"]) == 1
+    assert len(eliminations["snf"]) == 1
+
+
+# a presented group on 1..2 generators with 0..2 relations
+small_groups = st.integers(1, 2).flatmap(lambda n: st.integers(0, 2).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                       min_size=n, max_size=n)))
+
+
+@given(small_groups, small_groups, st.data())
+def test_is_iso_agrees_with_the_kernel_presenting_reference(src_rows,
+                                                            tgt_rows, data):
+    target = FgAbGroup(len(tgt_rows), IntMatrix(tgt_rows, len(tgt_rows[0])))
+    n = len(src_rows)
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    mat = IntMatrix(data.draw(st.lists(entries, min_size=target.ngens,
+                                       max_size=target.ngens)), n)
+    # relations the map respects: combinations of a basis of the lattice
+    # of x with mat x in im(target.rels), some dropped, some scaled
+    lattice = [v[:n] for v in kernel_basis(
+        IntMatrix.hstack([mat, target.rels]))]
+    coeffs = data.draw(st.lists(st.lists(st.integers(-2, 2),
+                                         min_size=len(lattice),
+                                         max_size=len(lattice)),
+                                max_size=3))
+    rels = [[sum(c * v[i] for c, v in zip(cs, lattice)) for i in range(n)]
+            for cs in coeffs]
+    source = FgAbGroup(n, IntMatrix.from_cols(rels, n))
+    h = AbHom(source, target, mat)
+    assert h.is_iso() == reference_is_iso(h)

@@ -37,6 +37,7 @@ from helpers import (
     triangle_kappa,
     vertical_homotopy_oracle,
     with_blinded_psi,
+    with_nonzero_square,
     with_zero_delta,
     zero_theory,
 )
@@ -123,6 +124,19 @@ def test_zero_differential_breaks_exactness_only():
     system = CoefficientSystem.constant(cat, Z2)
     broken = with_zero_delta(canonical_theory(cat, system, 2, 3), at=1)
     assert verdicts(check_axioms(broken)) == [True, False, True, True, True]
+
+
+def test_a_nonzero_square_is_reported_not_raised():
+    cat = OrbitCategory(FiniteGroup.trivial())
+    system = CoefficientSystem.constant(cat, Z)
+    broken = with_nonzero_square(canonical_theory(cat, system, 3, 2))
+    assert broken.deltas[1]["e"][2].matrix.rows == ((2, -1, 1),)
+    report = check_axioms(broken)
+    assert not report.all_ok
+    assert "delta.delta != 0 at e, degree 0, level 2" in report.failures[1]
+    # exactness is undefined where the square fails, so it is skipped
+    assert report.info[2][0] == (
+        "not a complex at degree 1, e, level 2; exactness not checked there")
 
 
 def test_zero_theory_breaks_simplicial_triviality_only():

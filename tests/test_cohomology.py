@@ -1,0 +1,120 @@
+"""Cohomology of whole complexes against a reference and two oracles.
+
+The package's `cohomology_at` must give the same relation matrix and
+representatives as the kernel-presenting reference of `helpers`, over
+the bundled fixtures and small tori.  On the polygon and torus families
+over the trivial group, the Euler characteristic and the universal
+coefficient theorem must hold.
+"""
+
+import math
+
+import pytest
+
+from eqtwist.abgroups import FgAbGroup
+from eqtwist.bredon import (EquivariantCochains, twisted_complex,
+                            untwisted_complex)
+from eqtwist.equivariant import GSimplicialSet
+from eqtwist.fixtures import fixture_path, load_setup
+from eqtwist.groups import FiniteGroup
+
+from helpers import (constant_setup, ngon_space, reference_cohomology_at,
+                     torus_gx)
+
+COEFFS = {"Z": FgAbGroup.free(1), "Z2": FgAbGroup.cyclic(2),
+          "Z4": FgAbGroup.cyclic(4)}
+
+# complex, twist, action: each bundled complex untwisted, and each
+# bundled twist of the circle and the triangle, with and without the
+# action file it loads with
+FIXTURE_SETUPS = [
+    ("delta2.json", None, None),
+    ("refs1.json", None, None),
+    ("s1.json", None, None),
+    ("sphere0.json", None, None),
+    ("sphere2.json", None, None),
+    ("triangle.json", None, None),
+    ("s1.json", "twist_s1_z2.json", None),
+    ("s1.json", "twist_s1_z2.json", "action_s1_z2_sign.json"),
+    ("s1.json", "twist_s1_z4.json", None),
+    ("s1.json", "twist_s1_z4.json", "action_s1_z4_sign.json"),
+    ("triangle.json", "twist_triangle.json", "action_triangle.json"),
+]
+
+
+def assert_matches_reference(cc):
+    for n, at in enumerate(cc.groups):
+        incoming = cc.diffs[n - 1] if n else None
+        outgoing = cc.diffs[n] if n < len(cc.diffs) else None
+        got = cc.cohomology(n)
+        want = reference_cohomology_at(at, incoming, outgoing)
+        assert got.group.rels == want.group.rels, n
+        assert got.group.normal_form() == want.group.normal_form(), n
+        assert got.rep_vectors == want.rep_vectors, n
+
+
+@pytest.mark.parametrize("coeffs", ["z", "z2", "z4"])
+@pytest.mark.parametrize("space,twist,action", FIXTURE_SETUPS)
+def test_fixture_cohomology_matches_the_reference(space, twist, action,
+                                                  coeffs):
+    setup = load_setup(*(None if f is None else str(fixture_path(f))
+                         for f in (space, f"coeffs_{coeffs}.json", twist,
+                                   action)))
+    ec = EquivariantCochains(setup.gx, setup.cat, setup.system,
+                             setup.gx.space.truncation)
+    if twist is None:
+        assert_matches_reference(untwisted_complex(ec))
+    else:
+        assert_matches_reference(twisted_complex(ec, setup.provider))
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFS))
+def test_torus_cohomology_matches_the_reference(coeff):
+    for a in range(1, 5):
+        for b in range(1, 5):
+            gx = torus_gx(a, b)
+            cat, system = constant_setup(gx, COEFFS[coeff])
+            ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
+            assert_matches_reference(untwisted_complex(ec))
+
+
+# generated families: oracles over the trivial group -------------------
+
+def ngon_gx(n: int) -> GSimplicialSet:
+    return GSimplicialSet(ngon_space(n), FiniteGroup.trivial(), {})
+
+
+FAMILY = [(f"{n}-gon", ngon_gx(n)) for n in range(3, 9)] + \
+    [(f"{a}x{b} torus", torus_gx(a, b)) for a in (3, 4) for b in (3, 4)]
+
+
+def cohomology_forms(gx, coeff: FgAbGroup) -> list[tuple[int, tuple]]:
+    """H^0.. of X with constant coefficients, up to one degree above
+    the top cell, where it vanishes."""
+    cat, system = constant_setup(gx, coeff)
+    ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
+    assert ec.nmax >= gx.space.dimension
+    cc = untwisted_complex(ec)
+    return [cc.cohomology(n).group.normal_form()
+            for n in range(ec.nmax + 1)] + [(0, ())]
+
+
+def cyclic_sum(orders: list[int]) -> FgAbGroup:
+    return FgAbGroup.from_relations(
+        len(orders), [[m if i == j else 0 for j in range(len(orders))]
+                      for i, m in enumerate(orders)])
+
+
+@pytest.mark.parametrize("name,gx", FAMILY, ids=[n for n, _ in FAMILY])
+def test_euler_characteristic_and_universal_coefficients(name, gx):
+    integral = cohomology_forms(gx, FgAbGroup.free(1))
+    cells = gx.space.cells
+    assert sum((-1) ** n * rank for n, (rank, _t) in enumerate(integral)) \
+        == sum((-1) ** q * len(ids) for q, ids in cells.items())
+    for m in (2, 3, 4):
+        # H^n(X; Z/m) = H^n(X; Z) (x) Z/m  +  Tor(H^{n+1}(X; Z), Z/m)
+        want = []
+        for (rank, torsion), (_r, torsion_up) in zip(integral, integral[1:]):
+            orders = [m] * rank + [math.gcd(t, m) for t in torsion + torsion_up]
+            want.append(cyclic_sum(orders).normal_form())
+        assert cohomology_forms(gx, FgAbGroup.cyclic(m))[:-1] == want, m
