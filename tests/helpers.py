@@ -5,9 +5,13 @@ same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form and
-the kernel-presenting cohomology live here too: the tests use them as
-references, the package does not.
+the kernel-presenting cohomology and the subset-closure subgroup
+lattice live here too: the tests use them as references, the package
+does not.  So do the groups built from generators that the lattice
+tests need.
 """
+
+import itertools
 
 from eqtwist.abgroups import AbHom, FgAbGroup, Subquotient
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
@@ -555,3 +559,76 @@ def reference_cohomology_at(at: FgAbGroup, incoming: AbHom | None,
 def reference_is_iso(h: AbHom) -> bool:
     k, _ = h.kernel()
     return k.is_trivial and h.cokernel().is_trivial
+
+
+# subgroups by closing every subset ----------------------------------
+# `groups.all_subgroups` as it was before cyclic extension: 2^|G|
+# closures on element names, so only for groups of order <= 12.
+
+def reference_closure(g: FiniteGroup, gens) -> frozenset[str]:
+    members = {g.identity} | set(gens)
+    while True:
+        new = {g.mul(a, b) for a in members for b in members} \
+            | {g.inv(a) for a in members}
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
+def reference_all_subgroups(g: FiniteGroup) -> list[tuple[int, str]]:
+    """(order, key) of every subgroup, sorted as `all_subgroups` sorts."""
+    found = {reference_closure(g, gens)
+             for r in range(len(g.names) + 1)
+             for gens in itertools.combinations(g.names, r)}
+    return sorted((len(h), ",".join(sorted(h))) for h in found)
+
+
+def generated_group(gens, mul, identity) -> FiniteGroup:
+    """The group that `gens` generate under `mul`, as a table; the
+    elements are named e, g1, g2, ... in the order they are reached."""
+    elements, index = [identity], {identity: 0}
+    for a in elements:
+        for s in gens:
+            b = mul(a, s)
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+    names = ["e"] + [f"g{k}" for k in range(1, len(elements))]
+    return FiniteGroup(names, [[index[mul(a, b)] for b in elements]
+                               for a in elements])
+
+
+def permutation_group(*gens: tuple[int, ...]) -> FiniteGroup:
+    return generated_group(
+        gens, lambda p, q: tuple(p[i] for i in q), tuple(range(len(gens[0]))))
+
+
+def symmetric4() -> FiniteGroup:
+    return permutation_group((1, 0, 2, 3), (1, 2, 3, 0))
+
+
+def dihedral(n: int) -> FiniteGroup:
+    """Symmetries of the n-gon, of order 2n."""
+    return permutation_group(tuple((i + 1) % n for i in range(n)),
+                             tuple(-i % n for i in range(n)))
+
+
+def abelian(*orders: int) -> FiniteGroup:
+    """C_orders[0] x C_orders[1] x ..."""
+    def add(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, orders))
+    units = [tuple(int(i == k) for i in range(len(orders)))
+             for k in range(len(orders))]
+    return generated_group(units, add, (0,) * len(orders))
+
+
+def quaternion8() -> FiniteGroup:
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    return generated_group([(0, 1, 0, 0), (0, 0, 1, 0)], hamilton,
+                           (1, 0, 0, 0))

@@ -3,7 +3,7 @@
 import pytest
 
 from eqtwist import bredon, cartan, em
-from eqtwist.abgroups import BudgetExceeded, FgAbGroup, column_budget
+from eqtwist.abgroups import AbHom, BudgetExceeded, FgAbGroup, column_budget
 from eqtwist.bredon import EquivariantCochains, TrivialTwistProvider
 from eqtwist.cartan import (
     AxiomReport,
@@ -137,6 +137,45 @@ def test_a_nonzero_square_is_reported_not_raised():
     # exactness is undefined where the square fails, so it is skipped
     assert report.info[2][0] == (
         "not a complex at degree 1, e, level 2; exactness not checked there")
+
+
+def test_axioms_compose_each_square_once(monkeypatch):
+    # C_2 with Z/2 at bounds (3, 3): the squares delta^d o delta^(d-1)
+    # for d = 1, 2 over two orbits and four levels are 16; axiom 1
+    # composes each, and axiom 2 reuses its verdict
+    cat = c2_category()
+    theory = canonical_theory(cat, CoefficientSystem.constant(cat, Z2), 3, 3)
+    deltas = {id(h) for dd in theory.deltas for homs in dd.values()
+              for h in homs}
+    squares = []
+    real = AbHom.compose
+
+    def spy(self, first):
+        if id(self) in deltas and id(first) in deltas:
+            squares.append((id(self), id(first)))
+        return real(self, first)
+
+    monkeypatch.setattr(AbHom, "compose", spy)
+    assert check_axioms(theory).all_ok
+    assert len(squares) == len(set(squares)) == 16
+
+
+def test_a_nonzero_square_skips_exactness_at_both_degrees_it_breaks():
+    # the 1 planted in delta^1 spoils delta^1 o delta^0 and
+    # delta^2 o delta^1 on both orbits; exactness is reported nowhere else
+    cat = c2_category()
+    system = CoefficientSystem.constant(cat, Z2)
+    report = check_axioms(with_nonzero_square(
+        canonical_theory(cat, system, 3, 3)))
+    assert report.failures[1][-4:] == [
+        f"delta.delta != 0 at {o}, degree {d}, level 3"
+        for d in (0, 1) for o in ("e", "e,t")]
+    assert report.failures[2] == []
+    assert report.info[2] == [
+        f"not a complex at degree {d}, {o}, level 3; "
+        f"exactness not checked there"
+        for d in (1, 2) for o in ("e", "e,t")] + [
+        "degree 0 read as defining Z^0, not checked"]
 
 
 def test_zero_theory_breaks_simplicial_triviality_only():

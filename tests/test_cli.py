@@ -7,6 +7,8 @@ import pytest
 from eqtwist import cli, fixtures
 from eqtwist.fixtures import fixture_path
 
+from helpers import symmetric4
+
 
 def fx(name):
     return str(fixture_path(name))
@@ -136,6 +138,40 @@ def test_fixedpoints_lists_subgroups_in_order(capsys):
     fixed = data["subgroups"][1]
     assert fixed["cells"]["0"] == ["a", "b"]
     assert fixed["cells"]["1"] == []
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 0], [0, 1]],
+    [[0, 1], [1, 0, 7]],
+    [[0, True], [True, 0]],
+], ids=["three rows", "long row", "boolean entries"])
+def test_fixedpoints_rejects_a_malformed_group_table(capsys, tmp_path, table):
+    with open(fx("refs1.json")) as fh:
+        data = json.load(fh)
+    data["group"]["table"] = table
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "fixedpoints", "--complex", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: table ")
+    assert err.count("\n") == 1
+
+
+def test_fixedpoints_reaches_s4(capsys, tmp_path):
+    # a point with S_4 acting trivially: all 30 subgroups fix it
+    s4 = symmetric4()
+    data = {"simplices": {"0": ["v"]}, "faces": {}, "truncation": 0,
+            "group": s4.to_json(),
+            "action": {g: {"v": "v"} for g in s4.names}}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    entries = run_json(capsys, "fixedpoints", "--complex", str(path))[
+        "subgroups"]
+    assert len(entries) == 30
+    ranks = [(e["order"], e["subgroup"]) for e in entries]
+    assert ranks == sorted(ranks)
+    assert ranks[0] == (1, "e") and ranks[-1][0] == 24
+    assert all(e["cells"] == {"0": ["v"]} for e in entries)
 
 
 def test_bredon_circle_over_z(capsys):

@@ -1,7 +1,13 @@
 """Finite groups, subgroup lattices, and the orbit category."""
 
+import pytest
+from hypothesis import given, strategies as st
+
 from eqtwist.groups import (FiniteGroup, OrbitCategory, all_subgroups,
                             subgroup_key)
+
+from helpers import (abelian, dihedral, quaternion8, reference_all_subgroups,
+                     reference_closure, symmetric4)
 
 
 def test_cyclic_groups():
@@ -36,6 +42,55 @@ def test_subgroup_lattice_sizes():
     assert len(all_subgroups(FiniteGroup.cyclic(4))) == 3
     # S3: trivial, three reflections, one rotation, whole group
     assert len(all_subgroups(FiniteGroup.symmetric3())) == 6
+
+
+REFERENCE_GROUPS = {
+    **{f"C{n}": lambda n=n: FiniteGroup.cyclic(n) for n in range(1, 13)},
+    "S3": FiniteGroup.symmetric3,
+    **{f"D{n}": lambda n=n: dihedral(n) for n in range(3, 7)},
+    "C2^3": lambda: abelian(2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_cyclic_extension_agrees_with_closing_every_subset(name):
+    grp = REFERENCE_GROUPS[name]()
+    assert [(s.order, s.key) for s in all_subgroups(grp)] == \
+        reference_all_subgroups(grp)
+
+
+# subgroup counts beyond the reach of the subset closure
+COUNTED_GROUPS = {
+    "C2^3": (lambda: abelian(2, 2, 2), 16),
+    "Q8": (quaternion8, 6),
+    "C4xC4": (lambda: abelian(4, 4), 15),
+    "D8": (lambda: dihedral(8), 19),
+    "S4": (symmetric4, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_GROUPS))
+def test_known_subgroup_counts(name):
+    build, count = COUNTED_GROUPS[name]
+    grp = build()
+    subgroups = all_subgroups(grp)
+    assert len(subgroups) == count
+    assert len({s.members for s in subgroups}) == count
+    for s in subgroups:
+        assert grp.identity in s.members
+        assert {grp.mul(a, b) for a in s.members for b in s.members} \
+            <= s.members
+    assert [(s.order, s.key) for s in subgroups] == \
+        sorted((s.order, s.key) for s in subgroups)
+
+
+S4 = symmetric4()
+S4_SUBGROUPS = {s.members for s in all_subgroups(S4)}
+
+
+@given(st.sets(st.sampled_from(S4.names), max_size=4))
+def test_every_generated_subgroup_of_s4_is_listed(gens):
+    assert reference_closure(S4, gens) in S4_SUBGROUPS
 
 
 def test_orbit_category_composition_closes():
