@@ -170,6 +170,9 @@ def _parse_bounds(text):
 
 
 def cmd_cartan_check(args):
+    if args.group and args.complex:
+        raise InputError("--group and --complex exclude each other")
+
     def load():
         with parsing():
             if args.group:

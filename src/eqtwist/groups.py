@@ -2,9 +2,16 @@
 
 Groups are multiplication tables over named elements.  A morphism of
 orbits G/H -> G/K is a coset gK with g^-1 H g contained in K; it is
-stored with a canonical representative so that morphisms can be dict
-keys.  Composition of G/H -> G/K -> G/L sends the representatives to
-their product.
+stored with a canonical representative, the element of least table
+index in the coset, so that morphisms can be dict keys.  Composition
+of G/H -> G/K -> G/L sends the representatives to their product.
+
+The orbit category is built on table indices, not names: subgroups are
+frozensets of indices, the conjugates g^-1 H g are computed once per
+(H, g), and the containment test is a frozenset comparison.  Each
+morphism is filed under the least index of its coset, so looking one
+up from any representative (`coset_morphism`, `identity`, `compose`)
+takes two table lookups and builds nothing.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ class FiniteGroup:
 
     def inv(self, a: str) -> str:
         return self.names[self._inv[self.index[a]]]
-
-    def conjugate(self, g: str, h: str) -> str:
-        """g^-1 h g."""
-        return self.mul(self.inv(g), self.mul(h, g))
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":
@@ -162,61 +165,80 @@ class OrbitMorphism:
 
 
 class OrbitCategory:
-    """All orbits of a finite group and the maps between them."""
+    """All orbits of a finite group and the maps between them.
+
+    The category works on table indices.  For each target K it keeps
+    `low[K][g]`, the least index in the coset gK, which is the canonical
+    representative of gK.  For each source H the conjugates g^-1 H g
+    are computed once per g, as frozensets of indices; whether
+    g^-1 H g <= K holds for all of gK or for none, so it is tested on
+    the representatives alone.  The morphisms G/H -> G/K sit in
+    `at[(H, K)]` under their representatives, in increasing order, so
+    `coset_morphism`, `identity` and `compose` are two lookups each,
+    and a coset that is no morphism raises KeyError.
+
+    >>> cat = OrbitCategory(FiniteGroup.cyclic(2))
+    >>> [len(cat.hom(h, k)) for h in ("e", "e,t") for k in ("e", "e,t")]
+    [2, 1, 0, 1]
+    >>> flip = cat.coset_morphism(cat.by_key["e"], cat.by_key["e"], "t")
+    >>> cat.compose(flip, flip).key, cat.compose(flip, flip).is_identity()
+    ('e|e|e', True)
+    """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.subgroups = all_subgroups(group)
         self.by_key = {s.key: s for s in self.subgroups}
+        t, inv, index = group.table, group._inv, group.index
+        members = {s.key: frozenset(index[x] for x in s.members)
+                   for s in self.subgroups}
+        self._low = {k: [min(row[x] for x in ks) for row in t]
+                     for k, ks in members.items()}
+        self._at: dict[tuple[str, str], dict[int, OrbitMorphism]] = {}
         self._morphisms: dict[str, OrbitMorphism] = {}
-        self._hom: dict[tuple[str, str], list[OrbitMorphism]] = {}
         for src in self.subgroups:
+            hs = members[src.key]
+            conj = [frozenset(t[inv[g]][t[h][g]] for h in hs)
+                    for g in range(group.order)]
             for tgt in self.subgroups:
-                homs = []
-                seen: set[frozenset] = set()
-                for gname in group.names:
-                    if any(group.conjugate(gname, h) not in tgt.members
-                           for h in src.members):
-                        continue
-                    coset = frozenset(group.mul(gname, k)
-                                      for k in tgt.members)
-                    if coset in seen:
-                        continue
-                    seen.add(coset)
-                    m = OrbitMorphism(group, src, tgt, coset)
-                    homs.append(m)
-                    self._morphisms[m.key] = m
-                homs.sort(key=lambda m: group.index[m.rep])
-                self._hom[(src.key, tgt.key)] = homs
+                ks = members[tgt.key]
+                at = self._at[(src.key, tgt.key)] = {}
+                for r in sorted(set(self._low[tgt.key])):
+                    if conj[r] <= ks:
+                        coset = frozenset(group.names[t[r][k]] for k in ks)
+                        m = at[r] = OrbitMorphism(group, src, tgt, coset)
+                        self._morphisms[m.key] = m
+        self._sorted = [self._morphisms[k] for k in sorted(self._morphisms)]
 
     def hom(self, src_key: str, tgt_key: str) -> list[OrbitMorphism]:
-        return self._hom[(src_key, tgt_key)]
+        return list(self._at[(src_key, tgt_key)].values())
 
     def morphism(self, key: str) -> OrbitMorphism:
         return self._morphisms[key]
 
     def identity(self, key: str) -> OrbitMorphism:
-        s = self.by_key[key]
-        return self.coset_morphism(s, s, self.group.identity)
+        return self._by_index(key, key, self.group.identity_index)
+
+    def _by_index(self, src_key: str, tgt_key: str, g: int) -> OrbitMorphism:
+        return self._at[(src_key, tgt_key)][self._low[tgt_key][g]]
 
     def coset_morphism(self, src: Subgroup, tgt: Subgroup,
                        gname: str) -> OrbitMorphism:
-        coset = frozenset(self.group.mul(gname, k) for k in tgt.members)
-        m = OrbitMorphism(self.group, src, tgt, coset)
-        return self._morphisms[m.key]
+        return self._by_index(src.key, tgt.key, self.group.index[gname])
 
     def compose(self, f: OrbitMorphism, h: OrbitMorphism) -> OrbitMorphism:
         """h o f for f: G/H -> G/K, h: G/K -> G/L."""
         if f.tgt.key != h.src.key:
             raise ValueError("morphisms do not compose")
-        return self.coset_morphism(f.src, h.tgt,
-                                   self.group.mul(f.rep, h.rep))
+        index = self.group.index
+        return self._by_index(f.src.key, h.tgt.key,
+                              self.group.table[index[f.rep]][index[h.rep]])
 
     def all_morphisms(self) -> list[OrbitMorphism]:
-        return [self._morphisms[k] for k in sorted(self._morphisms)]
+        return list(self._sorted)
 
     def composable_pairs(self):
-        for f in self.all_morphisms():
+        for f in self._sorted:
             for tgt in self.subgroups:
-                for h in self._hom[(f.tgt.key, tgt.key)]:
+                for h in self._at[(f.tgt.key, tgt.key)].values():
                     yield f, h

@@ -4,11 +4,12 @@ Complexes come from the bundled fixture files so the tests exercise the
 same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks, the
-brute-force vertical homotopy search, the dense Smith normal form and
-the kernel-presenting cohomology and the subset-closure subgroup
-lattice live here too: the tests use them as references, the package
-does not.  So do the groups built from generators that the lattice
-tests need.
+brute-force vertical homotopy search, the dense Smith normal form, the
+kernel-presenting cohomology, the subset-closure subgroup lattice, the
+name-level orbit category and the column-reduction map equality live
+here too: the tests use them as references, the package does not.  So
+do the groups built from generators that the lattice tests need, and
+the covering spaces that the twisted cohomology tests need.
 """
 
 import itertools
@@ -24,11 +25,12 @@ from eqtwist.coefficients import CoefficientSystem, LocalSystem
 from eqtwist.edgepaths import EdgeActionSystem, PathChoice
 from eqtwist.equivariant import GSimplicialSet, fixed_point_system
 from eqtwist.fixtures import fixture_path, load_json
-from eqtwist.groups import FiniteGroup, OrbitCategory
+from eqtwist.groups import (FiniteGroup, OrbitCategory, OrbitMorphism,
+                            all_subgroups)
 from eqtwist import intmat
 from eqtwist.intmat import IntMatrix
-from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef, nondeg,
-                                product)
+from eqtwist.simplicial import (FiniteSimplicialSet, PairedComplex,
+                                SimplexRef, nondeg, product)
 from eqtwist.twisting import GroupTwist
 
 
@@ -77,22 +79,29 @@ def constant_setup(gx, coeff: FgAbGroup):
     return cat, system
 
 
+def cyclic_local_system(system: CoefficientSystem, pi: FiniteGroup,
+                        gen_rows) -> LocalSystem:
+    """The generator of a cyclic pi acts by the matrix gen_rows on
+    every value; values must have as many generators as gen_rows."""
+    phi = {}
+    for s in system.cat.subgroups:
+        val = system.values[s.key]
+        gen = IntMatrix(gen_rows, val.ngens)
+        powers = {pi.identity: AbHom.identity(val)}
+        cur, mat = pi.names[1], gen
+        while cur not in powers:
+            powers[cur] = AbHom(val, val, mat)
+            cur, mat = pi.mul(cur, pi.names[1]), mat @ gen
+        for u, h in powers.items():
+            phi[(s.key, u)] = h
+    return LocalSystem(system, pi, phi)
+
+
 def sign_local_system(system: CoefficientSystem, pi: FiniteGroup,
                       gen_sign: int) -> LocalSystem:
     """The generator of a cyclic pi acts by gen_sign on every value;
     values must be cyclic on one generator."""
-    phi = {}
-    for s in system.cat.subgroups:
-        val = system.values[s.key]
-        powers = {pi.identity: AbHom.identity(val)}
-        gen = pi.names[1]
-        cur, sign = gen, gen_sign
-        while cur not in powers:
-            powers[cur] = AbHom(val, val, IntMatrix([[sign]], val.ngens))
-            cur, sign = pi.mul(cur, gen), sign * gen_sign
-        for u, h in powers.items():
-            phi[(s.key, u)] = h
-    return LocalSystem(system, pi, phi)
+    return cyclic_local_system(system, pi, [[gen_sign]])
 
 
 def s1_twisted(coeff: FgAbGroup, order: int = 2, gen_sign: int = -1):
@@ -144,6 +153,66 @@ def normal_forms(gx, cat, system, provider, nmax: int):
         else:
             out.append((0, ()))
     return out
+
+
+def ngon_twisted(n: int, coeff: FgAbGroup, order: int = 2,
+                 gen_rows=((-1,),)):
+    """The n-gon over the trivial group whose edge e0 maps to the
+    generator of Z/order, acting by gen_rows on the coefficients."""
+    gx = GSimplicialSet(ngon_space(n), FiniteGroup.trivial(), {})
+    cat, system = constant_setup(gx, coeff)
+    pi = FiniteGroup.cyclic(order)
+    twist = GroupTwist(gx.space, pi, {f"e{i}": pi.names[int(i == 0)]
+                                      for i in range(n)})
+    local = cyclic_local_system(system, pi, gen_rows)
+    return gx, cat, system, GroupTwistProvider(local, twist, gx=gx)
+
+
+def twisted_cover(gx: GSimplicialSet, provider: GroupTwistProvider):
+    """The covering space P = X x_tau pi of a complex X over the trivial
+    group, with its Bredon setup over pi.
+
+    P is the twisted product of `simplicial.PairedComplex` with the
+    discrete pi as fibre: cells (g, x) for g in pi and x in X, with
+    d_0 (g, x) = (tau(x) g, d_0 x) and the other faces on x alone.  The
+    deck transformation of h sends (g, x) to (g h^-1, x), so pi acts
+    freely.  The coefficients are M at pi/e, the morphism of
+    representative g acting by phi(g), and 0 at every other orbit.  A
+    pi-equivariant cochain c is then determined by f(x) = c(e, x), and
+    delta c corresponds to the twisted coboundary of f:
+    c(d_0 (e, x)) = phi(tau(x))^-1 f(d_0 x).  So the untwisted Bredon
+    cohomology of P is the twisted cohomology of X.
+    """
+    if gx.group.order != 1:
+        raise ValueError("the cover is built over a complex without action")
+    space, twist, local = gx.space, provider.twist, provider.local
+    pi = twist.pi
+    fibre = FiniteSimplicialSet(space.truncation, {0: list(pi.names)}, {})
+
+    def left(u: str, ref: SimplexRef) -> SimplexRef:
+        return SimplexRef(ref.word, pi.mul(u, ref.base))
+
+    pc = PairedComplex(fibre, space, space.truncation,
+                       twist=twist.value, act=left)
+    pc.complex.validate()
+    perms = {h: {cid: pc.ref_of_pair(
+                     SimplexRef(g.word, pi.mul(g.base, pi.inv(h))), x).base
+                 for cid, (g, x) in pc.pair_of.items()}
+             for h in pi.names}
+    cover = GSimplicialSet(pc.complex, pi, perms)
+    cat = OrbitCategory(pi)
+    skey = local.system.cat.subgroups[0].key
+    m = local.system.values[skey]
+    values = {s.key: m if s.order == 1 else FgAbGroup.trivial()
+              for s in cat.subgroups}
+    maps = {}
+    for f in cat.all_morphisms():
+        if f.src.order == f.tgt.order == 1:
+            maps[f.key] = local.act(skey, f.rep)
+        else:
+            maps[f.key] = AbHom.zero(values[f.tgt.key], values[f.src.key])
+    system = CoefficientSystem(cat, values, maps)
+    return cover, cat, system, TrivialTwistProvider(system)
 
 
 def c2_category():
@@ -561,6 +630,15 @@ def reference_is_iso(h: AbHom) -> bool:
     return k.is_trivial and h.cokernel().is_trivial
 
 
+def reference_equal_as_maps(f: AbHom, g: AbHom) -> bool:
+    """`AbHom.equal_as_maps` without its first test: every column of
+    the difference is reduced into the target's canonical coordinates."""
+    if f.matrix.ncols != g.matrix.ncols:
+        return False
+    diff = f.matrix - g.matrix
+    return not any(any(f.target.from_vector(c)) for c in diff.cols())
+
+
 # subgroups by closing every subset ----------------------------------
 # `groups.all_subgroups` as it was before cyclic extension: 2^|G|
 # closures on element names, so only for groups of order <= 12.
@@ -581,6 +659,62 @@ def reference_all_subgroups(g: FiniteGroup) -> list[tuple[int, str]]:
              for r in range(len(g.names) + 1)
              for gens in itertools.combinations(g.names, r)}
     return sorted((len(h), ",".join(sorted(h))) for h in found)
+
+
+# orbit category on element names -----------------------------------
+# `groups.OrbitCategory` as it was before it worked on table indices:
+# |S|^2 |G| |H| name-level conjugations, and each lookup builds its coset.
+
+class _NameLevelOrbitCategory:
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.subgroups = all_subgroups(group)
+        self.by_key = {s.key: s for s in self.subgroups}
+        self._morphisms = {}
+        self._hom = {}
+        for src in self.subgroups:
+            for tgt in self.subgroups:
+                homs, seen = [], set()
+                for gname in group.names:
+                    ginv = group.inv(gname)
+                    if any(group.mul(ginv, group.mul(h, gname))
+                           not in tgt.members for h in src.members):
+                        continue
+                    coset = frozenset(group.mul(gname, k)
+                                      for k in tgt.members)
+                    if coset in seen:
+                        continue
+                    seen.add(coset)
+                    m = OrbitMorphism(group, src, tgt, coset)
+                    homs.append(m)
+                    self._morphisms[m.key] = m
+                homs.sort(key=lambda m: group.index[m.rep])
+                self._hom[(src.key, tgt.key)] = homs
+
+    def hom(self, src_key: str, tgt_key: str) -> list[OrbitMorphism]:
+        return self._hom[(src_key, tgt_key)]
+
+    def identity(self, key: str) -> OrbitMorphism:
+        s = self.by_key[key]
+        return self.coset_morphism(s, s, self.group.identity)
+
+    def coset_morphism(self, src, tgt, gname: str) -> OrbitMorphism:
+        coset = frozenset(self.group.mul(gname, k) for k in tgt.members)
+        m = OrbitMorphism(self.group, src, tgt, coset)
+        return self._morphisms[m.key]
+
+    def compose(self, f: OrbitMorphism, h: OrbitMorphism) -> OrbitMorphism:
+        if f.tgt.key != h.src.key:
+            raise ValueError("morphisms do not compose")
+        return self.coset_morphism(f.src, h.tgt,
+                                   self.group.mul(f.rep, h.rep))
+
+    def all_morphisms(self) -> list[OrbitMorphism]:
+        return [self._morphisms[k] for k in sorted(self._morphisms)]
+
+
+def reference_orbit_category(group: FiniteGroup) -> _NameLevelOrbitCategory:
+    return _NameLevelOrbitCategory(group)
 
 
 def generated_group(gens, mul, identity) -> FiniteGroup:

@@ -11,7 +11,8 @@ from eqtwist.abgroups import (AbHom, BudgetExceeded, CochainComplex,
 from eqtwist.fixtures import fixture_path
 from eqtwist.intmat import IntMatrix, kernel_basis, solve
 
-from helpers import reference_cohomology_at, reference_is_iso
+from helpers import (reference_cohomology_at, reference_equal_as_maps,
+                     reference_is_iso)
 
 
 def test_normal_forms():
@@ -323,3 +324,45 @@ def test_is_iso_agrees_with_the_kernel_presenting_reference(src_rows,
     source = FgAbGroup(n, IntMatrix.from_cols(rels, n))
     h = AbHom(source, target, mat)
     assert h.is_iso() == reference_is_iso(h)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_map_equality_agrees_with_column_reduction(ngens, nrels, ncols,
+                                                   data):
+    def matrix(nrows, width, lo, hi):
+        return IntMatrix(data.draw(st.lists(
+            st.lists(st.integers(lo, hi), min_size=width, max_size=width),
+            min_size=nrows, max_size=nrows)), width)
+
+    rels = matrix(ngens, nrels, -4, 4)
+    target = FgAbGroup(ngens, rels)
+    source = FgAbGroup.free(ncols)
+    a = matrix(ngens, ncols, -5, 5)
+    kind = data.draw(st.sampled_from(["same", "relations", "perturbed"]))
+    b = a
+    if kind != "same":
+        b = a + rels @ matrix(nrels, ncols, -3, 3)
+    if kind == "perturbed":
+        b = b + matrix(ngens, ncols, -1, 1)
+    f, g = AbHom(source, target, a), AbHom(source, target, b)
+    assert f.equal_as_maps(g) == reference_equal_as_maps(f, g)
+    if kind != "perturbed":
+        assert f.equal_as_maps(g)
+
+
+@pytest.mark.parametrize("entry,equal", [(2, True), (1, False)])
+def test_differing_matrices_into_z2(entry, equal):
+    z, z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
+    f = AbHom(z, z2, IntMatrix([[entry]]))
+    zero = AbHom.zero(z, z2)
+    assert f.matrix != zero.matrix
+    assert f.equal_as_maps(zero) is equal
+    assert reference_equal_as_maps(f, zero) is equal
+
+
+def test_map_equality_raises_on_a_row_mismatch():
+    z = FgAbGroup.free(1)
+    f = AbHom(z, z, IntMatrix([[1]]), check=False)
+    g = AbHom(z, FgAbGroup.free(2), IntMatrix([[1], [0]]), check=False)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        f.equal_as_maps(g)

@@ -6,6 +6,7 @@ import pytest
 
 from eqtwist import cli, fixtures
 from eqtwist.fixtures import fixture_path
+from eqtwist.groups import FiniteGroup
 
 from helpers import symmetric4
 
@@ -297,6 +298,17 @@ def test_cartan_check_budget_counts_the_built_columns(capsys, budget, code):
     assert run(capsys, "cartan-check", "--theory", fx("theory_canonical.json"),
                "--coeffs", fx("coeffs_z2.json"), "--bounds", "2,3",
                "--budget", budget)[0] == code
+
+
+def test_cartan_check_refuses_a_group_and_a_complex(capsys, tmp_path):
+    group = tmp_path / "c2.json"
+    group.write_text(json.dumps(FiniteGroup.cyclic(2).to_json()))
+    code, out, err = run(capsys, "cartan-check",
+                         "--theory", fx("theory_canonical.json"),
+                         "--coeffs", fx("coeffs_z2.json"),
+                         "--group", str(group), "--complex", fx("refs1.json"))
+    assert (code, out, err) == \
+        (1, "", "error: --group and --complex exclude each other\n")
 
 
 @pytest.mark.parametrize("bounds", ["0,2", "3,0"])

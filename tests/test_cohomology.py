@@ -4,7 +4,9 @@ The package's `cohomology_at` must give the same relation matrix and
 representatives as the kernel-presenting reference of `helpers`, over
 the bundled fixtures and small tori.  On the polygon and torus families
 over the trivial group, the Euler characteristic and the universal
-coefficient theorem must hold.
+coefficient theorem must hold.  Over a group twist, the twisted
+cohomology of a complex must be the untwisted Bredon cohomology of its
+covering space.
 """
 
 import math
@@ -18,8 +20,8 @@ from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path, load_setup
 from eqtwist.groups import FiniteGroup
 
-from helpers import (constant_setup, ngon_space, reference_cohomology_at,
-                     torus_gx)
+from helpers import (constant_setup, ngon_space, ngon_twisted, normal_forms,
+                     reference_cohomology_at, torus_gx, twisted_cover)
 
 COEFFS = {"Z": FgAbGroup.free(1), "Z2": FgAbGroup.cyclic(2),
           "Z4": FgAbGroup.cyclic(4)}
@@ -118,3 +120,39 @@ def test_euler_characteristic_and_universal_coefficients(name, gx):
             orders = [m] * rank + [math.gcd(t, m) for t in torsion + torsion_up]
             want.append(cyclic_sum(orders).normal_form())
         assert cohomology_forms(gx, FgAbGroup.cyclic(m))[:-1] == want, m
+
+
+# the circle's group twists, with and without their sign actions
+S1_TWISTS = [t for t in FIXTURE_SETUPS if t[0] == "s1.json" and t[1]]
+C3_ON_Z2 = ((0, -1), (1, -1))
+
+
+def assert_cover_agrees(gx, cat, system, provider):
+    nmax = gx.space.dimension + 1
+    assert normal_forms(*twisted_cover(gx, provider), nmax) == \
+        normal_forms(gx, cat, system, provider, nmax)
+
+
+@pytest.mark.parametrize("coeffs", ["z", "z2", "z4"])
+@pytest.mark.parametrize("space,twist,action", S1_TWISTS)
+def test_twisted_circle_is_its_cover(space, twist, action, coeffs):
+    s = load_setup(fixture_path(space), fixture_path(f"coeffs_{coeffs}.json"),
+                   fixture_path(twist),
+                   fixture_path(action) if action else None)
+    assert_cover_agrees(s.gx, s.cat, s.system, s.provider)
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFS))
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sign_twisted_polygon_is_its_cover(n, coeff):
+    assert_cover_agrees(*ngon_twisted(n, COEFFS[coeff]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_order_three_action_on_z2_is_its_cover(n):
+    # the 1-gon is the circle; the generator acts without fixed vectors
+    # and A - 1 has determinant 3.  A^-1 is conjugate to A in GL_2(Z),
+    # so these normal forms cannot tell on which side tau acts
+    setup = ngon_twisted(n, FgAbGroup.free(2), 3, C3_ON_Z2)
+    assert normal_forms(*setup, 2) == [(0, ()), (0, (3,)), (0, ())]
+    assert_cover_agrees(*setup)

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from eqtwist.groups import (FiniteGroup, OrbitCategory, all_subgroups,
                             subgroup_key)
 
-from helpers import (abelian, dihedral, quaternion8, reference_all_subgroups,
-                     reference_closure, symmetric4)
+from helpers import (abelian, dihedral, permutation_group, quaternion8,
+                     reference_all_subgroups, reference_closure,
+                     reference_orbit_category, symmetric4)
 
 
 def test_cyclic_groups():
@@ -118,3 +119,65 @@ def test_coset_morphism_endpoints():
 
 def test_subgroup_keys_sorted():
     assert subgroup_key({"t", "e"}) == "e,t"
+
+
+def _relabelled_s3():
+    # S_3 with its identity at index 3, so that the least index of a
+    # coset need not be the identity's
+    s3 = FiniteGroup.symmetric3()
+    order = [3, 1, 4, 0, 5, 2]  # new index -> old index
+    new = {old: k for k, old in enumerate(order)}
+    return FiniteGroup([s3.names[o] for o in order],
+                       [[new[s3.table[a][b]] for b in order] for a in order])
+
+
+ORBIT_GROUPS = {
+    **REFERENCE_GROUPS,
+    "S3-relabelled": _relabelled_s3,
+    "Q8": quaternion8,
+    "C4xC4": lambda: abelian(4, 4),
+    "S4": symmetric4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GROUPS))
+def test_orbit_category_agrees_with_the_name_level_construction(name):
+    grp = ORBIT_GROUPS[name]()
+    cat, ref = OrbitCategory(grp), reference_orbit_category(grp)
+    keys = [s.key for s in cat.subgroups]
+    assert keys == [s.key for s in ref.subgroups]
+    for h in keys:
+        for k in keys:
+            assert [m.key for m in cat.hom(h, k)] == \
+                [m.key for m in ref.hom(h, k)]
+    assert [(m.key, m.coset) for m in cat.all_morphisms()] == \
+        [(m.key, m.coset) for m in ref.all_morphisms()]
+    for k in keys:
+        assert cat.identity(k).key == ref.identity(k).key
+    for f in cat.all_morphisms():
+        for tgt in keys:
+            for h in cat.hom(f.tgt.key, tgt):
+                assert cat.compose(f, h).key == ref.compose(f, h).key
+    for src in cat.subgroups:
+        for tgt in cat.subgroups:
+            for g in grp.names:
+                try:
+                    want = ref.coset_morphism(src, tgt, g).key
+                except KeyError:
+                    with pytest.raises(KeyError):
+                        cat.coset_morphism(src, tgt, g)
+                else:
+                    assert cat.coset_morphism(src, tgt, g).key == want
+
+
+def test_orbit_category_of_s4_x_c2_counts_cosets():
+    grp = permutation_group((1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5),
+                            (0, 1, 2, 3, 5, 4))
+    assert grp.order == 48
+    cat = OrbitCategory(grp)
+    trivial, whole = cat.subgroups[0].key, cat.subgroups[-1].key
+    assert (len(cat.by_key[trivial].members),
+            len(cat.by_key[whole].members)) == (1, 48)
+    for s in cat.subgroups:
+        assert len(cat.hom(trivial, s.key)) == 48 // s.order
+        assert len(cat.hom(s.key, whole)) == 1
