@@ -71,9 +71,8 @@ class FgAbGroup:
         self.ngens = ngens
         self.rels = rels
         d, self._u, _v, self._uinv = smith_normal_form(rels)
-        k = min(ngens, rels.ncols)
-        moduli = [d.rows[i][i] if i < k else 0 for i in range(ngens)]
-        self._moduli = tuple(moduli)
+        diag = d.diagonal()
+        self._moduli = diag + (0,) * (ngens - len(diag))
 
     @classmethod
     def from_relations(cls, ngens: int, rel_rows: Iterable[Iterable[int]]) -> "FgAbGroup":
@@ -208,7 +207,7 @@ class AbHom:
     def equal_as_maps(self, other: "AbHom") -> bool:
         if self.matrix.ncols != other.matrix.ncols:
             return False
-        if self.matrix.rows == other.matrix.rows:
+        if self.matrix.sparse == other.matrix.sparse:
             return True
         diff = self.matrix - other.matrix
         return not any(any(self.target.from_vector(c)) for c in diff.cols())
@@ -253,8 +252,7 @@ class AbHom:
         x = solve(big, IntMatrix.identity(self.target.ngens))
         if x is None:
             raise ValueError("homomorphism is not invertible")
-        inv = AbHom(self.target, self.source,
-                    IntMatrix(x.rows[: self.source.ngens], x.ncols),
+        inv = AbHom(self.target, self.source, x.top(self.source.ngens),
                     check=False)
         if not inv.compose(self).equal_as_maps(AbHom.identity(self.source)):
             raise ValueError("homomorphism is not invertible")
@@ -268,8 +266,7 @@ class AbHom:
         x = solve(big, self.matrix)
         if x is None:
             raise ValueError("map does not factor through the subgroup")
-        return AbHom(self.source, incl.source,
-                     IntMatrix(x.rows[: incl.source.ngens], x.ncols),
+        return AbHom(self.source, incl.source, x.top(incl.source.ngens),
                      check=False)
 
     def __repr__(self) -> str:

@@ -17,6 +17,7 @@ rerun on the same inputs is byte identical.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -350,10 +351,14 @@ def build_parser():
     return parser
 
 
+# parsing leaves the parser as it was, and building it costs far more
+# than a parse, so every call of `main` reuses the first one built
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         # argparse exits 2 on usage errors; that code is reserved for
         # exhausted budgets, so fold them into the input error code

@@ -68,7 +68,9 @@ class CoefficientSystem:
 
 
 def group_from_json(data: dict) -> FgAbGroup:
-    gens = int(data["gens"])
+    gens = data["gens"]
+    if type(gens) is not int:
+        raise ValueError(f"gens {gens!r} is not an integer")
     rels = data.get("rels", [])
     return FgAbGroup.from_relations(gens, [list(r) for r in rels])
 

@@ -1,36 +1,38 @@
 """Exact integer matrices: arithmetic, Smith normal form, linear solving.
 
 Everything runs on Python's arbitrary-precision integers; no floating
-point enters at any stage.  Matrices are stored as tuples of row tuples
-and treated as immutable.  A matrix with zero rows or zero columns is
-legal and must carry an explicit column count, since several quotient
-and kernel computations produce genuinely empty shapes.
+point enters at any stage.  A matrix stores sparse rows, one {column:
+value} dict per row holding no zero, and is treated as immutable; `rows`
+is a dense view built on demand.  A matrix with zero rows or zero
+columns is legal and carries an explicit column count, since several
+quotient and kernel computations produce genuinely empty shapes.
 
 One elimination serves a matrix: `smith_normal_form` returns the
 inverse of its row transform u together with d, u and v, built by
 mirroring each row operation, and `solve` answers a whole matrix of
 right-hand sides from a single normal form.  `kernel_basis` runs the
-same elimination without u and its inverse, which a kernel never
-reads.  The elimination keeps its matrices as sparse rows, so each step
-costs the nonzeros it touches; coboundaries are a few percent nonzero.
-Once a pivot has passed the divisibility scan it divides everything
-below it, so it is a floor: the next pivot search stops at the first
-row holding an entry equal to it, and a pivot equal to it skips the
-scan.  The pivot order is fixed, because the canonical coordinates of
-every presented group are read off u: another order would give the
-same groups in other coordinates.  Products (`apply`, `@`) skip the
-zero entries of the vector and of both factors.
+same elimination without u and its inverse.  The elimination runs on
+copies of the stored rows and returns its rows as they are, so no
+elimination converts formats, and each step, like every product and
+sum, costs the nonzeros it touches.  A pivot that has passed the
+divisibility scan divides everything below it, so it is a floor: the
+next pivot search stops at the first row holding an entry equal to it,
+and a pivot equal to it skips the scan.  The pivot order is fixed,
+because the canonical coordinates of every presented group are read off
+u: another order would give the same groups in other coordinates.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import add, itemgetter, neg, sub
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 
 class IntMatrix:
     """Immutable integer matrix with an explicit shape.
+
+    `sparse` holds the rows and `rows` is the dense view.  The
+    constructor takes dense rows of ints: it is where dense becomes sparse.
 
     >>> a = IntMatrix([[2, 0], [0, 3]])
     >>> d, u, v, uinv = smith_normal_form(a)
@@ -40,10 +42,10 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("sparse", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rs = tuple(tuple(map(int, r)) for r in rows)
+        rs = [tuple(r) for r in rows]
         if rs:
             w = len(rs[0])
             if any(len(r) != w for r in rs):
@@ -53,35 +55,41 @@ class IntMatrix:
             ncols = w
         elif ncols is None:
             raise ValueError("zero-row matrix needs an explicit ncols")
-        self.rows = rs
+        for i, r in enumerate(rs):
+            for j, x in enumerate(r):
+                if type(x) is not int:
+                    raise ValueError(f"matrix entry ({i}, {j}) is {x!r}, "
+                                     f"not an integer")
+        self.sparse = tuple(dict(_nonzeros(r)) for r in rs)
         self.nrows = len(rs)
         self.ncols = ncols
 
     @classmethod
-    def _of_rows(cls, rows: tuple[tuple[int, ...], ...],
-                 ncols: int) -> "IntMatrix":
-        # rows already are tuples of ncols ints: no checks, no copies
+    def _of_sparse(cls, sparse: tuple[dict, ...], ncols: int) -> "IntMatrix":
+        # zero-free dicts with keys below ncols: no checks, no copies
         out = object.__new__(cls)
-        out.rows = rows
-        out.nrows = len(rows)
+        out.sparse = sparse
+        out.nrows = len(sparse)
         out.ncols = ncols
         return out
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of_rows(_dense([{i: 1} for i in range(n)], n), n)
+        return cls._of_sparse(tuple({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls._of_rows(((0,) * n,) * m, n)
+        return cls._of_sparse(({},) * m, n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
-        for c in cols:
+        out = [{} for _ in range(nrows)]
+        for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ValueError("column length mismatch")
-        rows = tuple(zip(*cols)) if cols else ((),) * nrows
-        return cls._of_rows(rows, len(cols))
+            for i, x in _nonzeros(c):
+                out[i][j] = x
+        return cls._of_sparse(tuple(out), len(cols))
 
     @classmethod
     def hstack(cls, mats: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -90,104 +98,106 @@ class IntMatrix:
         m = mats[0].nrows
         if any(a.nrows != m for a in mats):
             raise ValueError("row count mismatch")
-        rows = tuple(tuple(chain.from_iterable(rs))
-                     for rs in zip(*(a.rows for a in mats)))
-        return cls._of_rows(rows, sum(a.ncols for a in mats))
+        cols = accumulate((a.ncols for a in mats), initial=0)
+        placed = [(0, c, a) for c, a in zip(cols, mats)]
+        return cls.from_blocks(m, sum(a.ncols for a in mats), placed)
 
     @classmethod
     def block_diag(cls, mats: Sequence["IntMatrix"]) -> "IntMatrix":
-        placed = []
-        r = c = 0
-        for a in mats:
-            placed.append((r, c, a))
-            r += a.nrows
-            c += a.ncols
-        return cls.from_blocks(r, c, placed)
+        rows = accumulate((a.nrows for a in mats), initial=0)
+        cols = accumulate((a.ncols for a in mats), initial=0)
+        return cls.from_blocks(sum(a.nrows for a in mats),
+                               sum(a.ncols for a in mats), zip(rows, cols, mats))
 
     @classmethod
     def from_blocks(cls, nrows: int, ncols: int,
                     placed: Iterable[tuple[int, int, "IntMatrix"]]) \
             -> "IntMatrix":
-        """The nrows x ncols sum of blocks, each (r, c, a) putting the
-        top left entry of a at row r, column c; blocks must fit."""
-        out = [[0] * ncols for _ in range(nrows)]
+        """The nrows x ncols sum of blocks (r, c, a), a's top left at (r, c)."""
+        out = [{} for _ in range(nrows)]
         for r, c, a in placed:
-            for i, row in enumerate(a.rows, r):
-                target = out[i]
-                for j, x in enumerate(row, c):
-                    target[j] += x
-        return cls._of_rows(tuple(map(tuple, out)), ncols)
+            if r + a.nrows > nrows or c + a.ncols > ncols:
+                raise ValueError("block does not fit")
+            for i, row in enumerate(a.sparse, r):
+                _axpy(out[i], {j + c: x for j, x in row.items()}, 1)
+        return cls._of_sparse(tuple(out), ncols)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for r in self.sparse:
+            row = [0] * self.ncols
+            for j, x in r.items():
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    def top(self, k: int) -> "IntMatrix":
+        """The first k rows."""
+        return IntMatrix._of_sparse(self.sparse[:k], self.ncols)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(map(itemgetter(j), self.rows))
+        return tuple(r.get(j, 0) for r in self.sparse)
 
     def cols(self) -> list[tuple[int, ...]]:
-        return list(self._columns())
-
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return list(self.transpose().rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._of_rows(self._columns(), self.nrows)
+        return IntMatrix._of_sparse(_transpose(self.sparse, self.ncols),
+                                    self.nrows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        # only the nonzero entries of vec contribute
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        nz = list(_nonzeros(vec))
-        return tuple([sum([r[j] * x for j, x in nz]) for r in self.rows])
+        return tuple([sum([x * vec[j] for j, x in r.items()])
+                      for r in self.sparse])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         # row i of the product is the sum of a_ik * (row k of other) over
-        # the nonzero a_ik, each row k taken at its nonzero entries
+        # the stored a_ik
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        n = other.ncols
-        sparse = [list(_nonzeros(r)) for r in other.rows]
+        rows = other.sparse
         out = []
-        for r in self.rows:
-            acc = [0] * n
-            for k in compress(range(self.ncols), r):
-                x = r[k]
-                for j, y in sparse[k]:
-                    acc[j] += x * y
-            out.append(tuple(acc))
-        return IntMatrix._of_rows(tuple(out), n)
+        for r in self.sparse:
+            acc = {}
+            for k, x in r.items():
+                for j, y in rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: z for j, z in acc.items() if z})
+        return IntMatrix._of_sparse(tuple(out), other.ncols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._of_rows(
-            tuple(tuple(map(add, r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._of_rows(
-            tuple(tuple(map(sub, r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of_rows(tuple(tuple(map(neg, r)) for r in self.rows),
-                                  self.ncols)
-
-    def _same_shape(self, other: "IntMatrix") -> None:
+    def _plus(self, other: "IntMatrix", q: int) -> "IntMatrix":
+        # self + q * other, for q != 0
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
+        pairs = zip(self.sparse, other.sparse)
+        return IntMatrix._of_sparse(
+            tuple(_axpy(dict(r), s, q) for r, s in pairs), self.ncols)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix._of_sparse(
+            tuple({j: -x for j, x in r.items()} for r in self.sparse),
+            self.ncols)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+        return tuple(self.sparse[i].get(i, 0)
+                     for i in range(min(self.nrows, self.ncols)))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        # dict equality ignores the order the entries were stored in
+        return (isinstance(other, IntMatrix) and self.ncols == other.ncols
+                and self.sparse == other.sparse)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
+        return hash((tuple(frozenset(r.items()) for r in self.sparse),
+                     self.ncols))
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
@@ -200,33 +210,24 @@ def _nonzeros(row: Sequence[int]) -> Iterable[tuple[int, int]]:
     return zip(compress(range(len(row)), row), filter(None, row))
 
 
-def _axpy(dst: dict, src: dict, q: int) -> None:
-    """dst += q * src, for q != 0."""
+def _axpy(dst: dict, src: dict, q: int) -> dict:
+    """dst += q * src, for q != 0; returns dst."""
     for c, y in src.items():
         x = dst.get(c, 0) + q * y
         if x:
             dst[c] = x
         else:
             del dst[c]
+    return dst
 
 
-def _dense(rows: list[dict], width: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for r in rows:
-        row = [0] * width
-        for j, x in r.items():
-            row[j] = x
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _dense_transposed(rows: list[dict],
-                      height: int) -> tuple[tuple[int, ...], ...]:
-    out = [[0] * len(rows) for _ in range(height)]
+def _transpose(rows: Sequence[dict], width: int) -> tuple[dict, ...]:
+    """The sparse rows of the transpose of rows, whose keys are < width."""
+    out = [{} for _ in range(width)]
     for i, r in enumerate(rows):
         for j, x in r.items():
             out[j][i] = x
-    return tuple(map(tuple, out))
+    return tuple(out)
 
 
 def smith_normal_form(
@@ -251,21 +252,20 @@ def smith_normal_form(
     everything.  Neither shortcut changes which operations run, hence
     d, u and v are the same as without them.
 
-    All four matrices are kept as sparse rows while the elimination
-    runs, with v and uinv transposed so that their column operations are
-    row operations, and a column index of the working matrix; each
-    operation costs the nonzeros it touches.  The pivot order is part of
-    the contract, not a tuning choice: the canonical coordinates of every
+    The elimination keeps v and uinv transposed, so that their column
+    operations are row operations, and a column index of the working
+    matrix; v and uinv are transposed back once at the end.  The pivot
+    order is part of the contract: the canonical coordinates of every
     presented group are read off u, so an order that picks other pivots
     (unit pivots first, say) would print the same groups in other
     coordinates.
     """
     m, n = a.nrows, a.ncols
     s, vt, u, w = _eliminate(a, True)
-    return (IntMatrix._of_rows(_dense(s, n), n),
-            IntMatrix._of_rows(_dense(u, m), m),
-            IntMatrix._of_rows(_dense_transposed(vt, n), n),
-            IntMatrix._of_rows(_dense_transposed(w, m), m))
+    return (IntMatrix._of_sparse(tuple(s), n),
+            IntMatrix._of_sparse(tuple(u), m),
+            IntMatrix._of_sparse(_transpose(vt, n), n),
+            IntMatrix._of_sparse(_transpose(w, m), m))
 
 
 def _eliminate(a: IntMatrix, with_u: bool):
@@ -277,7 +277,7 @@ def _eliminate(a: IntMatrix, with_u: bool):
     and column operations that run are the same either way.
     """
     m, n = a.nrows, a.ncols
-    s = [dict(_nonzeros(r)) for r in a.rows]
+    s = [dict(r) for r in a.sparse]
     # rows_of[j]: the rows of s with a nonzero in column j
     rows_of = [set() for _ in range(n)]
     for i, r in enumerate(s):
@@ -452,32 +452,6 @@ def _eliminate(a: IntMatrix, with_u: bool):
     return s, vt, u, w
 
 
-def determinant(a: IntMatrix) -> int:
-    """Fraction-free Bareiss determinant of a square matrix."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant needs a square matrix")
-    n = a.nrows
-    if n == 0:
-        return 1
-    s = [list(r) for r in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if s[k][k] == 0:
-            for i in range(k + 1, n):
-                if s[i][k]:
-                    s[k], s[i] = s[i], s[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                s[i][j] = (s[i][j] * s[k][k] - s[i][k] * s[k][j]) // prev
-        prev = s[k][k]
-    return sign * s[n - 1][n - 1]
-
-
 def solve(
     a: IntMatrix, b: Sequence[int] | IntMatrix
 ) -> tuple[int, ...] | IntMatrix | None:
@@ -529,4 +503,4 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     s, vt, _u, _w = _eliminate(a, False)
     # d_j is zero past the last row, or where s keeps no diagonal entry
     free = [vt[j] for j in range(a.ncols) if j >= a.nrows or j not in s[j]]
-    return list(_dense(free, a.ncols))
+    return list(IntMatrix._of_sparse(tuple(free), a.ncols).rows)

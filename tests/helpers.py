@@ -5,11 +5,12 @@ same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form, the
-kernel-presenting cohomology, the subset-closure subgroup lattice, the
-name-level orbit category and the column-reduction map equality live
-here too: the tests use them as references, the package does not.  So
-do the groups built from generators that the lattice tests need, and
-the covering spaces that the twisted cohomology tests need.
+determinant, the kernel-presenting cohomology, the subset-closure
+subgroup lattice, the name-level orbit category and the column-reduction
+map equality live here too: the tests use them as references, the
+package does not.  So do the groups built from generators that the
+lattice tests need, and the covering spaces that the twisted cohomology
+tests need.
 """
 
 import itertools
@@ -594,6 +595,36 @@ def dense_smith_normal_form(
             negate_row(i)
     return (IntMatrix(s, n), IntMatrix(u, m), IntMatrix(v, n),
             IntMatrix(zip(*w), m))
+
+
+# determinant ----------------------------------------------------------
+# The unimodularity tests of the Smith normal form read it; the package
+# itself never needs a determinant.
+
+def determinant(a: IntMatrix) -> int:
+    """Fraction-free Bareiss determinant of a square matrix."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant needs a square matrix")
+    n = a.nrows
+    if n == 0:
+        return 1
+    s = [list(r) for r in a.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if s[k][k] == 0:
+            for i in range(k + 1, n):
+                if s[i][k]:
+                    s[k], s[i] = s[i], s[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                s[i][j] = (s[i][j] * s[k][k] - s[i][k] * s[k][j]) // prev
+        prev = s[k][k]
+    return sign * s[n - 1][n - 1]
 
 
 # cohomology through a presented kernel -------------------------------

@@ -590,3 +590,51 @@ def test_a_malformed_input_file_is_an_input_error(capsys, tmp_path, case):
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# (file kind, contents with one non-integer entry, that entry as the
+# error names it); JSON numbers and strings are never rounded to an int
+NON_INTEGER_FILES = {
+    "fractional relation": ("coeffs", _coeffs(gens=1, rels=[[2.5]]), "2.5"),
+    "string relation": ("coeffs", _coeffs(gens=1, rels=[["2"]]), "'2'"),
+    "boolean relation": ("coeffs", _coeffs(gens=1, rels=[[True]]), "True"),
+    "fractional gens": ("coeffs", _coeffs(gens=1.7), "1.7"),
+    "float action matrix": ("action", {"phi": {"e": {"t": [[-1.0]]}}},
+                            "-1.0"),
+}
+
+NON_INTEGER_COMMANDS = {
+    "coeffs": ["bredon", "--complex", fx("s1.json"), "--nmax", "2"],
+    "action": ["twisted", "--complex", fx("s1.json"),
+               "--coeffs", fx("coeffs_z.json"),
+               "--twist", fx("twist_s1_z2.json"), "--nmax", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_FILES))
+def test_a_non_integer_entry_is_refused_by_name(capsys, tmp_path, case):
+    kind, data, entry = NON_INTEGER_FILES[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *NON_INTEGER_COMMANDS[kind],
+                         f"--{kind}", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert entry in err
+
+
+def test_successive_calls_print_what_each_prints_alone(capsys):
+    calls = [["bredon", "--complex", fx("s1.json"),
+              "--coeffs", fx("coeffs_z2.json"), "--nmax", "1",
+              "--format", "text"],
+             ["em-info", "--A", "Z2", "--n", "1", "--q", "2"],
+             ["validate", "--complex", fx("broken_delta2.json"),
+              "--format", "text"],
+             ["fixedpoints", "--complex", fx("s1.json"), "--format", "json"]]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert [run(capsys, *argv) for argv in reversed(calls)] == alone[::-1]

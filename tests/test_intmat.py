@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from eqtwist.abgroups import FgAbGroup
 from eqtwist.bredon import EquivariantCochains, untwisted_complex
-from eqtwist.intmat import (IntMatrix, determinant, kernel_basis,
-                            smith_normal_form, solve)
+from eqtwist.intmat import IntMatrix, kernel_basis, smith_normal_form, solve
 
-from helpers import constant_setup, dense_smith_normal_form, torus_gx
+from helpers import (constant_setup, dense_smith_normal_form, determinant,
+                     torus_gx)
 
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -270,9 +270,15 @@ def test_products_of_empty_shapes():
 
 
 def _is_canonical(a):
-    # what the public constructor would build from the same rows
+    # what the public constructor would build from the same rows, stored
+    # as one dict per row with no zero and no key outside the columns
     public = IntMatrix(a.rows, a.ncols)
-    return (type(a.rows) is tuple
+    return (type(a.sparse) is tuple and len(a.sparse) == a.nrows
+            and all(type(r) is dict for r in a.sparse)
+            and all(type(j) is int and 0 <= j < a.ncols
+                    and type(x) is int and x != 0
+                    for r in a.sparse for j, x in r.items())
+            and type(a.rows) is tuple
             and all(type(r) is tuple and len(r) == a.ncols for r in a.rows)
             and all(type(x) is int for r in a.rows for x in r)
             and a.nrows == len(a.rows)
@@ -287,7 +293,27 @@ def test_built_matrices_have_the_public_shape(a):
              IntMatrix.zeros(a.nrows, a.ncols), a + a, a - a, -a,
              IntMatrix.block_diag([a, at]),
              IntMatrix.from_cols(a.cols(), a.nrows)]
+    # overlapping blocks that cancel, and a row slice
+    h, w = a.nrows, a.ncols
+    cancelled = IntMatrix.from_blocks(h, w, [(0, 0, a), (0, 0, -a)])
+    shifted = IntMatrix.from_blocks(h + 1, w + 1, [(0, 0, a), (1, 1, a),
+                                                   (0, 0, -a)])
+    top = a.top(h // 2)
+    built += [cancelled, shifted, top]
     assert all(_is_canonical(m) for m in built)
+    assert cancelled == IntMatrix.zeros(h, w)
+    assert shifted == IntMatrix.from_blocks(h + 1, w + 1, [(1, 1, a)])
+    assert top == IntMatrix(a.rows[: h // 2], w)
     assert at.transpose() == a
     assert IntMatrix.from_cols(a.cols(), a.nrows) == a
     assert at.rows == tuple(a.col(j) for j in range(a.ncols))
+
+
+@pytest.mark.parametrize("r, c", [(1, 0), (0, 2), (1, 1)])
+def test_from_blocks_refuses_a_block_that_does_not_fit(r, c):
+    # a 2 x 2 block in a 2 x 3 matrix fits at (0, 0) and (0, 1) only
+    block = IntMatrix([[1, 2], [3, 4]])
+    assert IntMatrix.from_blocks(2, 3, [(0, 1, block)]).rows == (
+        (0, 1, 2), (0, 3, 4))
+    with pytest.raises(ValueError, match="does not fit"):
+        IntMatrix.from_blocks(2, 3, [(r, c, block)])
