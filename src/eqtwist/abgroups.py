@@ -260,17 +260,40 @@ class AbHom:
 
     def factor_through(self, incl: "AbHom") -> "AbHom":
         """Write self as incl o h; requires the image to lie in incl's image."""
-        if incl.target.ngens != self.target.ngens:
-            raise ValueError("codomain mismatch")
-        big = IntMatrix.hstack([incl.matrix, self.target.rels])
-        x = solve(big, self.matrix)
-        if x is None:
-            raise ValueError("map does not factor through the subgroup")
-        return AbHom(self.source, incl.source, x.top(incl.source.ngens),
-                     check=False)
+        return AbHom(self.source, incl.source,
+                     _through(incl, self.target, self.matrix), check=False)
 
     def __repr__(self) -> str:
         return f"AbHom<{self.source.describe()} -> {self.target.describe()}>"
+
+
+def factor_each(homs: Sequence[AbHom], incl: AbHom) -> list[AbHom]:
+    """`factor_through(incl)` of each of homs, by one solve for all when
+    they share one target, and apart otherwise."""
+    if not homs:
+        return []
+    target = homs[0].target
+    if any(h.target is not target for h in homs):
+        return [h.factor_through(incl) for h in homs]
+    cols = _through(incl, target,
+                    IntMatrix.hstack([h.matrix for h in homs])).cols()
+    out = []
+    for h in homs:
+        block, cols = cols[:h.source.ngens], cols[h.source.ngens:]
+        out.append(AbHom(h.source, incl.source,
+                         IntMatrix.from_cols(block, incl.source.ngens),
+                         check=False))
+    return out
+
+
+def _through(incl: AbHom, target: FgAbGroup, mat: IntMatrix) -> IntMatrix:
+    """The matrix x with incl o x = mat, mat's columns read in target."""
+    if incl.target.ngens != target.ngens:
+        raise ValueError("codomain mismatch")
+    x = solve(IntMatrix.hstack([incl.matrix, target.rels]), mat)
+    if x is None:
+        raise ValueError("map does not factor through the subgroup")
+    return x.top(incl.source.ngens)
 
 
 def subgroup_from_generators(

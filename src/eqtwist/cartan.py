@@ -17,15 +17,24 @@ one integer solve over the same face constraints.  The axiom checks,
 the comparison and the homotopy test all run over exact integer
 arithmetic; everything is truncated to the declared (i_max, p_max)
 window and the reports say so.
+
+Each check runs once per distinct input.  A theory's objects are
+immutable, so `check_axioms`, `kernel_term` and `OGSimplicialAb.validate`
+evaluate each check or derived object once per tuple of input objects,
+told apart with `is`, and report it under every orbit, morphism and
+level that names that tuple.  Orbits with one coefficient group share
+their models in `canonical_theory`, and with them every object built
+from the models, so they cost one orbit's checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from .abgroups import (AbHom, DirectSum, FgAbGroup, _subquotient,
                        assemble_hom, cohomology_at, direct_sum,
-                       enumerate_automorphisms)
+                       enumerate_automorphisms, factor_each)
 from .bredon import EquivariantCochains, twisted_complex
 from .coefficients import CoefficientSystem
 from .classifying import SimplicialFiniteGroup, contraction, total_elements
@@ -44,6 +53,22 @@ def element_preimage(h: AbHom, elem) -> tuple[int, ...] | None:
 
 def element_in_image(h: AbHom, elem) -> bool:
     return element_preimage(h, elem) is not None
+
+
+def _once(memo: dict, fn, *args):
+    """fn(*args), evaluated on the first call with these arguments and
+    read back from memo on every later one.
+
+    Arguments are told apart as the objects they are: a tuple by its
+    items, an int by its value, anything else by `is` (groups, homs and
+    simplicial groups define no equality).  A theory's objects are
+    immutable, so one result serves every place that names them.
+    """
+    key = (fn, *args)
+    if key in memo:
+        return memo[key]
+    out = memo[key] = fn(*args)
+    return out
 
 
 # simplicial abelian groups ------------------------------------------
@@ -140,6 +165,24 @@ def moore_homotopy(sab: SimplicialAb) -> list[FgAbGroup]:
             for n in range(sab.top)]
 
 
+def _unsimplicial(src: SimplicialAb, row: Sequence[AbHom],
+                  tgt: SimplicialAb) -> list[tuple[str, int, int]]:
+    """Where the levelwise maps row: tgt -> src fail to commute with the
+    faces and degeneracies, as ("d" or "s", index, level), in order."""
+    out = []
+    for q in range(1, src.top + 1):
+        for i in range(q + 1):
+            lhs = src.faces[(q, i)].compose(row[q])
+            if not lhs.equal_as_maps(row[q - 1].compose(tgt.faces[(q, i)])):
+                out.append(("d", i, q))
+    for q in range(src.top):
+        for j in range(q + 1):
+            lhs = src.degs[(q, j)].compose(row[q])
+            if not lhs.equal_as_maps(row[q + 1].compose(tgt.degs[(q, j)])):
+                out.append(("s", j, q))
+    return out
+
+
 class OGSimplicialAb:
     """Contravariant functor from the orbit category to SimplicialAb;
     `validate`, run by `check_axioms`, checks functoriality."""
@@ -155,41 +198,45 @@ class OGSimplicialAb:
         return next(iter(self.objects.values())).top
 
     def validate(self):
+        """Raise at the first failure.  A tuple of maps and objects that
+        passed is not checked again where another morphism names it."""
         top = self.top
+        passed = set()
         for m in self.cat.all_morphisms():
             row = self.maps[m.key]
             src = self.objects[m.src.key]
             tgt = self.objects[m.tgt.key]
+            key = ("map", src, tgt, tuple(row))
+            if key in passed:
+                continue
+            passed.add(key)
             for q in range(top + 1):
                 h = row[q]
                 if h.source is not tgt.levels[q] or \
                         h.target is not src.levels[q]:
                     raise ValueError(f"map at {m.key} level {q}: endpoints")
-            for q in range(1, top + 1):
-                for i in range(q + 1):
-                    lhs = src.faces[(q, i)].compose(row[q])
-                    rhs = row[q - 1].compose(tgt.faces[(q, i)])
-                    if not lhs.equal_as_maps(rhs):
-                        raise ValueError(
-                            f"map at {m.key} not simplicial at d{i}, level {q}")
-            for q in range(top):
-                for j in range(q + 1):
-                    lhs = src.degs[(q, j)].compose(row[q])
-                    rhs = row[q + 1].compose(tgt.degs[(q, j)])
-                    if not lhs.equal_as_maps(rhs):
-                        raise ValueError(
-                            f"map at {m.key} not simplicial at s{j}, level {q}")
+            for op, j, q in _unsimplicial(src, row, tgt):
+                raise ValueError(
+                    f"map at {m.key} not simplicial at {op}{j}, level {q}")
         for s in self.cat.subgroups:
-            ident = self.cat.identity(s.key)
+            row = self.maps[self.cat.identity(s.key).key]
+            key = ("identity", tuple(row))
+            if key in passed:
+                continue
+            passed.add(key)
             for q in range(top + 1):
-                h = self.maps[ident.key][q]
+                h = row[q]
                 if not h.equal_as_maps(AbHom.identity(h.source)):
                     raise ValueError(f"identity of {s.key} is not the identity")
         for f, h in self.cat.composable_pairs():
-            comp = self.cat.compose(f, h)
+            first, then = self.maps[h.key], self.maps[f.key]
+            comp = self.maps[self.cat.compose(f, h).key]
+            key = ("composite", tuple(then), tuple(first), tuple(comp))
+            if key in passed:
+                continue
+            passed.add(key)
             for q in range(top + 1):
-                lhs = self.maps[f.key][q].compose(self.maps[h.key][q])
-                if not lhs.equal_as_maps(self.maps[comp.key][q]):
+                if not then[q].compose(first[q]).equal_as_maps(comp[q]):
                     raise ValueError(
                         f"functoriality fails at {f.key} ; {h.key}, level {q}")
 
@@ -222,76 +269,110 @@ class CartanTheory:
 
 def canonical_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
                      i_max: int, p_max: int) -> CartanTheory:
-    """A^i(G/H) = C(M(G/H), i) with the cochain differential."""
-    models = {}
-    for s in cat.subgroups:
-        for i in range(i_max + 1):
-            models[(s.key, i)] = CochainModel(coeffs.values[s.key], i, p_max)
+    """A^i(G/H) = C(M(G/H), i) with the cochain differential.
+
+    Orbits whose coefficient group is the same object share one model
+    per degree, and with it one term object, one differential list, one
+    restriction list per coefficient map and one psi per automorphism;
+    `check_axioms` then checks each of them once.
+    """
+    memo = {}
+    models = {(s.key, i): _once(memo, CochainModel, coeffs.values[s.key], i,
+                                p_max)
+              for s in cat.subgroups for i in range(i_max + 1)}
     terms = []
     for i in range(i_max + 1):
-        objects = {s.key: simplicial_ab_of_model(models[(s.key, i)])
+        objects = {s.key: _once(memo, simplicial_ab_of_model,
+                                models[(s.key, i)])
                    for s in cat.subgroups}
-        maps = {}
-        for m in cat.all_morphisms():
-            src, tgt = m.src.key, m.tgt.key
-            maps[m.key] = [
-                models[(tgt, i)].postcompose_hom(q, coeffs.maps[m.key],
-                                                 models[(src, i)])
-                for q in range(p_max + 1)]
+        maps = {m.key: _once(memo, _restrictions, models[(m.tgt.key, i)],
+                             coeffs.maps[m.key], models[(m.src.key, i)])
+                for m in cat.all_morphisms()}
         terms.append(OGSimplicialAb(cat, objects, maps))
-    deltas = []
-    for i in range(i_max):
-        deltas.append({s.key: [delta_hom(models[(s.key, i)],
-                                         models[(s.key, i + 1)], q)
-                               for q in range(p_max + 1)]
-                       for s in cat.subgroups})
+    deltas = [{s.key: _once(memo, _differentials, models[(s.key, i)],
+                            models[(s.key, i + 1)])
+               for s in cat.subgroups}
+              for i in range(i_max)]
+    psis = {}  # (model, level, automorphism) -> psi
 
     def psi(skey, alpha, i, q):
-        return models[(skey, i)].postcompose_hom(q, alpha)
+        key = (models[(skey, i)], q, alpha)
+        if key not in psis:
+            psis[key] = key[0].postcompose_hom(q, alpha)
+        return psis[key]
 
-    out = CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
-    out.models = models
-    return out
+    return CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
+
+
+def _restrictions(tgt: CochainModel, h: AbHom,
+                  src: CochainModel) -> list[AbHom]:
+    """h in every coordinate, level by level, from tgt's levels to src's."""
+    return [tgt.postcompose_hom(q, h, src) for q in range(tgt.top + 1)]
+
+
+def _differentials(lower: CochainModel, upper: CochainModel) -> list[AbHom]:
+    return [delta_hom(lower, upper, q) for q in range(lower.top + 1)]
 
 
 def kernel_term(theory: CartanTheory, n: int) -> OGSimplicialAb:
-    """The functor Z^n = ker(delta^n), with stored level inclusions."""
+    """The functor Z^n = ker(delta^n), with stored level inclusions.
+
+    Orbits that share their term object and differential share their
+    kernel object, and morphisms that share their maps share the maps
+    between kernels."""
     if n >= theory.i_max:
         raise ValueError("kernel term needs the next differential")
     cat = theory.cat
+    term = theory.terms[n]
+    memo = {}
     objects = {}
     incls = {}
     for s in cat.subgroups:
-        skey = s.key
-        amb = theory.terms[n].objects[skey]
-        subs = []
-        inc = []
-        for q in range(theory.p_max + 1):
-            sub, i0 = theory.deltas[n][skey][q].kernel()
-            subs.append(sub)
-            inc.append(i0)
-        faces = {}
-        for q in range(1, theory.p_max + 1):
-            for i in range(q + 1):
-                faces[(q, i)] = amb.faces[(q, i)].compose(
-                    inc[q]).factor_through(inc[q - 1])
-        degs = {}
-        for q in range(theory.p_max):
-            for j in range(q + 1):
-                degs[(q, j)] = amb.degs[(q, j)].compose(
-                    inc[q]).factor_through(inc[q + 1])
-        objects[skey] = SimplicialAb(subs, faces, degs)
-        incls[skey] = inc
-    maps = {}
-    for m in cat.all_morphisms():
-        src, tgt = m.src.key, m.tgt.key
-        maps[m.key] = [
-            theory.terms[n].maps[m.key][q].compose(
-                incls[tgt][q]).factor_through(incls[src][q])
-            for q in range(theory.p_max + 1)]
+        objects[s.key], incls[s.key] = _once(
+            memo, _kernel_object, term.objects[s.key],
+            tuple(theory.deltas[n][s.key]))
+    maps = {m.key: _once(memo, _factored, tuple(term.maps[m.key]),
+                         incls[m.tgt.key], incls[m.src.key])
+            for m in cat.all_morphisms()}
     out = OGSimplicialAb(cat, objects, maps)
     out.inclusions = incls
     return out
+
+
+def _kernel_object(amb: SimplicialAb, ds: Sequence[AbHom]) \
+        -> tuple[SimplicialAb, Sequence[AbHom]]:
+    """The simplicial subgroup of amb cut out by the kernels of ds, with
+    its level inclusions."""
+    subs = []
+    inc = []
+    for d in ds:
+        sub, i0 = d.kernel()
+        subs.append(sub)
+        inc.append(i0)
+    # every face and degeneracy into level k factors through inc[k], by
+    # one solve per level: into[k] holds (table, key, map to factor)
+    faces, degs = {}, {}
+    into = [[] for _ in ds]
+    for q in range(1, len(ds)):
+        for i in range(q + 1):
+            into[q - 1].append(
+                (faces, (q, i), amb.faces[(q, i)].compose(inc[q])))
+    for q in range(len(ds) - 1):
+        for j in range(q + 1):
+            into[q + 1].append(
+                (degs, (q, j), amb.degs[(q, j)].compose(inc[q])))
+    for k, entries in enumerate(into):
+        factored = factor_each([h for _, _, h in entries], inc[k])
+        for (table, key, _), h in zip(entries, factored):
+            table[key] = h
+    return SimplicialAb(subs, faces, degs), tuple(inc)
+
+
+def _factored(row: Sequence[AbHom], tgt_inc: Sequence[AbHom],
+              src_inc: Sequence[AbHom]) -> list[AbHom]:
+    """Each map of row, restricted to tgt_inc and factored through src_inc."""
+    return [h.compose(t).factor_through(s)
+            for h, t, s in zip(row, tgt_inc, src_inc)]
 
 
 # axiom checking -----------------------------------------------------
@@ -326,66 +407,51 @@ class AxiomReport:
 
 
 def check_axioms(theory: CartanTheory) -> AxiomReport:
+    """Check the five axioms within the theory's bounds.
+
+    Each check runs once per distinct tuple of input objects, told apart
+    with `is`, and its verdict is reported under every orbit, morphism
+    and level that names that tuple, in loop order.  Orbits that share
+    their objects, as those of one coefficient group do in the canonical
+    theory, thus cost one orbit's checks.
+    """
     rep = AxiomReport(theory.i_max, theory.p_max)
     cat = theory.cat
+    memo = {}
+    # the theory's level lists as tuples, which can key the memo
+    deltas = [{k: tuple(v) for k, v in dd.items()} for dd in theory.deltas]
+    maps = [{k: tuple(v) for k, v in t.maps.items()} for t in theory.terms]
 
     # axiom 1: a cochain sequence of simplicial coefficient systems.
     # Only the additive and differential structure is checked; no
     # product is modelled.
     for i, term in enumerate(theory.terms):
-        try:
-            for s in cat.subgroups:
-                term.objects[s.key].validate()
-            term.validate()
-        except ValueError as ex:
-            rep.failures[1].append(f"A^{i}: {ex}")
+        for obj in [term.objects[s.key] for s in cat.subgroups] + [term]:
+            msg = _once(memo, _first_failure, obj)
+            if msg is not None:
+                rep.failures[1].append(f"A^{i}: {msg}")
+                break
     for i in range(theory.i_max):
+        lower, upper = theory.terms[i], theory.terms[i + 1]
         for s in cat.subgroups:
-            skey = s.key
-            lower = theory.terms[i].objects[skey]
-            upper = theory.terms[i + 1].objects[skey]
-            ds = theory.deltas[i][skey]
-            for q in range(theory.p_max + 1):
-                d = ds[q]
-                if d.source is not lower.levels[q] or \
-                        d.target is not upper.levels[q]:
-                    rep.failures[1].append(
-                        f"delta^{i} at {skey} level {q}: wrong endpoints")
-            for q in range(1, theory.p_max + 1):
-                for j in range(q + 1):
-                    lhs = upper.faces[(q, j)].compose(ds[q])
-                    rhs = ds[q - 1].compose(lower.faces[(q, j)])
-                    if not lhs.equal_as_maps(rhs):
-                        rep.failures[1].append(
-                            f"delta^{i} at {skey} misses d{j} at level {q}")
-            for q in range(theory.p_max):
-                for j in range(q + 1):
-                    lhs = upper.degs[(q, j)].compose(ds[q])
-                    rhs = ds[q + 1].compose(lower.degs[(q, j)])
-                    if not lhs.equal_as_maps(rhs):
-                        rep.failures[1].append(
-                            f"delta^{i} at {skey} misses s{j} at level {q}")
+            for fault in _once(memo, _delta_faults, lower.objects[s.key],
+                               deltas[i][s.key], upper.objects[s.key]):
+                rep.failures[1].append(f"delta^{i} at {s.key}{fault}")
         for m in cat.all_morphisms():
-            src, tgt = m.src.key, m.tgt.key
-            for q in range(theory.p_max + 1):
-                lhs = theory.terms[i + 1].maps[m.key][q].compose(
-                    theory.deltas[i][tgt][q])
-                rhs = theory.deltas[i][src][q].compose(
-                    theory.terms[i].maps[m.key][q])
-                if not lhs.equal_as_maps(rhs):
-                    rep.failures[1].append(
-                        f"delta^{i} not natural along {m.key} at level {q}")
+            for q in _once(memo, _failing_levels, maps[i + 1][m.key],
+                           deltas[i][m.tgt.key], deltas[i][m.src.key],
+                           maps[i][m.key]):
+                rep.failures[1].append(
+                    f"delta^{i} not natural along {m.key} at level {q}")
     # (degree, orbit, level) of every delta^{i+1} o delta^i != 0
     not_complex = set()
     for i in range(theory.i_max - 1):
         for s in cat.subgroups:
-            for q in range(theory.p_max + 1):
-                comp = theory.deltas[i + 1][s.key][q].compose(
-                    theory.deltas[i][s.key][q])
-                if not comp.is_zero_map:
-                    not_complex.add((i + 1, s.key, q))
-                    rep.failures[1].append(
-                        f"delta.delta != 0 at {s.key}, degree {i}, level {q}")
+            for q in _once(memo, _nonzero_squares, deltas[i + 1][s.key],
+                           deltas[i][s.key]):
+                not_complex.add((i + 1, s.key, q))
+                rep.failures[1].append(
+                    f"delta.delta != 0 at {s.key}, degree {i}, level {q}")
     rep.info[1].append("multiplicative structure not modelled")
 
     # axiom 2: exactness at the interior degrees where axiom 1 found a
@@ -398,9 +464,9 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
                         f"not a complex at degree {d}, {s.key}, level {q}; "
                         f"exactness not checked there")
                     continue
-                h = _subquotient(theory.terms[d].objects[s.key].levels[q],
-                                 theory.deltas[d - 1][s.key][q],
-                                 theory.deltas[d][s.key][q]).group
+                h = _once(memo, _subquotient,
+                          theory.terms[d].objects[s.key].levels[q],
+                          deltas[d - 1][s.key][q], deltas[d][s.key][q]).group
                 if not h.is_trivial:
                     rep.failures[2].append(
                         f"cohomology {h.describe()} at degree {d}, "
@@ -413,7 +479,7 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     for i in range(theory.i_max + 1):
         for s in cat.subgroups:
             sab = theory.terms[i].objects[s.key]
-            for nn, g in enumerate(moore_homotopy(sab)):
+            for nn, g in enumerate(_once(memo, moore_homotopy, sab)):
                 if not g.is_trivial:
                     rep.failures[3].append(
                         f"pi_{nn} of A^{i}({s.key}) = {g.describe()}")
@@ -427,16 +493,9 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     if z0 is not None:
         for s in cat.subgroups:
             obj = z0.objects[s.key]
-            for q in range(1, theory.p_max + 1):
-                for i in range(q + 1):
-                    if not obj.faces[(q, i)].is_iso():
-                        rep.failures[4].append(
-                            f"Z^0({s.key}): d{i} at level {q} is not an iso")
-            for q in range(theory.p_max):
-                for j in range(q + 1):
-                    if not obj.degs[(q, j)].is_iso():
-                        rep.failures[4].append(
-                            f"Z^0({s.key}): s{j} at level {q} is not an iso")
+            for op, j, q in _once(memo, _non_isos, obj):
+                rep.failures[4].append(
+                    f"Z^0({s.key}): {op}{j} at level {q} is not an iso")
             want = theory.coeffs.values[s.key]
             if obj.levels[0].normal_form() != want.normal_form():
                 rep.failures[4].append(
@@ -448,88 +507,132 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
     auts = {}
     for s in cat.subgroups:
         mgrp = theory.coeffs.values[s.key]
-        found = enumerate_automorphisms(mgrp)
+        found = _once(memo, enumerate_automorphisms, mgrp)
         if found is None:
             rep.info[5].append(
                 f"automorphisms of {mgrp.describe()} not enumerable; "
                 "identity only")
-            found = [AbHom.identity(mgrp)]
+            found = [_once(memo, AbHom.identity, mgrp)]
         auts[s.key] = found
+    terms = range(theory.i_max + 1)
+    levels = range(theory.p_max + 1)
+
+    psi = theory.psi
+
+    def psi_rows(skey, a):
+        return [tuple([psi(skey, a, i, q) for q in levels]) for i in terms]
+
     # psi(skey, a, i, q) of every automorphism a, built once: psis[skey]
-    # holds them in the order of auts[skey], by (i, q)
-    psis = {skey: [{(i, q): theory.psi(skey, a, i, q)
-                    for i in range(theory.i_max + 1)
-                    for q in range(theory.p_max + 1)}
-                   for a in skey_auts]
+    # holds them in the order of auts[skey], as one row of levels per i
+    psis = {skey: [psi_rows(skey, a) for a in skey_auts]
             for skey, skey_auts in auts.items()}
     for s in cat.subgroups:
         skey = s.key
-        mgrp = theory.coeffs.values[skey]
-        iden = AbHom.identity(mgrp)
-        for i in range(theory.i_max + 1):
-            for q in range(theory.p_max + 1):
-                lv = theory.terms[i].objects[skey].levels[q]
-                got = theory.psi(skey, iden, i, q)
-                if not got.equal_as_maps(AbHom.identity(lv)):
-                    rep.failures[5].append(
-                        f"psi(id) at {skey}, A^{i}, level {q} is not id")
+        iden = psi_rows(
+            skey, _once(memo, AbHom.identity, theory.coeffs.values[skey]))
+        for i in terms:
+            for q in _once(memo, _non_identities, iden[i],
+                           theory.terms[i].objects[skey]):
+                rep.failures[5].append(
+                    f"psi(id) at {skey}, A^{i}, level {q} is not id")
         pairs = itertools.product(zip(auts[skey], psis[skey]), repeat=2)
         for (a, psi_a), (b, psi_b) in pairs:
-            ab = a.compose(b)
-            for i in range(theory.i_max + 1):
-                for q in range(theory.p_max + 1):
-                    lhs = theory.psi(skey, ab, i, q)
-                    rhs = psi_a[(i, q)].compose(psi_b[(i, q)])
-                    if not lhs.equal_as_maps(rhs):
-                        rep.failures[5].append(
-                            f"psi not multiplicative at {skey}, A^{i}, "
-                            f"level {q}")
+            psi_ab = psi_rows(skey, _once(memo, AbHom.compose, a, b))
+            for i in terms:
+                for q in _once(memo, _non_composites, psi_ab[i], psi_a[i],
+                               psi_b[i]):
+                    rep.failures[5].append(
+                        f"psi not multiplicative at {skey}, A^{i}, "
+                        f"level {q}")
         for psi_a in psis[skey]:
-            for i in range(theory.i_max + 1):
+            for i in terms:
                 obj = theory.terms[i].objects[skey]
-                for q in range(1, theory.p_max + 1):
-                    for j in range(q + 1):
-                        lhs = obj.faces[(q, j)].compose(psi_a[(i, q)])
-                        rhs = psi_a[(i, q - 1)].compose(obj.faces[(q, j)])
-                        if not lhs.equal_as_maps(rhs):
-                            rep.failures[5].append(
-                                f"psi at {skey}, A^{i} misses d{j} "
-                                f"at level {q}")
-                for q in range(theory.p_max):
-                    for j in range(q + 1):
-                        lhs = obj.degs[(q, j)].compose(psi_a[(i, q)])
-                        rhs = psi_a[(i, q + 1)].compose(obj.degs[(q, j)])
-                        if not lhs.equal_as_maps(rhs):
-                            rep.failures[5].append(
-                                f"psi at {skey}, A^{i} misses s{j} "
-                                f"at level {q}")
+                for op, j, q in _once(memo, _unsimplicial, obj, psi_a[i], obj):
+                    rep.failures[5].append(
+                        f"psi at {skey}, A^{i} misses {op}{j} at level {q}")
             for i in range(theory.i_max):
-                for q in range(theory.p_max + 1):
-                    lhs = theory.deltas[i][skey][q].compose(psi_a[(i, q)])
-                    rhs = psi_a[(i + 1, q)].compose(
-                        theory.deltas[i][skey][q])
-                    if not lhs.equal_as_maps(rhs):
-                        rep.failures[5].append(
-                            f"psi at {skey} does not commute with delta^{i} "
-                            f"at level {q}")
+                ds = deltas[i][skey]
+                for q in _once(memo, _failing_levels, ds, psi_a[i],
+                               psi_a[i + 1], ds):
+                    rep.failures[5].append(
+                        f"psi at {skey} does not commute with delta^{i} "
+                        f"at level {q}")
     for m in cat.all_morphisms():
         src, tgt = m.src.key, m.tgt.key
         res = theory.coeffs.maps[m.key]
         for a, psi_a in zip(auts[src], psis[src]):
             for b, psi_b in zip(auts[tgt], psis[tgt]):
-                if not a.compose(res).equal_as_maps(res.compose(b)):
+                if _once(memo, _failing_levels, (a,), (res,), (res,), (b,)):
                     continue
-                for i in range(theory.i_max + 1):
-                    for q in range(theory.p_max + 1):
-                        lhs = psi_a[(i, q)].compose(
-                            theory.terms[i].maps[m.key][q])
-                        rhs = theory.terms[i].maps[m.key][q].compose(
-                            psi_b[(i, q)])
-                        if not lhs.equal_as_maps(rhs):
-                            rep.failures[5].append(
-                                f"psi not natural along {m.key} at A^{i}, "
-                                f"level {q}")
+                for i in terms:
+                    row = maps[i][m.key]
+                    for q in _once(memo, _failing_levels, psi_a[i], row, row,
+                                   psi_b[i]):
+                        rep.failures[5].append(
+                            f"psi not natural along {m.key} at A^{i}, "
+                            f"level {q}")
     return rep
+
+
+# the checks of check_axioms, as functions of the objects they read;
+# each returns what fails, in the order the report lists it
+
+def _first_failure(obj) -> str | None:
+    """The message of the first failure obj.validate() raises, or None."""
+    try:
+        obj.validate()
+    except ValueError as ex:
+        return str(ex)
+    return None
+
+
+def _failing_levels(outer: Sequence[AbHom], inner: Sequence[AbHom],
+                    outer2: Sequence[AbHom],
+                    inner2: Sequence[AbHom]) -> list[int]:
+    """The levels q with outer[q] o inner[q] != outer2[q] o inner2[q]."""
+    return [q for q in range(len(outer))
+            if not outer[q].compose(inner[q]).equal_as_maps(
+                outer2[q].compose(inner2[q]))]
+
+
+def _delta_faults(lower: SimplicialAb, ds: Sequence[AbHom],
+                  upper: SimplicialAb) -> list[str]:
+    """How the levelwise differential ds: lower -> upper fails to be a
+    simplicial map, as report message endings."""
+    out = [f" level {q}: wrong endpoints" for q, d in enumerate(ds)
+           if d.source is not lower.levels[q] or
+           d.target is not upper.levels[q]]
+    out += [f" misses {op}{j} at level {q}"
+            for op, j, q in _unsimplicial(upper, ds, lower)]
+    return out
+
+
+def _nonzero_squares(upper: Sequence[AbHom],
+                     lower: Sequence[AbHom]) -> list[int]:
+    """The levels q with upper[q] o lower[q] != 0."""
+    return [q for q in range(len(upper))
+            if not upper[q].compose(lower[q]).is_zero_map]
+
+
+def _non_isos(sab: SimplicialAb) -> list[tuple[str, int, int]]:
+    """The faces, then the degeneracies, of sab that are not isos."""
+    out = [("d", i, q) for q in range(1, sab.top + 1) for i in range(q + 1)
+           if not sab.faces[(q, i)].is_iso()]
+    return out + [("s", j, q) for q in range(sab.top) for j in range(q + 1)
+                  if not sab.degs[(q, j)].is_iso()]
+
+
+def _non_identities(row: Sequence[AbHom], sab: SimplicialAb) -> list[int]:
+    """The levels q at which row[q] is not the identity of sab's level."""
+    return [q for q, h in enumerate(row)
+            if not h.equal_as_maps(AbHom.identity(sab.levels[q]))]
+
+
+def _non_composites(row: Sequence[AbHom], outer: Sequence[AbHom],
+                    inner: Sequence[AbHom]) -> list[int]:
+    """The levels q with row[q] != outer[q] o inner[q]."""
+    return [q for q in range(len(row))
+            if not row[q].equal_as_maps(outer[q].compose(inner[q]))]
 
 
 # lift groups --------------------------------------------------------

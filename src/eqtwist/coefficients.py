@@ -10,7 +10,7 @@ cochain differentials downstream.
 from __future__ import annotations
 
 from .abgroups import AbHom, FgAbGroup
-from .groups import FiniteGroup, OrbitCategory
+from .groups import FiniteGroup, OrbitCategory, OrbitMorphism
 from .intmat import IntMatrix
 
 
@@ -45,7 +45,8 @@ class CoefficientSystem:
     @classmethod
     def constant(cls, cat: OrbitCategory, a: FgAbGroup) -> "CoefficientSystem":
         values = {s.key: a for s in cat.subgroups}
-        maps = {m.key: AbHom.identity(a) for m in cat.all_morphisms()}
+        ident = AbHom.identity(a)
+        maps = {m.key: ident for m in cat.all_morphisms()}
         return cls(cat, values, maps, check=False)
 
     @classmethod
@@ -53,11 +54,32 @@ class CoefficientSystem:
         if "constant" in data:
             a = group_from_json(data["constant"])
             return cls.constant(cat, a)
-        values = {key: group_from_json(v) for key, v in data["values"].items()}
+        values_data, maps_data = data["values"], data.get("maps", {})
+        for field, obj in (("values", values_data), ("maps", maps_data)):
+            if type(obj) is not dict:
+                raise ValueError(f"coefficient {field!r} must be a JSON object")
+        for key in values_data:
+            if key not in cat.by_key:
+                raise ValueError(
+                    f"coefficient 'values' key {key!r} names no subgroup")
+        values = {key: group_from_json(v) for key, v in values_data.items()}
+        # morphism key -> (the file's key for it, its matrix rows); a file
+        # may name a morphism by any representative of its coset
+        given = {}
+        for key, rows in maps_data.items():
+            m = _morphism_named(cat, key)
+            if m is None:
+                raise ValueError(
+                    f"coefficient 'maps' key {key!r} names no morphism")
+            first = given.setdefault(m.key, (key, rows))
+            if first[1] != rows:
+                raise ValueError(
+                    f"coefficient 'maps' keys {first[0]!r} and {key!r} give "
+                    f"the morphism {m.key} two matrices")
         maps = {}
         for m in cat.all_morphisms():
-            if m.key in data.get("maps", {}):
-                mat = IntMatrix([list(r) for r in data["maps"][m.key]],
+            if m.key in given:
+                mat = IntMatrix([list(r) for r in given[m.key][1]],
                                 values[m.tgt.key].ngens)
                 maps[m.key] = AbHom(values[m.tgt.key], values[m.src.key], mat)
             elif m.is_identity():
@@ -65,6 +87,19 @@ class CoefficientSystem:
             else:
                 raise ValueError(f"no map supplied for morphism {m.key}")
         return cls(cat, values, maps)
+
+
+def _morphism_named(cat: OrbitCategory, key: str) -> OrbitMorphism | None:
+    """The morphism "H|K|g" names, g any member of its coset, or None."""
+    parts = key.split("|")
+    if len(parts) != 3 or parts[0] not in cat.by_key or \
+            parts[1] not in cat.by_key or parts[2] not in cat.group.index:
+        return None
+    try:
+        return cat.coset_morphism(cat.by_key[parts[0]], cat.by_key[parts[1]],
+                                  parts[2])
+    except KeyError:  # g^-1 H g is not inside K
+        return None
 
 
 def group_from_json(data: dict) -> FgAbGroup:

@@ -173,11 +173,13 @@ class OGComplex:
                 for cid in ids:
                     if m.values[cid] != nondeg(cid):
                         raise ValueError(f"identity of {s.key} acts nontrivially")
+        # maps[f] after maps[h] against maps[h o f], cell by cell, with no
+        # composite SimplicialMap built
         for f, h in self.cat.composable_pairs():
-            hofo = self.cat.compose(f, h)
-            lhs = self.maps[f.key].compose(self.maps[h.key])
-            rhs = self.maps[hofo.key]
-            if lhs.values != rhs.values:
+            then = self.maps[f.key].apply
+            want = self.maps[self.cat.compose(f, h).key].values
+            if {cid: then(ref) for cid, ref in
+                    self.maps[h.key].values.items()} != want:
                 raise ValueError(f"functoriality fails at {f.key} ; {h.key}")
 
 

@@ -141,8 +141,9 @@ def test_a_nonzero_square_is_reported_not_raised():
 
 def test_axioms_compose_each_square_once(monkeypatch):
     # C_2 with Z/2 at bounds (3, 3): the squares delta^d o delta^(d-1)
-    # for d = 1, 2 over two orbits and four levels are 16; axiom 1
-    # composes each, and axiom 2 reuses its verdict
+    # for d = 1, 2 over four levels are 8, since the two orbits share
+    # their differentials; axiom 1 composes each, and axiom 2 reuses
+    # its verdict
     cat = c2_category()
     theory = canonical_theory(cat, CoefficientSystem.constant(cat, Z2), 3, 3)
     deltas = {id(h) for dd in theory.deltas for homs in dd.values()
@@ -157,7 +158,62 @@ def test_axioms_compose_each_square_once(monkeypatch):
 
     monkeypatch.setattr(AbHom, "compose", spy)
     assert check_axioms(theory).all_ok
-    assert len(squares) == len(set(squares)) == 16
+    assert len(squares) == len(set(squares)) == 8
+
+
+def _one_group_per_orbit(cat: OrbitCategory,
+                         a: FgAbGroup) -> CoefficientSystem:
+    """The constant system of a, with an equal but distinct group at
+    each orbit, as a "values" coefficient file gives."""
+    values = {s.key: FgAbGroup.from_relations(a.ngens, a.rels.cols())
+              for s in cat.subgroups}
+    maps = {m.key: AbHom(values[m.tgt.key], values[m.src.key],
+                         AbHom.identity(a).matrix)
+            for m in cat.all_morphisms()}
+    return CoefficientSystem(cat, values, maps)
+
+
+@pytest.mark.parametrize("group", [FiniteGroup.cyclic(2),
+                                   FiniteGroup.symmetric3()])
+def test_orbits_that_share_their_objects_report_as_orbits_that_do_not(group):
+    # the constant system shares one group, so its orbits share every
+    # object of the theory; the other system shares none.  A verdict of
+    # one orbit that leaked to another, or went missing there, would
+    # make the reports differ; with_blinded_psi fails at one orbit only
+    cat = OrbitCategory(group)
+    reports = []
+    for system in (CoefficientSystem.constant(cat, Z4),
+                   _one_group_per_orbit(cat, Z4)):
+        theory = canonical_theory(cat, system, 2, 2)
+        shared = {id(theory.terms[0].objects[s.key]) for s in cat.subgroups}
+        assert len(shared) == (1 if system.values["e"] is Z4
+                               else len(cat.subgroups))
+        planted = [theory, with_zero_delta(theory),
+                   with_nonzero_square(theory),
+                   zero_theory(cat, system, 2, 2)]
+        planted += [with_blinded_psi(theory, s.key) for s in cat.subgroups]
+        reports.append([check_axioms(t).lines() for t in planted])
+    assert reports[0] == reports[1]
+    blinded = reports[0][4:]
+    assert all(lines[:8] == reports[0][0][:7] + ["axiom 5: fail"]
+               for lines in blinded)
+    assert len({tuple(lines) for lines in blinded}) == len(cat.subgroups)
+
+
+@pytest.mark.parametrize("group", [FiniteGroup.cyclic(2),
+                                   FiniteGroup.symmetric3()])
+def test_check_axioms_eliminates_once_per_distinct_input(eliminations, group):
+    # with one coefficient group the orbits share their objects, so the
+    # checks cost as many eliminations as over the trivial group's orbit
+    counts = []
+    for g in (FiniteGroup.trivial(), group):
+        cat = OrbitCategory(g)
+        theory = canonical_theory(cat, CoefficientSystem.constant(cat, Z2),
+                                  2, 2)
+        before = sum(map(len, eliminations.values()))
+        assert check_axioms(theory).all_ok
+        counts.append(sum(map(len, eliminations.values())) - before)
+    assert counts[0] == counts[1]
 
 
 def test_a_nonzero_square_skips_exactness_at_both_degrees_it_breaks():

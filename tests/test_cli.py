@@ -638,3 +638,66 @@ def test_successive_calls_print_what_each_prints_alone(capsys):
     cli._parser.cache_clear()
     assert [run(capsys, *argv) for argv in calls] == alone
     assert [run(capsys, *argv) for argv in reversed(calls)] == alone[::-1]
+
+
+# a "values" coefficient file over C_2, refs1's group: Z/2 at both
+# orbits, restricted by the identity
+C2_VALUES = {"values": {"e": {"gens": 1, "rels": [[2]]},
+                        "e,t": {"gens": 1, "rels": [[2]]}},
+             "maps": {"e|e,t|e": [[1]], "e|e|t": [[1]]}}
+
+# (change to C2_VALUES, the one error line it must give)
+BAD_KEYS = {
+    "unknown subgroup": (
+        {"values": {**C2_VALUES["values"], "bogus": {"gens": 1}}},
+        "error: coefficient 'values' key 'bogus' names no subgroup\n"),
+    "unparsed morphism": (
+        {"maps": {**C2_VALUES["maps"], "typo": [[1]]}},
+        "error: coefficient 'maps' key 'typo' names no morphism\n"),
+    "no morphism G/G -> G/e": (
+        {"maps": {**C2_VALUES["maps"], "e,t|e|e": [[1]]}},
+        "error: coefficient 'maps' key 'e,t|e|e' names no morphism\n"),
+    "maps as a list": (
+        {"maps": []},
+        "error: coefficient 'maps' must be a JSON object\n"),
+    "values as a list": (
+        {"values": []},
+        "error: coefficient 'values' must be a JSON object\n"),
+    "two matrices for one morphism": (
+        {"maps": {**C2_VALUES["maps"], "e|e,t|t": [[0]]}},
+        "error: coefficient 'maps' keys 'e|e,t|e' and 'e|e,t|t' give the "
+        "morphism e|e,t|e two matrices\n"),
+}
+
+
+def _c2_commands(tmp_path, coeffs):
+    group = tmp_path / "c2.json"
+    group.write_text(json.dumps(FiniteGroup.cyclic(2).to_json()))
+    return [["cartan-check", "--theory", fx("theory_canonical.json"),
+             "--group", str(group), "--coeffs", coeffs, "--bounds", "1,1"],
+            ["bredon", "--complex", fx("refs1.json"), "--coeffs", coeffs,
+             "--nmax", "1"]]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KEYS))
+def test_a_coefficient_file_names_only_subgroups_and_morphisms(
+        capsys, tmp_path, case):
+    change, message = BAD_KEYS[case]
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({**C2_VALUES, **change}))
+    for command in _c2_commands(tmp_path, str(coeffs)):
+        assert run(capsys, *command) == (1, "", message), command
+
+
+def test_a_coefficient_file_may_name_a_morphism_by_any_coset_member(
+        capsys, tmp_path):
+    # e|e,t|t is the morphism e|e,t|e; naming it so changes nothing
+    outputs = []
+    for maps in (C2_VALUES["maps"], {"e|e,t|t": [[1]], "e|e|t": [[1]]},
+                 {**C2_VALUES["maps"], "e|e,t|t": [[1]]}):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({**C2_VALUES, "maps": maps}))
+        outputs.append([run(capsys, *command)
+                        for command in _c2_commands(tmp_path, str(coeffs))])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [code for code, _out, _err in outputs[0]] == [0, 0]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from eqtwist.equivariant import GSimplicialSet, fixed_point_system
+from eqtwist.equivariant import GSimplicialSet, OGComplex, fixed_point_system
 from eqtwist.groups import FiniteGroup, OrbitCategory
-from eqtwist.simplicial import FiniteSimplicialSet, SimplexRef, nondeg
+from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef, SimplicialMap,
+                                nondeg)
 
 from helpers import load_gx, refs1_gx
 
@@ -80,3 +81,25 @@ def test_identity_must_be_identity():
     for ids in ph.complexes["e"].cells.values():
         for cid in ids:
             assert ident.values[cid] == nondeg(cid)
+
+
+def test_og_complex_names_the_first_pair_that_is_not_functorial():
+    # let the flip of the free complex fix the arc p, so that it squares
+    # to no identity; the pair reported is the first whose composite,
+    # built in full, differs
+    gx = refs1_gx()
+    cat = OrbitCategory(gx.group)
+    good = fixed_point_system(gx, cat)
+    flip = good.maps["e|e|t"]
+    maps = dict(good.maps)
+    maps["e|e|t"] = SimplicialMap(flip.source, flip.target,
+                                  {**flip.values, "p": nondeg("p")},
+                                  check=False)
+    want = next(
+        f"functoriality fails at {f.key} ; {h.key}"
+        for f, h in cat.composable_pairs()
+        if maps[f.key].compose(maps[h.key]).values
+        != maps[cat.compose(f, h).key].values)
+    with pytest.raises(ValueError) as ex:
+        OGComplex(cat, good.complexes, maps)
+    assert str(ex.value) == want
