@@ -27,6 +27,28 @@ injectivity by membership of K instead.  A `CochainComplex` checks
 d o d = 0 for each pair once, at construction; `cohomology_at`, called
 on a pair of its own, checks it there.
 
+A `CochainComplex` runs those eliminations on a smaller complex.  On
+the first `cohomology` call it cancels its unit blocks once
+(`ReducedComplex`): a block of a coboundary that is +-I between two
+summands with equal relations is an isomorphism, so both summands drop
+out and the coboundary becomes its Schur complement.  The reduced
+complex is homotopy equivalent to the original, and representatives
+are mapped back along the inclusion, so they are cocycles of the
+original terms.  The two edges of a circle on two vertices cancel down
+to one edge on one vertex:
+
+>>> z = FgAbGroup.free(1)
+>>> c0, c1 = direct_sum([z, z]), direct_sum([z, z])
+>>> cc = CochainComplex([c0, c1],
+...                     [AbHom(c0, c1, IntMatrix([[-1, 1], [-1, 1]]))])
+>>> [g.ngens for g in cc.reduced().groups]
+[1, 1]
+>>> h0 = cc.cohomology(0)
+>>> h0.group.describe(), h0.rep_vectors
+('Z', [(1, 1)])
+>>> cc.cohomology(1).group.describe()
+'Z'
+
 Work is bounded in one place: inside a `column_budget(limit)` block,
 every `direct_sum` counts its generator columns before its Smith normal
 form runs, and raises `BudgetExceeded` once the count passes the limit.
@@ -369,12 +391,17 @@ def _subquotient(
 
 
 class CochainComplex:
-    """Nonnegatively graded complex of presented groups."""
+    """Nonnegatively graded complex of presented groups.
+
+    The first `cohomology` call cancels the unit blocks of the complex
+    (`reduced`) and keeps the result; every degree is then computed on
+    the reduced terms, and its representatives are mapped back."""
 
     def __init__(self, groups: Sequence[FgAbGroup], diffs: Sequence[AbHom | None]):
         # diffs[n] maps groups[n] -> groups[n+1]; trailing None entries allowed
         self.groups = list(groups)
         self.diffs = list(diffs)
+        self._reduced = None
         for n, d in enumerate(self.diffs):
             if d is None:
                 continue
@@ -384,11 +411,250 @@ class CochainComplex:
                 if not self.diffs[n + 1].compose(d).is_zero_map:
                     raise ValueError(f"d o d != 0 at degree {n}")
 
+    def reduced(self) -> "ReducedComplex":
+        """The complex with its unit blocks cancelled, built once."""
+        if self._reduced is None:
+            self._reduced = ReducedComplex(self.groups, self.diffs)
+        return self._reduced
+
     def cohomology(self, n: int) -> Subquotient:
-        # the constructor checked d o d = 0 for this pair
-        incoming = self.diffs[n - 1] if n >= 1 else None
-        outgoing = self.diffs[n] if n < len(self.diffs) else None
-        return _subquotient(self.groups[n], incoming, outgoing)
+        # the reduction needs d o d = 0 as maps for every pair, which
+        # the constructor checked
+        red = self.reduced()
+        incoming = red.diffs[n - 1] if n >= 1 else None
+        outgoing = red.diffs[n] if n < len(red.diffs) else None
+        h = _subquotient(red.groups[n], incoming, outgoing)
+        return Subquotient(h.group, [red.include(n, v) for v in h.rep_vectors])
+
+
+def _layout(g: FgAbGroup) -> tuple[list[FgAbGroup], list[int]]:
+    """The summands of a term and their offsets: a `DirectSum` gives its
+    own, any other group is one summand."""
+    if isinstance(g, DirectSum):
+        return g.summands, g.offsets
+    return [g], [0]
+
+
+class ReducedComplex:
+    """A cochain complex with its unit blocks cancelled, homotopy
+    equivalent to the original (Kaczynski-Mrozek-Slusarek).
+
+    A pivot is a block (sigma in C^{n+1}, tau in C^n) of d^n that is
+    eps*I, eps = +-1, between summands with equal relation matrices, so
+    that it is an isomorphism.  Writing d^n with the rows of sigma first
+    and the columns of tau first as [[eps*I, b], [c, e]], cancelling the
+    pivot drops sigma and tau, replaces d^n by its Schur complement
+    e - c*eps*b, drops the rows of tau from d^{n-1} and the columns of
+    sigma from d^{n+1}.  The row drop keeps d o d = 0 only because the
+    original composites vanish as maps, which `CochainComplex` checks.
+    The inclusion of the reduced term n back into the original sends x
+    to (-eps*b*x, x) at each cancelled tau, and to zero at each
+    cancelled sigma; it is a chain map, so it carries cocycles to
+    cocycles whose classes generate the same cohomology.
+
+    The elimination runs on the integer entries whatever the relations,
+    so torsion coefficients cancel the same blocks as Z.  A reduced
+    coboundary then takes each entry of a row whose summand has
+    relations m*I to its least absolute residue modulo m, the same map:
+    fill-in that is a multiple of m leaves no entry for the kernel
+    elimination to carry.
+
+    groups, diffs  the reduced terms and differentials; a term or a
+                   differential that lost nothing is the original
+                   object, and a None differential stays None
+    """
+
+    __slots__ = ("groups", "diffs", "_kept", "_steps", "_ngens")
+
+    def __init__(self, groups: Sequence[FgAbGroup],
+                 diffs: Sequence[AbHom | None]):
+        layouts = [_layout(g) for g in groups]
+        alive = [[True] * len(parts) for parts, _ in layouts]
+        # per degree, the summand that starts at each generator
+        starts = [{o: j for j, (o, sg) in enumerate(zip(offs, parts))
+                   if sg.ngens} for parts, offs in layouts]
+        # rows[n]: the sparse rows of d^n, cols[n][c]: the rows of d^n
+        # holding column c; both None where d^n is None
+        rows = [None if d is None else [dict(r) for r in d.matrix.sparse]
+                for d in diffs]
+        cols = [None if r is None else _column_index(r, d.source.ngens)
+                for r, d in zip(rows, diffs)]
+        # steps[n]: (first generator, eps, b) of each tau cancelled from
+        # term n, in order
+        steps = [[] for _ in groups]
+
+        def pivot(n, s):
+            # the column summand tau and eps of a unit block in the rows
+            # of summand s of C^{n+1}, preferring the sparsest column
+            parts, offs = layouts[n + 1]
+            r0, k = offs[s], parts[s].ngens
+            best = None
+            for c, x in rows[n][r0].items():
+                t = starts[n].get(c)
+                if x not in (1, -1) or t is None or not alive[n][t]:
+                    continue
+                tg = layouts[n][0][t]
+                if tg is not parts[s] and tg.rels != parts[s].rels:
+                    continue
+                if k > 1 and any(
+                        {j: y for j, y in rows[n][r0 + i].items()
+                         if c <= j < c + k} != {c + i: x}
+                        for i in range(k)):
+                    continue
+                key = (len(cols[n][c]), c)
+                if best is None or key < best[0]:
+                    best = (key, t, x)
+            return best and best[1:]
+
+        def cancel(n, s, t, eps):
+            r0 = layouts[n + 1][1][s]
+            c0 = layouts[n][1][t]
+            k = layouts[n][0][t].ngens
+            mat, index = rows[n], cols[n]
+            # e -= c*eps*b, one row operation per row of c
+            for i in range(k):
+                piv = mat[r0 + i]
+                for r in list(index[c0 + i]):
+                    if not r0 <= r < r0 + k:
+                        _add_row(mat, index, r, piv, -eps * mat[r][c0 + i])
+            b = []
+            for i in range(k):
+                piv = mat[r0 + i]
+                for c in piv:
+                    index[c].discard(r0 + i)
+                del piv[c0 + i]
+                b.append(piv)
+                mat[r0 + i] = {}
+            steps[n].append((c0, eps, b))
+            if n >= 1 and rows[n - 1] is not None:
+                _drop_rows(rows[n - 1], cols[n - 1], range(c0, c0 + k))
+            if n + 1 < len(rows) and rows[n + 1] is not None:
+                _drop_cols(rows[n + 1], cols[n + 1], range(r0, r0 + k))
+            alive[n + 1][s] = alive[n][t] = False
+
+        for n, d in enumerate(diffs):
+            if d is None:
+                continue
+            found = True
+            while found:
+                found = False
+                for s, sg in enumerate(layouts[n + 1][0]):
+                    if alive[n + 1][s] and sg.ngens:
+                        piv = pivot(n, s)
+                        if piv:
+                            cancel(n, s, *piv)
+                            found = True
+
+        # the reduced terms, and the original generators they keep
+        self.groups, self._kept = [], []
+        for g, (parts, offs), live in zip(groups, layouts, alive):
+            keep = [j for j, on in enumerate(live) if on]
+            if len(keep) == len(parts):
+                self.groups.append(g)
+                self._kept.append(range(g.ngens))
+                continue
+            rels = [parts[j].rels for j in keep]
+            ngens = sum(parts[j].ngens for j in keep)
+            self.groups.append(FgAbGroup(ngens, IntMatrix.block_diag(rels)
+                                         if rels else IntMatrix.zeros(0, 0)))
+            self._kept.append([c for j in keep
+                               for c in range(offs[j], offs[j] + parts[j].ngens)])
+        # mods[n][c]: m when generator c of C^n lies in a summand with
+        # relations m*I, else 0; summands are often one shared object
+        moduli = {sg: _modulus(sg)
+                  for sg in {sg for parts, _ in layouts for sg in parts}}
+        mods = [[moduli[sg] for sg in parts for _ in range(sg.ngens)]
+                for parts, _ in layouts]
+        self.diffs = []
+        for n, d in enumerate(diffs):
+            src, tgt = self.groups[n], self.groups[n + 1]
+            if d is None or (src is d.source and tgt is d.target):
+                self.diffs.append(d)
+                continue
+            new = {c: j for j, c in enumerate(self._kept[n])}
+            # zero-free rows with keys below src.ngens, as _of_sparse takes
+            mat = tuple(_residues({new[c]: x for c, x in rows[n][r].items()},
+                                  mods[n + 1][r])
+                        for r in self._kept[n + 1])
+            self.diffs.append(AbHom(src, tgt,
+                                    IntMatrix._of_sparse(mat, src.ngens),
+                                    check=False))
+        self._steps = steps
+        self._ngens = [g.ngens for g in groups]
+
+    def include(self, n: int, x: Sequence[int]) -> tuple[int, ...]:
+        """The original cochain that the reduced cochain x in degree n
+        stands for: x at the kept generators, -eps*b*x at each
+        cancelled tau (the last cancelled first), zero elsewhere."""
+        vec = {c: v for c, v in zip(self._kept[n], x) if v}
+        for c0, eps, b in reversed(self._steps[n]):
+            for i, bi in enumerate(b):
+                y = -eps * sum([v * vec.get(c, 0) for c, v in bi.items()])
+                if y:
+                    vec[c0 + i] = y
+        return tuple([vec.get(c, 0) for c in range(self._ngens[n])])
+
+
+def _column_index(rows: Sequence[dict], ncols: int) -> list[set]:
+    index = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for c in r:
+            index[c].add(i)
+    return index
+
+
+def _modulus(g: FgAbGroup) -> int:
+    """m when the relations of g are m times the identity, m >= 2; else 0."""
+    m = g.rels.sparse[0].get(0, 0) if g.ngens else 0
+    square = g.rels.ncols == g.ngens
+    if m < 2 or not square or \
+            any(r != {i: m} for i, r in enumerate(g.rels.sparse)):
+        return 0
+    return m
+
+
+def _add_row(rows: list[dict], index: list[set], r: int, src: dict,
+             q: int) -> None:
+    """rows[r] += q * src, keeping the column index."""
+    dst = rows[r]
+    for c, y in src.items():
+        x = dst.get(c, 0) + q * y
+        if x:
+            if c not in dst:
+                index[c].add(r)
+            dst[c] = x
+        else:
+            del dst[c]
+            index[c].discard(r)
+
+
+def _residues(row: dict, m: int) -> dict:
+    """The row with each entry taken to its least absolute residue
+    modulo m, and zeros dropped; the row itself when m is 0."""
+    if not m:
+        return row
+    out = {}
+    for c, x in row.items():
+        x %= m
+        if 2 * x > m:
+            x -= m
+        if x:
+            out[c] = x
+    return out
+
+
+def _drop_rows(rows: list[dict], index: list[set], gone: Iterable[int]) -> None:
+    for r in gone:
+        for c in rows[r]:
+            index[c].discard(r)
+        rows[r] = {}
+
+
+def _drop_cols(rows: list[dict], index: list[set], gone: Iterable[int]) -> None:
+    for c in gone:
+        for r in index[c]:
+            del rows[r][c]
+        index[c] = set()
 
 
 class BudgetExceeded(Exception):

@@ -62,16 +62,20 @@ class EquivariantCochains:
 # twist providers ----------------------------------------------------
 
 class TrivialTwistProvider:
-    """No correction: the d_0 term enters untwisted."""
+    """No correction: the d_0 term enters untwisted.  Every call at one
+    orbit type returns the same identity hom, so memos keyed on the hom
+    (the psi of a Cartan theory) serve every cell and every caller."""
 
     def __init__(self, system: CoefficientSystem):
         self.system = system
+        self._identities = {skey: AbHom.identity(g)
+                            for skey, g in system.values.items()}
 
     def phi_hom(self, skey: str, xref: SimplexRef) -> AbHom:
-        return AbHom.identity(self.system.values[skey])
+        return self._identities[skey]
 
     def phi_inv_hom(self, skey: str, xref: SimplexRef) -> AbHom:
-        return AbHom.identity(self.system.values[skey])
+        return self._identities[skey]
 
 
 class GroupTwistProvider:

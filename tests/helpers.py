@@ -9,8 +9,9 @@ determinant, the kernel-presenting cohomology, the subset-closure
 subgroup lattice, the name-level orbit category and the column-reduction
 map equality live here too: the tests use them as references, the
 package does not.  So do the groups built from generators that the
-lattice tests need, and the covering spaces that the twisted cohomology
-tests need.
+lattice tests need, the covering spaces that the twisted cohomology
+tests need, and the classifying complexes whose group cohomology has
+closed forms.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
 from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
                             SimplicialAb, cylinder_with_action,
                             element_preimage, kernel_term)
+from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
 from eqtwist.edgepaths import EdgeActionSystem, PathChoice
 from eqtwist.equivariant import GSimplicialSet, fixed_point_system
@@ -72,6 +74,14 @@ def torus_gx(a: int, b: int) -> GSimplicialSet:
     pc = product(ngon_space(a), ngon_space(b), truncation=3)
     pc.complex.validate()
     return GSimplicialSet(pc.complex, FiniteGroup.trivial(), {})
+
+
+def bar_complex(pi: FiniteGroup, t: int) -> GSimplicialSet:
+    """The classifying complex W-bar of the constant simplicial group pi,
+    truncated at t, over the trivial group: its cohomology is the group
+    cohomology of pi."""
+    wbar = classifying_complex(SimplicialFiniteGroup.constant(pi, t), t)
+    return GSimplicialSet(wbar.complex, FiniteGroup.trivial(), {})
 
 
 def constant_setup(gx, coeff: FgAbGroup):

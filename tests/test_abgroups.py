@@ -84,6 +84,24 @@ def test_cohomology_of_circle_complex():
     assert cc.cohomology(1).group.normal_form() == (1, ())
 
 
+def test_a_unit_block_between_unequal_groups_is_not_cancelled():
+    # Z -> Z/2 by 1 is onto but no isomorphism: H^0 is 2Z, not 0
+    z, z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
+    cc = CochainComplex([z, z2], [AbHom(z, z2, IntMatrix([[1]], 1))])
+    assert cc.cohomology(0).group.normal_form() == (1, ())
+    assert cc.cohomology(1).group.normal_form() == (0, ())
+    assert cc.reduced().groups == cc.groups
+
+
+def test_a_block_that_is_not_plus_or_minus_identity_is_not_cancelled():
+    # Z^2 -> Z^2 by diag(1, 2) leaves H^1 = Z/2: the block is a unit in
+    # its first row only
+    z2 = FgAbGroup.free(2)
+    cc = CochainComplex([z2, z2], [AbHom(z2, z2, IntMatrix([[1, 0], [0, 2]]))])
+    assert cc.cohomology(1).group.normal_form() == (0, (2,))
+    assert cc.reduced().groups == cc.groups
+
+
 def test_cohomology_at_with_torsion():
     z = FgAbGroup.free(1)
     double = AbHom(z, z, IntMatrix([[2]], 1))

@@ -293,6 +293,26 @@ def test_lift_system_respects_the_theory_truncation():
         LiftSystem(ec, theory, provider, 3)
 
 
+def test_lift_systems_over_one_theory_build_each_psi_once(monkeypatch):
+    # the trivial twist hands out one identity per orbit type, which the
+    # theory's psi memo is keyed on, so a second lift system adds nothing
+    gx, cat, system, provider = refs1_setup(Z2)
+    ec = EquivariantCochains(gx, cat, system, 2)
+    theory = canonical_theory(cat, system, 3, 3)
+    built = []
+    real = em.CochainModel.postcompose_hom
+
+    def spy(self, *args):
+        built.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(em.CochainModel, "postcompose_hom", spy)
+    LiftSystem(ec, theory, provider, 2)
+    first = len(built)
+    LiftSystem(ec, theory, provider, 2)
+    assert first and len(built) == first
+
+
 def _comparison_cases():
     yield "s1 constant Z2", s1_untwisted(Z2)
     yield "s1 sign on Z", s1_twisted(Z)
