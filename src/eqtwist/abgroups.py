@@ -18,30 +18,34 @@ checks d o d = 0 in every cochain complex.
 Homomorphisms are integer matrices on generators, checked to respect
 relations at construction time.  Kernels, cokernels and subquotients
 are computed by integer kernel calculations, so cohomology of cochain
-complexes whose terms themselves carry torsion comes out exactly.
-Cohomology at a term runs two kernel eliminations and one Smith normal
-form: `kernel_basis` gives generators K of the cocycles, a second one
-gives the relations of H among them, and the SNF presents H.  The
-cocycle group itself is never presented, and `is_iso` tests
-injectivity by membership of K instead.  A `CochainComplex` checks
-d o d = 0 for each pair once, at construction; `cohomology_at`, called
-on a pair of its own, checks it there.
+complexes whose terms themselves carry torsion comes out exactly.  One
+kernel step serves kernels, subgroups and subquotients alike: the
+x with a*x in im(extra) are generated by the a-parts of a basis of
+ker [a | extra].  Cohomology at a term runs it twice and one Smith
+normal form: the first gives generators K of the cocycles, the second
+the relations of H among them, and the SNF presents H.  The cocycle
+group itself is never presented, and `is_iso` tests injectivity by
+membership of K instead.  A `CochainComplex` checks d o d = 0 for each
+pair once, at construction; `cohomology_at`, called on a pair of its
+own, checks it there.
 
 A `CochainComplex` runs those eliminations on a smaller complex.  On
 the first `cohomology` call it cancels its unit blocks once
 (`ReducedComplex`): a block of a coboundary that is +-I between two
 summands with equal relations is an isomorphism, so both summands drop
 out and the coboundary becomes its Schur complement.  The reduced
-complex is homotopy equivalent to the original, and representatives
-are mapped back along the inclusion, so they are cocycles of the
-original terms.  The two edges of a circle on two vertices cancel down
-to one edge on one vertex:
+complex is homotopy equivalent to the original.  It is kept as
+matrices, the relations of each term and the reduced coboundaries, so
+it presents no group: the one Smith normal form of a degree is the one
+that presents H.  Representatives are mapped back along the inclusion,
+so they are cocycles of the original terms.  The two edges of a circle
+on two vertices cancel down to one edge on one vertex:
 
 >>> z = FgAbGroup.free(1)
 >>> c0, c1 = direct_sum([z, z]), direct_sum([z, z])
 >>> cc = CochainComplex([c0, c1],
 ...                     [AbHom(c0, c1, IntMatrix([[-1, 1], [-1, 1]]))])
->>> [g.ngens for g in cc.reduced().groups]
+>>> [rels.nrows for rels in cc.reduced().rels]
 [1, 1]
 >>> h0 = cc.cohomology(0)
 >>> h0.group.describe(), h0.rep_vectors
@@ -79,7 +83,8 @@ import contextvars
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
+from .intmat import (IntMatrix, _add_row, _column_index, kernel_basis,
+                     smith_normal_form, solve)
 
 
 class FgAbGroup:
@@ -245,16 +250,10 @@ class AbHom:
         x = solve(big, list(vec))
         return None if x is None else x[: self.source.ngens]
 
-    def kernel_generators(self) -> list[tuple[int, ...]]:
-        """Generator coordinates of elements that generate the kernel:
-        the nonzero source parts of a basis of ker [matrix | target.rels]."""
-        big = IntMatrix.hstack([self.matrix, self.target.rels])
-        vecs = [v[: self.source.ngens] for v in kernel_basis(big)]
-        return [v for v in vecs if any(v)]
-
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup with its inclusion into the source."""
-        return subgroup_from_generators(self.source, self.kernel_generators())
+        return subgroup_from_generators(
+            self.source, _kernel_part(self.matrix, self.target.rels))
 
     def cokernel(self) -> FgAbGroup:
         rels = IntMatrix.hstack([self.target.rels, self.matrix])
@@ -263,7 +262,7 @@ class AbHom:
     def is_iso(self) -> bool:
         """Injective when every kernel generator is zero in the source,
         which needs no presentation of the kernel; then surjective."""
-        for v in self.kernel_generators():
+        for v in _kernel_part(self.matrix, self.target.rels):
             if any(self.source.from_vector(v)):
                 return False
         return self.cokernel().is_trivial
@@ -318,20 +317,21 @@ def _through(incl: AbHom, target: FgAbGroup, mat: IntMatrix) -> IntMatrix:
     return x.top(incl.source.ngens)
 
 
+def _kernel_part(a: IntMatrix, extra: IntMatrix) -> list[tuple[int, ...]]:
+    """Generators of {x : a*x in im(extra)}: the nonzero a-parts of a
+    basis of ker [a | extra]."""
+    parts = [v[:a.ncols] for v in kernel_basis(IntMatrix.hstack([a, extra]))]
+    return [v for v in parts if any(v)]
+
+
 def subgroup_from_generators(
     g: FgAbGroup, vectors: Sequence[Sequence[int]]
 ) -> tuple[FgAbGroup, AbHom]:
     """Subgroup of g generated by elements with the given generator coords."""
     t = len(vectors)
-    kmat = IntMatrix.from_cols(vectors, g.ngens) if t else IntMatrix.zeros(g.ngens, 0)
-    if t:
-        big = IntMatrix.hstack([kmat, g.rels])
-        rel_cols = [v[:t] for v in kernel_basis(big)]
-        rel_cols = [c for c in rel_cols if any(c)]
-        sub = FgAbGroup(t, IntMatrix.from_cols(rel_cols, t) if rel_cols
-                        else IntMatrix.zeros(t, 0))
-    else:
-        sub = FgAbGroup.trivial()
+    kmat = IntMatrix.from_cols(vectors, g.ngens)
+    rel_cols = _kernel_part(kmat, g.rels) if t else []
+    sub = FgAbGroup(t, IntMatrix.from_cols(rel_cols, t))
     return sub, AbHom(sub, g, kmat, check=False)
 
 
@@ -363,29 +363,33 @@ def cohomology_at(
     if incoming is not None and outgoing is not None:
         if not outgoing.compose(incoming).is_zero_map:
             raise ValueError("not a complex: d o d != 0")
-    return _subquotient(at, incoming, outgoing)
+    return _hom_subquotient(at, incoming, outgoing)
 
 
-def _subquotient(
-    at: FgAbGroup,
-    incoming: AbHom | None,
-    outgoing: AbHom | None,
-) -> Subquotient:
-    """ker(outgoing)/im(incoming) for maps whose composite is known to
-    vanish.  The kernel generators K span the cocycles; the relations
-    of H are the K-parts of a basis of ker [K | incoming | at.rels], so
-    the kernel itself is never presented."""
+def _hom_subquotient(at: FgAbGroup, incoming: AbHom | None,
+                     outgoing: AbHom | None) -> Subquotient:
+    """ker(outgoing)/im(incoming) at `at`, for maps whose composite is
+    known to vanish; either map may be None."""
+    return _subquotient(at.rels, incoming and incoming.matrix,
+                        outgoing and outgoing.matrix,
+                        outgoing and outgoing.target.rels)
+
+
+def _subquotient(rels: IntMatrix, incoming: IntMatrix | None,
+                 outgoing: IntMatrix | None,
+                 out_rels: IntMatrix | None) -> Subquotient:
+    """ker(outgoing)/im(incoming) on the term Z^n/im(rels), for matrices
+    whose composite vanishes modulo out_rels, the relations of
+    outgoing's target.  The kernel generators K span the cocycles; the
+    relations of H are the K-parts of a basis of ker [K | incoming |
+    rels], so the kernel itself is never presented."""
+    n = rels.nrows
     if outgoing is not None:
-        kmat = IntMatrix.from_cols(outgoing.kernel_generators(), at.ngens)
+        kmat = IntMatrix.from_cols(_kernel_part(outgoing, out_rels), n)
     else:
-        kmat = IntMatrix.identity(at.ngens)
-    pieces = [kmat]
-    if incoming is not None:
-        pieces.append(incoming.matrix)
-    pieces.append(at.rels)
-    big = IntMatrix.hstack(pieces)
-    rel_cols = [v[: kmat.ncols] for v in kernel_basis(big)]
-    rel_cols = [c for c in rel_cols if any(c)]
+        kmat = IntMatrix.identity(n)
+    extra = rels if incoming is None else IntMatrix.hstack([incoming, rels])
+    rel_cols = _kernel_part(kmat, extra)
     h = FgAbGroup(kmat.ncols, IntMatrix.from_cols(rel_cols, kmat.ncols))
     return Subquotient(h, kmat.cols())
 
@@ -423,7 +427,8 @@ class CochainComplex:
         red = self.reduced()
         incoming = red.diffs[n - 1] if n >= 1 else None
         outgoing = red.diffs[n] if n < len(red.diffs) else None
-        h = _subquotient(red.groups[n], incoming, outgoing)
+        h = _subquotient(red.rels[n], incoming, outgoing,
+                         outgoing and red.rels[n + 1])
         return Subquotient(h.group, [red.include(n, v) for v in h.rep_vectors])
 
 
@@ -459,12 +464,13 @@ class ReducedComplex:
     fill-in that is a multiple of m leaves no entry for the kernel
     elimination to carry.
 
-    groups, diffs  the reduced terms and differentials; a term or a
-                   differential that lost nothing is the original
-                   object, and a None differential stays None
+    rels   rels[n], the relations of the summands term n keeps, block
+           diagonal
+    diffs  diffs[n], the matrix of the reduced d^n, or None where d^n
+           is None
     """
 
-    __slots__ = ("groups", "diffs", "_kept", "_steps", "_ngens")
+    __slots__ = ("rels", "diffs", "_kept", "_steps", "_ngens")
 
     def __init__(self, groups: Sequence[FgAbGroup],
                  diffs: Sequence[AbHom | None]):
@@ -546,17 +552,11 @@ class ReducedComplex:
                             found = True
 
         # the reduced terms, and the original generators they keep
-        self.groups, self._kept = [], []
-        for g, (parts, offs), live in zip(groups, layouts, alive):
+        self.rels, self._kept = [], []
+        for (parts, offs), live in zip(layouts, alive):
             keep = [j for j, on in enumerate(live) if on]
-            if len(keep) == len(parts):
-                self.groups.append(g)
-                self._kept.append(range(g.ngens))
-                continue
-            rels = [parts[j].rels for j in keep]
-            ngens = sum(parts[j].ngens for j in keep)
-            self.groups.append(FgAbGroup(ngens, IntMatrix.block_diag(rels)
-                                         if rels else IntMatrix.zeros(0, 0)))
+            self.rels.append(IntMatrix.block_diag([parts[j].rels
+                                                   for j in keep]))
             self._kept.append([c for j in keep
                                for c in range(offs[j], offs[j] + parts[j].ngens)])
         # mods[n][c]: m when generator c of C^n lies in a summand with
@@ -567,18 +567,15 @@ class ReducedComplex:
                 for parts, _ in layouts]
         self.diffs = []
         for n, d in enumerate(diffs):
-            src, tgt = self.groups[n], self.groups[n + 1]
-            if d is None or (src is d.source and tgt is d.target):
-                self.diffs.append(d)
+            if d is None:
+                self.diffs.append(None)
                 continue
             new = {c: j for j, c in enumerate(self._kept[n])}
-            # zero-free rows with keys below src.ngens, as _of_sparse takes
+            # zero-free rows with keys below len(new), as _of_sparse takes
             mat = tuple(_residues({new[c]: x for c, x in rows[n][r].items()},
                                   mods[n + 1][r])
                         for r in self._kept[n + 1])
-            self.diffs.append(AbHom(src, tgt,
-                                    IntMatrix._of_sparse(mat, src.ngens),
-                                    check=False))
+            self.diffs.append(IntMatrix._of_sparse(mat, len(new)))
         self._steps = steps
         self._ngens = [g.ngens for g in groups]
 
@@ -595,14 +592,6 @@ class ReducedComplex:
         return tuple([vec.get(c, 0) for c in range(self._ngens[n])])
 
 
-def _column_index(rows: Sequence[dict], ncols: int) -> list[set]:
-    index = [set() for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for c in r:
-            index[c].add(i)
-    return index
-
-
 def _modulus(g: FgAbGroup) -> int:
     """m when the relations of g are m times the identity, m >= 2; else 0."""
     m = g.rels.sparse[0].get(0, 0) if g.ngens else 0
@@ -611,21 +600,6 @@ def _modulus(g: FgAbGroup) -> int:
             any(r != {i: m} for i, r in enumerate(g.rels.sparse)):
         return 0
     return m
-
-
-def _add_row(rows: list[dict], index: list[set], r: int, src: dict,
-             q: int) -> None:
-    """rows[r] += q * src, keeping the column index."""
-    dst = rows[r]
-    for c, y in src.items():
-        x = dst.get(c, 0) + q * y
-        if x:
-            if c not in dst:
-                index[c].add(r)
-            dst[c] = x
-        else:
-            del dst[c]
-            index[c].discard(r)
 
 
 def _residues(row: dict, m: int) -> dict:
@@ -690,8 +664,7 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> DirectSum:
             raise BudgetExceeded(
                 f"direct sums reached {budget[0]} generator columns, "
                 f"budget is {budget[1]}")
-    rels = IntMatrix.block_diag([g.rels for g in groups]) if groups \
-        else IntMatrix.zeros(0, 0)
+    rels = IntMatrix.block_diag([g.rels for g in groups])
     return DirectSum(groups, offsets, rels)
 
 

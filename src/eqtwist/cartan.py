@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .abgroups import (AbHom, DirectSum, FgAbGroup, _subquotient,
+from .abgroups import (AbHom, DirectSum, FgAbGroup, _hom_subquotient,
                        assemble_hom, cohomology_at, direct_sum,
                        enumerate_automorphisms, factor_each)
 from .bredon import EquivariantCochains, twisted_complex
@@ -293,13 +293,10 @@ def canonical_theory(cat: OrbitCategory, coeffs: CoefficientSystem,
                             models[(s.key, i + 1)])
                for s in cat.subgroups}
               for i in range(i_max)]
-    psis = {}  # (model, level, automorphism) -> psi
 
     def psi(skey, alpha, i, q):
-        key = (models[(skey, i)], q, alpha)
-        if key not in psis:
-            psis[key] = key[0].postcompose_hom(q, alpha)
-        return psis[key]
+        return _once(memo, CochainModel.postcompose_hom, models[(skey, i)],
+                     q, alpha)
 
     return CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
 
@@ -464,7 +461,7 @@ def check_axioms(theory: CartanTheory) -> AxiomReport:
                         f"not a complex at degree {d}, {s.key}, level {q}; "
                         f"exactness not checked there")
                     continue
-                h = _once(memo, _subquotient,
+                h = _once(memo, _hom_subquotient,
                           theory.terms[d].objects[s.key].levels[q],
                           deltas[d - 1][s.key][q], deltas[d][s.key][q]).group
                 if not h.is_trivial:

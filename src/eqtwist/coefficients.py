@@ -176,10 +176,17 @@ class LocalSystem:
     @classmethod
     def from_json(cls, system: CoefficientSystem, pi: FiniteGroup,
                   data: dict) -> "LocalSystem":
-        phi = {}
+        phi, given = {}, data["phi"]
+        for key, per in given.items():
+            if key not in system.values:
+                raise ValueError(f"action 'phi' key {key!r} names no subgroup")
+            for u in per:
+                if u not in pi.index:
+                    raise ValueError(f"action 'phi' key {u!r} at {key!r} "
+                                     f"names no element of pi")
         for s in system.cat.subgroups:
             val = system.values[s.key]
-            per = data["phi"].get(s.key, {})
+            per = given.get(s.key, {})
             for u in pi.names:
                 if u in per:
                     mat = IntMatrix([list(r) for r in per[u]], val.ngens)

@@ -106,7 +106,13 @@ class PathChoice:
     def from_json(cls, ph: OGComplex, data: dict) -> "PathChoice":
         paths = {}
         for skey, per in data["paths"].items():
+            if skey not in ph.complexes:
+                raise ValueError(f"twist 'paths' key {skey!r} names no subgroup")
+            vertices = set(ph.complexes[skey].cells.get(0, ()))
             for v, steps in per.items():
+                if v not in vertices:
+                    raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
+                                     f"names no vertex of that fixed complex")
                 paths[(skey, v)] = EdgeWord([(e, int(d)) for e, d in steps])
         return cls(ph, data["basepoint"], paths)
 
@@ -203,8 +209,14 @@ class EdgeActionSystem:
         from .intmat import IntMatrix
         mats = {}
         for skey, per in data.items():
+            if skey not in ph.complexes:
+                raise ValueError(f"action 'edges' key {skey!r} names no subgroup")
             val = system.values[skey]
+            edges = set(ph.complexes[skey].cells.get(1, ()))
             for eid, rows in per.items():
+                if eid not in edges:
+                    raise ValueError(f"action 'edges' key {eid!r} at {skey!r} "
+                                     f"names no edge of that fixed complex")
                 mats[(skey, eid)] = AbHom(
                     val, val, IntMatrix([list(r) for r in rows], val.ngens))
         return cls(ph, system, mats)

@@ -83,8 +83,10 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        return cls(list(data["elements"]),
-                   [list(r) for r in data["table"]])
+        names = data["elements"]
+        if type(names) is not list or any(type(n) is not str for n in names):
+            raise ValueError("group 'elements' must be a JSON list of strings")
+        return cls(names, [list(r) for r in data["table"]])
 
     def __repr__(self) -> str:
         return f"FiniteGroup<order {self.order}>"

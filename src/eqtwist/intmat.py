@@ -230,6 +230,31 @@ def _transpose(rows: Sequence[dict], width: int) -> tuple[dict, ...]:
     return tuple(out)
 
 
+def _column_index(rows: Sequence[dict], ncols: int) -> list[set]:
+    """index[c]: the set of rows holding a nonzero in column c."""
+    index = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for c in r:
+            index[c].add(i)
+    return index
+
+
+def _add_row(rows: list[dict], index: list[set], i: int, src: dict,
+             q: int) -> None:
+    """rows[i] += q * src, for q != 0, keeping the column index."""
+    dst = rows[i]
+    for c, y in src.items():
+        x = dst.get(c)
+        if x is None:
+            dst[c] = q * y
+            index[c].add(i)
+        elif x := x + q * y:
+            dst[c] = x
+        else:
+            del dst[c]
+            index[c].remove(i)
+
+
 def smith_normal_form(
     a: IntMatrix,
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -279,10 +304,7 @@ def _eliminate(a: IntMatrix, with_u: bool):
     m, n = a.nrows, a.ncols
     s = [dict(r) for r in a.sparse]
     # rows_of[j]: the rows of s with a nonzero in column j
-    rows_of = [set() for _ in range(n)]
-    for i, r in enumerate(s):
-        for j in r:
-            rows_of[j].add(i)
+    rows_of = _column_index(s, n)
     vt = [{j: 1} for j in range(n)]
     if with_u:
         u = [{i: 1} for i in range(m)]
@@ -324,25 +346,9 @@ def _eliminate(a: IntMatrix, with_u: bool):
             for c in row:
                 row[c] = -row[c]
 
-    def add_to_row(i, j, q):
-        # s: row_i += q * row_j, keeping the column index
-        dst = s[i]
-        for c, y in s[j].items():
-            x = dst.get(c)
-            if x is None:
-                dst[c] = q * y
-                rows_of[c].add(i)
-            else:
-                x += q * y
-                if x:
-                    dst[c] = x
-                else:
-                    del dst[c]
-                    rows_of[c].remove(i)
-
     def row_sub(i, j, q):
         # row_i -= q * row_j; uinv: col_j += q * col_i
-        add_to_row(i, j, -q)
+        _add_row(s, rows_of, i, s[j], -q)
         if u is not None:
             _axpy(u[i], u[j], -q)
             _axpy(w[j], w[i], q)
@@ -366,7 +372,7 @@ def _eliminate(a: IntMatrix, with_u: bool):
 
     def row_add(i, j):
         # row_i += row_j; uinv: col_j -= col_i
-        add_to_row(i, j, 1)
+        _add_row(s, rows_of, i, s[j], 1)
         if u is not None:
             _axpy(u[i], u[j], 1)
             _axpy(w[j], w[i], -1)

@@ -108,11 +108,11 @@ class GroupTwist:
 
 
 def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
-                    wbar: Materialized, check: bool = True) -> SimplicialMap:
+                    wbar: Materialized) -> SimplicialMap:
     """The map to the classifying complex induced by a twisting function.
 
-    Simpliciality of the result is equivalent to the twisting
-    identities, so check=True re-proves them along the way.
+    The map is checked to be simplicial, which is equivalent to the
+    twisting identities, so building it re-proves them.
     """
     values = {}
     for q in range(space.truncation + 1):
@@ -124,7 +124,7 @@ def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
                 if k < q - 1:
                     ref = space.face(0, ref)
             values[cid] = wbar.ref_of(q, tuple(t))
-    return SimplicialMap(space, wbar.complex, values, check=check)
+    return SimplicialMap(space, wbar.complex, values)
 
 
 def check_naturality(ph: OGComplex, twist: GroupTwist):

@@ -90,7 +90,7 @@ def test_a_unit_block_between_unequal_groups_is_not_cancelled():
     cc = CochainComplex([z, z2], [AbHom(z, z2, IntMatrix([[1]], 1))])
     assert cc.cohomology(0).group.normal_form() == (1, ())
     assert cc.cohomology(1).group.normal_form() == (0, ())
-    assert cc.reduced().groups == cc.groups
+    assert cc.reduced().rels == [g.rels for g in cc.groups]
 
 
 def test_a_block_that_is_not_plus_or_minus_identity_is_not_cancelled():
@@ -99,7 +99,7 @@ def test_a_block_that_is_not_plus_or_minus_identity_is_not_cancelled():
     z2 = FgAbGroup.free(2)
     cc = CochainComplex([z2, z2], [AbHom(z2, z2, IntMatrix([[1, 0], [0, 2]]))])
     assert cc.cohomology(1).group.normal_form() == (0, (2,))
-    assert cc.reduced().groups == cc.groups
+    assert cc.reduced().rels == [g.rels for g in cc.groups]
 
 
 def test_cohomology_at_with_torsion():

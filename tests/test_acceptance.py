@@ -149,13 +149,13 @@ def test_criterion_4_twisting_suite():
         wbar2 = classifying_complex(sg2, 2)
         good = GroupTwist(
             d2, c2, {"0-1": "t", "0-2": "t", "1-2": "e", "0-1-2": "t"})
-        classifying_map(d2, good, wbar2, check=True)
+        classifying_map(d2, good, wbar2)
         bad_values = {"0-1": "t", "0-2": "e", "1-2": "e", "0-1-2": "e"}
         with pytest.raises(ValueError):
             GroupTwist(d2, c2, bad_values)
         bad = GroupTwist(d2, c2, bad_values, check=False)
         with pytest.raises(ValueError):
-            classifying_map(d2, bad, wbar2, check=True)
+            classifying_map(d2, bad, wbar2)
         for gx, cat, system, provider in (
                 s1_twisted(Z), s1_twisted(Z4), triangle_kappa(Z),
                 triangle_kappa(Z4), refs1_setup(Z),

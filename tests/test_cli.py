@@ -545,6 +545,10 @@ MALFORMED_FILES = {
     "pi as a list": ("twist", _twist(pi=["e", "t"])),
     "values as a list": ("twist", _twist(values=["t"])),
     "values as pairs": ("twist", _twist(values=[["e", "t"]])),
+    "elements as a string": ("twist", _twist(pi={"elements": "et",
+                                                 "table": [[0, 1], [1, 0]]})),
+    "group elements as a string": ("group", {"elements": "et",
+                                             "table": [[0, 1], [1, 0]]}),
     "phi as a list": ("action", {"phi": [[-1]]}),
     "matrix as an int": ("action", {"phi": {"e": {"t": -1}}}),
     "string bounds": ("theory", {"canonical": True, "i_max": "two",
@@ -576,6 +580,8 @@ FILE_COMMANDS = {
                 "--bounds", "1,1"],
                ["crosscheck", "--complex", fx("s1.json"),
                 "--coeffs", fx("coeffs_z2.json"), "--nmax", "0"]],
+    "group": [["cartan-check", "--theory", fx("theory_canonical.json"),
+               "--coeffs", fx("coeffs_z2.json"), "--bounds", "1,1"]],
 }
 
 
@@ -590,6 +596,57 @@ def test_a_malformed_input_file_is_an_input_error(capsys, tmp_path, case):
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# the circle's sign action, and the triangle's edge path twist with its
+# edge holonomies, each with one name that names nothing
+S1_SIGN = ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json"),
+           "--twist", fx("twist_s1_z2.json")]
+TRIANGLE = ["--complex", fx("triangle.json"), "--coeffs", fx("coeffs_z.json")]
+TRIANGLE_EDGES = {"e01": [[1]], "e02": [[1]], "e12": [[-1]]}
+TRIANGLE_PATHS = {"v0": [], "v1": [["e01", 1]], "v2": [["e02", 1]]}
+
+# (the other files, file kind, its contents, the one error line it
+# must give)
+UNKNOWN_NAMES = {
+    "phi element": (
+        S1_SIGN, "action", {"phi": {"e": {"t": [[-1]], "zz": [[5]]}}},
+        "error: action 'phi' key 'zz' at 'e' names no element of pi\n"),
+    "phi subgroup": (
+        S1_SIGN, "action", {"phi": {"e": {"t": [[-1]]}, "bogus": {}}},
+        "error: action 'phi' key 'bogus' names no subgroup\n"),
+    "edge": (
+        TRIANGLE + ["--twist", fx("twist_triangle.json")], "action",
+        {"edges": {"e": {**TRIANGLE_EDGES, "e99": [[1]]}}},
+        "error: action 'edges' key 'e99' at 'e' names no edge of that "
+        "fixed complex\n"),
+    "edge subgroup": (
+        TRIANGLE + ["--twist", fx("twist_triangle.json")], "action",
+        {"edges": {"e": TRIANGLE_EDGES, "bogus": {}}},
+        "error: action 'edges' key 'bogus' names no subgroup\n"),
+    "path subgroup": (
+        TRIANGLE + ["--action", fx("action_triangle.json")], "twist",
+        {"kappa": {"basepoint": "v0",
+                   "paths": {"e": TRIANGLE_PATHS, "bogus": {}}}},
+        "error: twist 'paths' key 'bogus' names no subgroup\n"),
+    "path vertex": (
+        TRIANGLE + ["--action", fx("action_triangle.json")], "twist",
+        {"kappa": {"basepoint": "v0",
+                   "paths": {"e": {**TRIANGLE_PATHS, "v9": []}}}},
+        "error: twist 'paths' key 'v9' at 'e' names no vertex of that "
+        "fixed complex\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAMES))
+def test_action_and_edge_path_files_name_only_what_exists(capsys, tmp_path,
+                                                         case):
+    others, kind, data, message = UNKNOWN_NAMES[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    for command in (["twisted", "--nmax", "1"], ["validate"]):
+        assert run(capsys, *command, *others, f"--{kind}", str(path)) == \
+            (1, "", message), command
 
 
 # (file kind, contents with one non-integer entry, that entry as the

@@ -55,13 +55,13 @@ def test_theta_simplicial_for_valid_twist():
     tw = GroupTwist(d2, c2, VALID_D2)
     sg = SimplicialFiniteGroup.constant(c2, 2)
     wbar = classifying_complex(sg, 2)
-    classifying_map(d2, tw, wbar, check=True)
+    classifying_map(d2, tw, wbar)
 
     s1 = circle_gx().space
     tw = GroupTwist(s1, c2, {"e": "t"})
     sg = SimplicialFiniteGroup.constant(c2, 3)
     wbar = classifying_complex(sg, 3)
-    classifying_map(s1, tw, wbar, check=True)
+    classifying_map(s1, tw, wbar)
 
 
 def test_theta_breaks_for_planted_invalid_twist():
@@ -75,7 +75,7 @@ def test_theta_breaks_for_planted_invalid_twist():
     sg = SimplicialFiniteGroup.constant(c2, 2)
     wbar = classifying_complex(sg, 2)
     with pytest.raises(ValueError):
-        classifying_map(d2, bad, wbar, check=True)
+        classifying_map(d2, bad, wbar)
 
 
 def test_degenerate_references_twist_trivially():
