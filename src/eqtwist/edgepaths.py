@@ -113,7 +113,11 @@ class PathChoice:
                 if v not in vertices:
                     raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
                                      f"names no vertex of that fixed complex")
-                paths[(skey, v)] = EdgeWord([(e, int(d)) for e, d in steps])
+                for _e, d in steps:
+                    if type(d) is not int or d not in (1, -1):
+                        raise ValueError(f"twist 'paths' step direction {d!r} "
+                                         f"at {v!r} is not 1 or -1")
+                paths[(skey, v)] = EdgeWord(steps)
         return cls(ph, data["basepoint"], paths)
 
 

@@ -13,9 +13,11 @@ File formats:
   coeffs    {"constant": {gens, rels}} or explicit values and maps,
             read against the orbit category of the complex
   twist     {"pi": <group>, "values": {cell: element}} for a group
-            valued twisting function, or
+            valued twisting function, one key per cell of dimension
+            >= 1, or
             {"kappa": {"basepoint": v, "paths": {subgroup: {vertex:
-            [[edge, +-1], ...]}}}} for an edge path datum
+            [[edge, +-1], ...]}}}} for an edge path datum, each step
+            direction the JSON integer 1 or -1
   action    {"phi": {subgroup: {element: matrix}}} for a group acting
             on the coefficients, or
             {"edges": {subgroup: {edge: matrix}}} for edge holonomies

@@ -52,6 +52,10 @@ class GroupTwist:
 
     def validate(self):
         fs = self.space
+        for key in self.values:
+            if not fs.has_cell(key) or fs.dim_of(key) < 1:
+                raise ValueError(f"twist 'values' key {key!r} names no cell "
+                                 f"of dimension >= 1")
         for q in range(1, fs.truncation + 1):
             for cid in fs.cells[q]:
                 if cid not in self.values:

@@ -5,18 +5,20 @@ same inputs the command line tool ships with; twisted setups are
 assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form, the
-determinant, the kernel-presenting cohomology, the subset-closure
-subgroup lattice, the name-level orbit category and the column-reduction
-map equality live here too: the tests use them as references, the
-package does not.  So do the groups built from generators that the
-lattice tests need, the covering spaces that the twisted cohomology
-tests need, and the classifying complexes whose group cohomology has
-closed forms.
+determinant, the kernel-presenting cohomology, the homotopy through
+Moore subgroups, the subset-closure subgroup lattice, the name-level
+orbit category and the column-reduction map equality live here too:
+the tests use them as references, the package does not.  So do the
+groups built from generators that the lattice tests need, the covering
+spaces that the twisted cohomology tests need, the orbit spaces and
+polygons with actions that the Bredon oracle needs, and the classifying
+complexes whose group cohomology has closed forms.
 """
 
 import itertools
 
-from eqtwist.abgroups import AbHom, FgAbGroup, Subquotient
+from eqtwist.abgroups import (AbHom, FgAbGroup, Subquotient, assemble_hom,
+                              cohomology_at, direct_sum)
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
                             GroupTwistProvider, TrivialTwistProvider,
                             twisted_complex, untwisted_complex)
@@ -226,6 +228,94 @@ def twisted_cover(gx: GSimplicialSet, provider: GroupTwistProvider):
     return cover, cat, system, TrivialTwistProvider(system)
 
 
+def orbit_space(gx: GSimplicialSet) -> GSimplicialSet:
+    """X/G over the trivial group: one cell per orbit of nondegenerate
+    cells, named by its representative, each face sent to the
+    representative of its orbit with its degeneracy word kept.  With
+    constant coefficients M, the Bredon cohomology of X is H^*(X/G; M)."""
+    space = gx.space
+    cells, rep = {}, {}
+    for q in range(space.truncation + 1):
+        cells[q] = []
+        for o in gx.orbits(q):
+            cells[q].append(o.rep)
+            rep.update(dict.fromkeys(o.members, o.rep))
+    faces = {cid: tuple(SimplexRef(r.word, rep[r.base])
+                        for r in space.face_table[cid])
+             for ids in cells.values() for cid in ids
+             if cid in space.face_table}
+    return GSimplicialSet(FiniteSimplicialSet(space.truncation, cells, faces),
+                          FiniteGroup.trivial(), {})
+
+
+def rotated_ngon(n: int) -> GSimplicialSet:
+    """The n-gon with C_n rotating it, v_i to v_{i+1}; X/G is a circle."""
+    g = FiniteGroup.cyclic(n)
+    turn = {}
+    for i in range(n):
+        turn[f"v{i}"] = f"v{(i + 1) % n}"
+        turn[f"e{i}"] = f"e{(i + 1) % n}"
+    return GSimplicialSet(ngon_space(n), g, {g.names[1]: turn})
+
+
+def symmetric_polygon(n: int, group: FiniteGroup,
+                      affine: dict[str, tuple[int, int]]) -> GSimplicialSet:
+    """The n-gon subdivided into a 2n-gon, with `group` acting through
+    generators that act on Z/n as i -> eps*i + c, given by name.
+
+    Vertex a_i sits at position 2i of Z/2n and b_i at 2i + 1; edge p_i
+    runs a_i -> b_i and q_i runs a_{i+1} -> b_i.  The generator moves
+    position x to eps*x + 2c, which keeps parity and so the orientation
+    of every edge: reflections act simplicially, as they cannot on the
+    n-gon itself.  X/G is an interval when a reflection acts."""
+    def vertex(x):
+        x %= 2 * n
+        return f"{'ab'[x % 2]}{x // 2}"
+
+    def edge(x):  # the edge joining positions x and x + 1
+        x %= 2 * n
+        return f"{'pq'[x % 2]}{x // 2}"
+
+    # the odd end of each edge is its face 0, the even end its face 1
+    faces = {edge(x): (nondeg(vertex(x + 1 - x % 2)),
+                       nondeg(vertex(x + x % 2)))
+             for x in range(2 * n)}
+    space = FiniteSimplicialSet(1, {0: sorted(map(vertex, range(2 * n))),
+                                    1: sorted(faces)}, faces)
+    perms = {}
+    for name, (eps, c) in affine.items():
+        perms[name] = {vertex(x): vertex(eps * x + 2 * c)
+                       for x in range(2 * n)}
+        perms[name].update(
+            {edge(x): edge(eps * (x if eps == 1 else x + 1) + 2 * c)
+             for x in range(2 * n)})
+    return GSimplicialSet(space, group, perms)
+
+
+def dihedral_polygon(n: int) -> GSimplicialSet:
+    """The 2n-gon of `symmetric_polygon` with D_n, generated by the
+    rotation i -> i + 1 and the reflection i -> -i."""
+    return symmetric_polygon(n, dihedral(n), {"g1": (1, 1), "g2": (-1, 0)})
+
+
+def s3_polygon() -> GSimplicialSet:
+    """The hexagon of `symmetric_polygon` with the library's S_3: r is
+    i -> i + 1 and s is i -> 1 - i on Z/3."""
+    return symmetric_polygon(3, FiniteGroup.symmetric3(),
+                             {"r": (1, 1), "s": (-1, 1)})
+
+
+def times_polygon(gx: GSimplicialSet, n: int) -> GSimplicialSet:
+    """gx times the n-gon, the group acting on the left factor; its
+    orbit space is that of gx times the n-gon."""
+    pc = product(gx.space, ngon_space(n), truncation=gx.space.dimension + 1)
+    perms = {g: {cid: pc.ref_of_pair(SimplexRef(rx.word, table[rx.base]),
+                                     ry).base
+                 for cid, (rx, ry) in pc.pair_of.items()}
+             for g, table in gx.perms.items()}
+    return GSimplicialSet(pc.complex, gx.group, perms)
+
+
 def c2_category():
     return OrbitCategory(FiniteGroup.cyclic(2))
 
@@ -294,6 +384,30 @@ def with_nonzero_square(theory: CartanTheory, at: int = 1) -> CartanTheory:
     deltas = list(theory.deltas)
     deltas[at] = planted
     return CartanTheory(theory.cat, theory.coeffs, theory.terms, deltas,
+                        theory.psi, theory.i_max, theory.p_max)
+
+
+def with_broken_face(theory: CartanTheory, at: int = 1, level: int = 2,
+                     face: int = 1) -> CartanTheory:
+    """Copy whose term A^at has the face d_face at `level` replaced by
+    zero in every orbit's object.
+
+    The object then fails its simplicial identities, so axiom 1 reports
+    it, and its alternating face sum does not square to zero, so axiom 3
+    cannot read its homotopy there.
+    """
+    term = theory.terms[at]
+    broken = {}
+    for sab in term.objects.values():
+        if sab not in broken:
+            faces = dict(sab.faces)
+            old = faces[(level, face)]
+            faces[(level, face)] = AbHom.zero(old.source, old.target)
+            broken[sab] = SimplicialAb(sab.levels, faces, sab.degs)
+    terms = list(theory.terms)
+    terms[at] = OGSimplicialAb(
+        term.cat, {k: broken[v] for k, v in term.objects.items()}, term.maps)
+    return CartanTheory(theory.cat, theory.coeffs, terms, theory.deltas,
                         theory.psi, theory.i_max, theory.p_max)
 
 
@@ -664,6 +778,33 @@ def reference_cohomology_at(at: FgAbGroup, incoming: AbHom | None,
                   IntMatrix.from_cols(rel_cols, ker.ngens) if rel_cols
                   else IntMatrix.zeros(ker.ngens, 0))
     return Subquotient(h, incl.matrix.cols())
+
+
+# homotopy through Moore subgroups ------------------------------------
+# `cartan.moore_homotopy` as it was before it read the unnormalized
+# complex: pi_* as the homology of the normalized (Moore) complex, one
+# kernel and two direct sums per level, d_0 factored through the
+# inclusions.  The package must agree with it on every normal form.
+
+def moore_subgroup(sab: SimplicialAb, q: int) -> tuple[FgAbGroup, AbHom]:
+    """The normalized chain group N_q = ker d_1 .. ker d_q with inclusion."""
+    g = sab.levels[q]
+    if q == 0:
+        return g, AbHom.identity(g)
+    blocks = [((i, 0), sab.faces[(q, i + 1)].matrix) for i in range(q)]
+    hom = assemble_hom(direct_sum([g]), direct_sum([sab.levels[q - 1]] * q),
+                       blocks)
+    return hom.kernel()
+
+
+def reference_moore_homotopy(sab: SimplicialAb) -> list[FgAbGroup]:
+    """Homotopy pi_0 .. pi_{top-1} as homology of the Moore complex
+    N_top -> ... -> N_0 under d_0; each N_q and each d_0 is built once."""
+    incs = [moore_subgroup(sab, q)[1] for q in range(sab.top + 1)]
+    d0 = [None] + [sab.faces[(q, 0)].compose(incs[q]).factor_through(
+        incs[q - 1]) for q in range(1, sab.top + 1)]
+    return [cohomology_at(incs[n].source, d0[n + 1], d0[n]).group
+            for n in range(sab.top)]
 
 
 def reference_is_iso(h: AbHom) -> bool:

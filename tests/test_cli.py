@@ -293,7 +293,7 @@ def test_cartan_check_budget(capsys):
     assert err.startswith("budget exhausted: ")
 
 
-@pytest.mark.parametrize("budget,code", [("76", 2), ("77", 0)])
+@pytest.mark.parametrize("budget,code", [("24", 2), ("25", 0)])
 def test_cartan_check_budget_counts_the_built_columns(capsys, budget, code):
     assert run(capsys, "cartan-check", "--theory", fx("theory_canonical.json"),
                "--coeffs", fx("coeffs_z2.json"), "--bounds", "2,3",
@@ -534,6 +534,13 @@ def _twist(**data):
     return {k: v for k, v in base.items() if v is not None}
 
 
+def _kappa(direction):
+    """The triangle's edge path twist, its path to v1 stepping along e01
+    in the given direction."""
+    paths = {"v0": [], "v1": [["e01", direction]], "v2": [["e02", 1]]}
+    return {"kappa": {"basepoint": "v0", "paths": {"e": paths}}}
+
+
 # (file kind, malformed contents); each case is fed in place of one good
 # file of an otherwise valid command line
 MALFORMED_FILES = {
@@ -567,6 +574,10 @@ MALFORMED_FILES = {
                                          "p_max": 2}),
     "canonical as a number": ("theory", {"canonical": 1, "i_max": 2,
                                          "p_max": 2}),
+    "fractional step direction": ("edge paths", _kappa(1.5)),
+    "string step direction": ("edge paths", _kappa("1")),
+    "boolean step direction": ("edge paths", _kappa(True)),
+    "step direction 3": ("edge paths", _kappa(3)),
 }
 
 FILE_COMMANDS = {
@@ -582,7 +593,13 @@ FILE_COMMANDS = {
                 "--coeffs", fx("coeffs_z2.json"), "--nmax", "0"]],
     "group": [["cartan-check", "--theory", fx("theory_canonical.json"),
                "--coeffs", fx("coeffs_z2.json"), "--bounds", "1,1"]],
+    "edge paths": [["twisted", "--complex", fx("triangle.json"),
+                    "--coeffs", fx("coeffs_z.json"),
+                    "--action", fx("action_triangle.json"), "--nmax", "1"]],
 }
+
+# the flag of a file kind, where it is not the kind itself
+FILE_FLAGS = {"edge paths": "twist"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
@@ -591,15 +608,16 @@ def test_a_malformed_input_file_is_an_input_error(capsys, tmp_path, case):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
     for command in FILE_COMMANDS[kind]:
-        code, out, err = run(capsys, *command, f"--{kind}", str(path))
+        code, out, err = run(capsys, *command,
+                             f"--{FILE_FLAGS.get(kind, kind)}", str(path))
         assert (code, out) == (1, ""), (command, err)
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
 
-# the circle's sign action, and the triangle's edge path twist with its
-# edge holonomies, each with one name that names nothing
+# the circle's group twist and sign action, and the triangle's edge path
+# twist with its edge holonomies, each with one name that names nothing
 S1_SIGN = ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json"),
            "--twist", fx("twist_s1_z2.json")]
 TRIANGLE = ["--complex", fx("triangle.json"), "--coeffs", fx("coeffs_z.json")]
@@ -635,6 +653,15 @@ UNKNOWN_NAMES = {
                    "paths": {"e": {**TRIANGLE_PATHS, "v9": []}}}},
         "error: twist 'paths' key 'v9' at 'e' names no vertex of that "
         "fixed complex\n"),
+    "twist value cell": (
+        ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json")],
+        "twist", _twist(values={"e": "t", "bogus": "t"}),
+        "error: twist 'values' key 'bogus' names no cell of dimension "
+        ">= 1\n"),
+    "twist value vertex": (
+        ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json")],
+        "twist", _twist(values={"e": "t", "v": "e"}),
+        "error: twist 'values' key 'v' names no cell of dimension >= 1\n"),
 }
 
 

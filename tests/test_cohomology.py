@@ -7,7 +7,8 @@ and an explicit isomorphism onto the reference's group.  On the polygon and toru
 over the trivial group, the Euler characteristic and the universal
 coefficient theorem must hold.  Over a group twist, the twisted
 cohomology of a complex must be the untwisted Bredon cohomology of its
-covering space.
+covering space.  With constant coefficients, the Bredon cohomology of a
+complex with an action must be the cohomology of its orbit space.
 """
 
 import math
@@ -15,16 +16,18 @@ import math
 import pytest
 
 from eqtwist.abgroups import AbHom, FgAbGroup
-from eqtwist.bredon import (EquivariantCochains, twisted_complex,
-                            untwisted_complex)
+from eqtwist.bredon import (EquivariantCochains, TrivialTwistProvider,
+                            twisted_complex, untwisted_complex)
 from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path, load_setup
 from eqtwist.groups import FiniteGroup
 from eqtwist.intmat import IntMatrix, solve
 
 from helpers import (abelian, bar_complex, constant_setup, dihedral,
-                     ngon_space, ngon_twisted, normal_forms,
-                     reference_cohomology_at, torus_gx, twisted_cover)
+                     dihedral_polygon, load_gx, ngon_space, ngon_twisted,
+                     normal_forms, orbit_space, reference_cohomology_at,
+                     rotated_ngon, s3_polygon, times_polygon, torus_gx,
+                     twisted_cover)
 
 COEFFS = {"Z": FgAbGroup.free(1), "Z2": FgAbGroup.cyclic(2),
           "Z4": FgAbGroup.cyclic(4)}
@@ -241,3 +244,28 @@ def test_order_three_action_on_z2_is_its_cover(n):
     setup = ngon_twisted(n, FgAbGroup.free(2), 3, C3_ON_Z2)
     assert normal_forms(*setup, 2) == [(0, ()), (0, (3,)), (0, ())]
     assert_cover_agrees(*setup)
+
+
+# orbit spaces: with constant coefficients M, the Bredon cohomology of
+# X is the cohomology of X/G with coefficients in M
+
+ORBIT_SPACE_CASES = [(name, load_gx(name)) for name in
+                     ("refs1.json", "sphere0.json")] + \
+    [(f"C{n} {n}-gon", rotated_ngon(n)) for n in range(3, 7)] + \
+    [(f"D{n} {2 * n}-gon", dihedral_polygon(n)) for n in range(3, 7)] + \
+    [("S3 hexagon", s3_polygon()),
+     ("C3 3-gon x 3-gon", times_polygon(rotated_ngon(3), 3)),
+     ("D3 6-gon x 4-gon", times_polygon(dihedral_polygon(3), 4))]
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFS))
+@pytest.mark.parametrize("name,gx", ORBIT_SPACE_CASES,
+                         ids=[c[0] for c in ORBIT_SPACE_CASES])
+def test_constant_coefficients_see_the_orbit_space(name, gx, coeff):
+    quotient = orbit_space(gx)
+    assert sum(map(len, quotient.space.cells.values())) < \
+        sum(map(len, gx.space.cells.values()))
+    cat, system = constant_setup(gx, COEFFS[coeff])
+    qcat, qsystem = constant_setup(quotient, COEFFS[coeff])
+    assert normal_forms(gx, cat, system, TrivialTwistProvider(system), 2) == \
+        normal_forms(quotient, qcat, qsystem, TrivialTwistProvider(qsystem), 2)
