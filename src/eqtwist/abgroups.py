@@ -6,10 +6,12 @@ normal form of the relations yields the invariant-factor normal form
 with a unimodular change of basis, which gives every group a canonical
 coordinate system for element arithmetic and enumeration.
 
-Each group runs one elimination, when it is built: the Smith normal
-form u*rels*v = d returns u and its inverse together, so canonical
-coordinates (u*x reduced modulo the diagonal of d) and representatives
-(uinv*y) cost a matrix-vector product each.  Membership needs no further
+Each group runs one elimination, on the first read of its coordinates:
+the Smith normal form u*rels*v = d returns u and its inverse together,
+so canonical coordinates (u*x reduced modulo the diagonal of d) and
+representatives (uinv*y) cost a matrix-vector product each.  A group
+that only lends its relations to a larger computation, as the cochain
+groups of a complex do, is never eliminated.  Membership needs no further
 elimination either: since u*im(rels) = im(d), a vector x lies in
 im(rels) exactly when its canonical form `from_vector(x)` is zero.  That
 test checks that homomorphisms respect relations, compares maps, and so
@@ -54,8 +56,25 @@ on two vertices cancel down to one edge on one vertex:
 'Z'
 
 Work is bounded in one place: inside a `column_budget(limit)` block,
-every `direct_sum` counts its generator columns before its Smith normal
-form runs, and raises `BudgetExceeded` once the count passes the limit.
+every `direct_sum` counts its generator columns as it is built, and
+raises `BudgetExceeded` once the count passes the limit.
+
+A direct sum is built without an elimination; its first `describe()`
+runs the one Smith normal form, and later reads find the coordinates
+already there:
+
+>>> import eqtwist.abgroups as ab
+>>> runs = []
+>>> def counting(a):
+...     runs.append((a.nrows, a.ncols))
+...     return smith_normal_form(a)
+>>> ab.smith_normal_form = counting
+>>> s = direct_sum([FgAbGroup.cyclic(2), FgAbGroup.free(1)])
+>>> runs
+[]
+>>> s.describe(), s.describe(), runs
+('Z x C2', 'Z x C2', [(2, 1)])
+>>> ab.smith_normal_form = smith_normal_form
 
 >>> z6a = FgAbGroup.from_relations(1, [[6]])
 >>> z6b = FgAbGroup.from_relations(2, [[2, 0], [0, 3]])
@@ -90,6 +109,8 @@ from .intmat import (IntMatrix, _add_row, _column_index, kernel_basis,
 class FgAbGroup:
     """Finitely generated abelian group Z^ngens / im(rels)."""
 
+    # _moduli, _u and _uinv, the canonical coordinates, stay unset until
+    # the first read of one of them runs the Smith normal form
     __slots__ = ("ngens", "rels", "_moduli", "_u", "_uinv")
 
     def __init__(self, ngens: int, rels: IntMatrix):
@@ -97,9 +118,16 @@ class FgAbGroup:
             raise ValueError("relation matrix must have one row per generator")
         self.ngens = ngens
         self.rels = rels
-        d, self._u, _v, self._uinv = smith_normal_form(rels)
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset: fill all three at once, so
+        # that every later read is a plain slot access
+        if name not in ("_moduli", "_u", "_uinv"):
+            raise AttributeError(name)
+        d, self._u, _v, self._uinv = smith_normal_form(self.rels)
         diag = d.diagonal()
-        self._moduli = diag + (0,) * (ngens - len(diag))
+        self._moduli = diag + (0,) * (self.ngens - len(diag))
+        return getattr(self, name)
 
     @classmethod
     def from_relations(cls, ngens: int, rel_rows: Iterable[Iterable[int]]) -> "FgAbGroup":
@@ -651,7 +679,7 @@ def column_budget(limit: int) -> Iterator[None]:
 
 def direct_sum(groups: Sequence[FgAbGroup]) -> DirectSum:
     """Direct sum of the groups; its generator columns are charged to
-    the column budget before its Smith normal form runs."""
+    the column budget as it is built."""
     offsets = []
     pos = 0
     for g in groups:

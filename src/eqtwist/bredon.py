@@ -14,6 +14,11 @@ a compatible action on the coefficients, and edge-path transport where
 the correction is the holonomy of the loop spanned by the leading edge.
 Squaring to zero is re-checked on the assembled integer matrices, so a
 bad twist cannot slip through silently.
+
+The untwisted path (`coboundary`, `untwisted_complex`) passes no
+provider at all, so its coboundary is assembled from the coefficient
+maps' own matrices: each face block costs its entries, with no hom
+composed and no matrix product run per face.
 """
 
 from __future__ import annotations
@@ -120,32 +125,45 @@ class EdgePathProvider:
 # coboundaries -------------------------------------------------------
 
 def _face_block(ec: EquivariantCochains, hkey: str, n: int,
-                fref: SimplexRef) -> tuple[int, AbHom] | None:
-    """Column index and evaluation hom for one face of an orbit rep."""
+                fref: SimplexRef) -> tuple[int, str] | None:
+    """Column index, and the key of the orbit morphism whose coefficient
+    map evaluates a cochain there, for one face of an orbit rep."""
     if fref.word:
         return None
     j, orb = ec.orbit_index[n][fref.base]
     g = orb.transporters[fref.base]
     m = ec.cat.coset_morphism(ec.cat.by_key[hkey],
                               ec.cat.by_key[orb.stab_key], g)
-    return j, ec.system.maps[m.key]
+    return j, m.key
 
 
 def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
-    """delta^n with the d_0 term corrected by the provider."""
+    """delta^n with the d_0 term corrected by the provider.  A provider
+    of None means the d_0 face enters as is: every block is then the
+    coefficient map's own matrix, negated once per morphism for the odd
+    faces, and no hom is composed."""
+    maps = ec.system.maps
+    # the odd faces' blocks, -1 times the map of each morphism key
+    negated = {}
     blocks = []
     for xi, ox in enumerate(ec.orbits[n + 1]):
         hkey = ox.stab_key
-        xref = nondeg(ox.rep)
-        for i in range(n + 2):
-            fb = _face_block(ec, hkey, n, ec.gx.space.face(i, xref))
+        # a representative is nondegenerate, so its faces are its own
+        for i, fref in enumerate(ec.gx.space.face_table[ox.rep]):
+            fb = _face_block(ec, hkey, n, fref)
             if fb is None:
                 continue
-            j, hom = fb
-            if i == 0:
-                hom = provider.phi_inv_hom(hkey, xref).compose(hom)
-            blocks.append(((xi, j), hom.matrix if i % 2 == 0
-                           else -hom.matrix))
+            j, key = fb
+            if i % 2:
+                block = negated.get(key)
+                if block is None:
+                    block = negated[key] = -maps[key].matrix
+            elif i == 0 and provider is not None:
+                block = provider.phi_inv_hom(hkey, nondeg(ox.rep)).compose(
+                    maps[key]).matrix
+            else:
+                block = maps[key].matrix
+            blocks.append(((xi, j), block))
     return assemble_hom(ec.groups[n], ec.groups[n + 1], blocks)
 
 
@@ -156,11 +174,11 @@ def twisted_complex(ec: EquivariantCochains, provider) -> CochainComplex:
 
 def coboundary(ec: EquivariantCochains, n: int) -> AbHom:
     """The untwisted delta^n."""
-    return twisted_coboundary(ec, TrivialTwistProvider(ec.system), n)
+    return twisted_coboundary(ec, None, n)
 
 
 def untwisted_complex(ec: EquivariantCochains) -> CochainComplex:
-    return twisted_complex(ec, TrivialTwistProvider(ec.system))
+    return twisted_complex(ec, None)
 
 
 # evaluation ---------------------------------------------------------

@@ -104,16 +104,31 @@ class PathChoice:
 
     @classmethod
     def from_json(cls, ph: OGComplex, data: dict) -> "PathChoice":
+        if not isinstance(data["paths"], dict):
+            raise ValueError("twist 'paths' is not an object from subgroups "
+                             "to vertex paths")
         paths = {}
         for skey, per in data["paths"].items():
             if skey not in ph.complexes:
                 raise ValueError(f"twist 'paths' key {skey!r} names no subgroup")
+            if not isinstance(per, dict):
+                raise ValueError(f"twist 'paths' key {skey!r} is not an "
+                                 f"object from vertices to paths")
             vertices = set(ph.complexes[skey].cells.get(0, ()))
             for v, steps in per.items():
                 if v not in vertices:
                     raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
                                      f"names no vertex of that fixed complex")
-                for _e, d in steps:
+                if not isinstance(steps, list):
+                    raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
+                                     f"is not a list of steps")
+                for step in steps:
+                    if not isinstance(step, list) or len(step) != 2 or \
+                            not isinstance(step[0], str):
+                        raise ValueError(f"twist 'paths' step {step!r} at "
+                                         f"{v!r} is not an [edge name, "
+                                         f"direction] pair")
+                    d = step[1]
                     if type(d) is not int or d not in (1, -1):
                         raise ValueError(f"twist 'paths' step direction {d!r} "
                                          f"at {v!r} is not 1 or -1")

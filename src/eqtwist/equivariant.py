@@ -27,6 +27,9 @@ class GSimplicialSet:
         self.space = space
         self.group = group
         self.perms = {g: dict(p) for g, p in perms.items()}
+        # orbits(q) of each q asked for so far; a complex is fixed once
+        # validate has passed
+        self._orbits = {}
         self._close()
         self.validate()
 
@@ -100,8 +103,18 @@ class GSimplicialSet:
                          if self.perms[g][cid] == cid)
 
     def orbits(self, q: int) -> list["CellOrbit"]:
-        """G-orbits of nondegenerate q-cells, with canonical representatives."""
+        """G-orbits of nondegenerate q-cells, with canonical representatives.
+        They are found on the first call for q; every call returns a
+        fresh list of the same orbits."""
+        if q not in self._orbits:
+            self._orbits[q] = self._find_orbits(q)
+        return list(self._orbits[q])
+
+    def _find_orbits(self, q: int) -> list["CellOrbit"]:
         seen = set()
+        # one frozenset per distinct stabilizer, kept by every orbit
+        # that has it, so the kept orbits hold few sets
+        stabilizers = {}
         out = []
         for cid in self.space.cells.get(q, []):
             if cid in seen:
@@ -115,8 +128,10 @@ class GSimplicialSet:
                     if self.perms[g][rep] == target:
                         transporters[target] = g
                         break
+            stab = self.stabilizer_members(rep)
             out.append(CellOrbit(rep, tuple(members),
-                                 self.stabilizer_members(rep), transporters))
+                                 stabilizers.setdefault(stab, stab),
+                                 transporters))
         out.sort(key=lambda o: o.rep)
         return out
 
@@ -135,7 +150,7 @@ class GSimplicialSet:
 
 
 class CellOrbit:
-    __slots__ = ("rep", "members", "stabilizer", "transporters")
+    __slots__ = ("rep", "members", "stabilizer", "transporters", "stab_key")
 
     def __init__(self, rep: str, members: tuple[str, ...],
                  stabilizer: frozenset[str], transporters: dict[str, str]):
@@ -143,10 +158,7 @@ class CellOrbit:
         self.members = members
         self.stabilizer = stabilizer
         self.transporters = transporters
-
-    @property
-    def stab_key(self) -> str:
-        return subgroup_key(self.stabilizer)
+        self.stab_key = subgroup_key(stabilizer)
 
 
 class OGComplex:

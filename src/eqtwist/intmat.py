@@ -113,13 +113,22 @@ class IntMatrix:
     def from_blocks(cls, nrows: int, ncols: int,
                     placed: Iterable[tuple[int, int, "IntMatrix"]]) \
             -> "IntMatrix":
-        """The nrows x ncols sum of blocks (r, c, a), a's top left at (r, c)."""
+        """The nrows x ncols sum of blocks (r, c, a), a's top left at (r, c);
+        each entry of a block is added in place."""
         out = [{} for _ in range(nrows)]
         for r, c, a in placed:
             if r + a.nrows > nrows or c + a.ncols > ncols:
                 raise ValueError("block does not fit")
-            for i, row in enumerate(a.sparse, r):
-                _axpy(out[i], {j + c: x for j, x in row.items()}, 1)
+            for dst, row in zip(out[r:r + a.nrows], a.sparse):
+                for j, x in row.items():
+                    j += c
+                    y = dst.get(j)
+                    if y is None:
+                        dst[j] = x
+                    elif y := y + x:
+                        dst[j] = y
+                    else:
+                        del dst[j]
         return cls._of_sparse(tuple(out), ncols)
 
     @property

@@ -6,8 +6,9 @@ assembled here because the tests want them in many coefficient
 variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form, the
 determinant, the kernel-presenting cohomology, the homotopy through
-Moore subgroups, the subset-closure subgroup lattice, the name-level
-orbit category and the column-reduction map equality live here too:
+Moore subgroups, the orbits found afresh on every call, the
+subset-closure subgroup lattice, the name-level orbit category and the
+column-reduction map equality live here too:
 the tests use them as references, the package does not.  So do the
 groups built from generators that the lattice tests need, the covering
 spaces that the twisted cohomology tests need, the orbit spaces and
@@ -28,7 +29,8 @@ from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
 from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
 from eqtwist.edgepaths import EdgeActionSystem, PathChoice
-from eqtwist.equivariant import GSimplicialSet, fixed_point_system
+from eqtwist.equivariant import (CellOrbit, GSimplicialSet,
+                                 fixed_point_system)
 from eqtwist.fixtures import fixture_path, load_json
 from eqtwist.groups import (FiniteGroup, OrbitCategory, OrbitMorphism,
                             all_subgroups)
@@ -303,6 +305,19 @@ def s3_polygon() -> GSimplicialSet:
     i -> i + 1 and s is i -> 1 - i on Z/3."""
     return symmetric_polygon(3, FiniteGroup.symmetric3(),
                              {"r": (1, 1), "s": (-1, 1)})
+
+
+# complexes with an action, by name, each made afresh by a call: every
+# fixture complex that loads (most over the trivial group), C_n rotating
+# and D_n reflecting polygons for n = 3..6, and the S_3 hexagon
+ACTION_SPACES = {
+    **{name: lambda name=name: load_gx(name)
+       for name in ["delta2.json", "refs1.json", "s1.json", "sphere0.json",
+                    "sphere2.json", "triangle.json"]},
+    **{f"C{n} polygon": lambda n=n: rotated_ngon(n) for n in range(3, 7)},
+    **{f"D{n} polygon": lambda n=n: dihedral_polygon(n) for n in range(3, 7)},
+    "S3 hexagon": s3_polygon,
+}
 
 
 def times_polygon(gx: GSimplicialSet, n: int) -> GSimplicialSet:
@@ -778,6 +793,32 @@ def reference_cohomology_at(at: FgAbGroup, incoming: AbHom | None,
                   IntMatrix.from_cols(rel_cols, ker.ngens) if rel_cols
                   else IntMatrix.zeros(ker.ngens, 0))
     return Subquotient(h, incl.matrix.cols())
+
+
+# orbits found afresh --------------------------------------------------
+# `GSimplicialSet.orbits` as it was before each complex kept its orbits:
+# the same search, run on every call
+
+def reference_orbits(gx: GSimplicialSet, q: int) -> list[CellOrbit]:
+    """G-orbits of nondegenerate q-cells, with canonical representatives."""
+    seen = set()
+    out = []
+    for cid in gx.space.cells.get(q, []):
+        if cid in seen:
+            continue
+        members = sorted({gx.perms[g][cid] for g in gx.group.names})
+        rep = min(members)
+        seen.update(members)
+        transporters = {}
+        for target in members:
+            for g in gx.group.names:  # names are in table order
+                if gx.perms[g][rep] == target:
+                    transporters[target] = g
+                    break
+        out.append(CellOrbit(rep, tuple(members),
+                             gx.stabilizer_members(rep), transporters))
+    out.sort(key=lambda o: o.rep)
+    return out
 
 
 # homotopy through Moore subgroups ------------------------------------

@@ -191,17 +191,23 @@ def test_kernel_elements_die(rel_rows):
 
 
 def test_each_presentation_is_eliminated_once(snf_calls):
-    # Z/2 + Z/6 + Z^3 on five generators: one elimination, not one more
-    # per generator
-    g = FgAbGroup(5, IntMatrix([[2, 0], [0, 6], [0, 6], [0, 0], [0, 0]]))
+    # Z/2 + Z/6 on three generators: no elimination until its coordinates
+    # are read, then one, not one more per generator or per reader
+    g = FgAbGroup(3, IntMatrix([[2, 0, 0], [0, 6, 0], [0, 6, 1]]))
+    assert snf_calls == []
+    assert g.normal_form() == (0, (2, 6))
+    y = g.from_vector((1, 1, 1))
+    assert g.from_vector(g.to_vector(y)) == y
+    assert len(g.elements()) == 12
     assert len(snf_calls) == 1
-    assert g.normal_form() == (3, (2, 6))
 
 
 def test_relation_checks_and_comparisons_run_no_elimination(snf_calls):
     g = FgAbGroup.from_relations(2, [[4], [0]])  # Z/4 + Z
     z2 = FgAbGroup.cyclic(2)
     shear = IntMatrix([[1, 1], [0, 1]])
+    # the groups' own eliminations, which their first reads run
+    g.normal_form(), z2.normal_form()
     snf_calls.clear()
     h = AbHom(g, g, shear, check=True)
     with pytest.raises(ValueError):
@@ -293,16 +299,24 @@ def test_each_square_of_a_complex_is_checked_once(monkeypatch):
         assert second is diffs[n + 1] and first is diffs[n]
 
 
-def test_cohomology_at_presents_no_kernel(eliminations):
+def test_cohomology_at_presents_no_kernel(eliminations, monkeypatch):
     d0, d1, _d2 = simplex_diffs()
-    for cohomology, kernels, snfs in ((cohomology_at, 2, 1),
-                                      (reference_cohomology_at, 3, 2)):
-        eliminations["snf"].clear()
+    presented = []
+    real = FgAbGroup.__init__
+
+    def spy(self, ngens, rels):
+        presented.append(ngens)
+        real(self, ngens, rels)
+
+    monkeypatch.setattr(FgAbGroup, "__init__", spy)
+    for cohomology, kernels, groups in ((cohomology_at, 2, 1),
+                                        (reference_cohomology_at, 3, 2)):
+        presented.clear()
         eliminations["kernel_basis"].clear()
         h = cohomology(Z4_CUBE, d0, d1)
         assert h.group.normal_form() == (0, ())
         assert len(eliminations["kernel_basis"]) == kernels
-        assert len(eliminations["snf"]) == snfs
+        assert len(presented) == groups
 
 
 def test_is_iso_presents_no_kernel(eliminations):

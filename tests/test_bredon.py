@@ -1,22 +1,28 @@
 """Bredon cochains, twisted coboundaries, and known cohomology."""
 
-from eqtwist.abgroups import FgAbGroup
+import pytest
+
+from eqtwist.abgroups import AbHom, FgAbGroup
 from eqtwist.bredon import (
     EquivariantCochains,
     TrivialTwistProvider,
+    coboundary,
     evaluate_cochain,
     twisted_complex,
     twisted_coboundary,
     untwisted_complex,
 )
 from eqtwist.equivariant import GSimplicialSet
-from eqtwist.groups import FiniteGroup
+from eqtwist.groups import FiniteGroup, OrbitCategory
+from eqtwist.intmat import IntMatrix
 from eqtwist.simplicial import SimplexRef, nondeg
 
 from helpers import (
+    ACTION_SPACES,
     circle_gx,
     constant_setup,
     delta2_gx,
+    nonconstant_system,
     normal_forms,
     refs1_gx,
     refs1_setup,
@@ -28,6 +34,7 @@ from helpers import (
 )
 
 Z = FgAbGroup.from_relations(1, [[0]])
+Z2 = FgAbGroup.cyclic(2)
 Z4 = FgAbGroup.from_relations(1, [[4]])
 
 
@@ -141,3 +148,61 @@ def test_the_six_by_six_torus():
         cc = untwisted_complex(ec)
         assert [cc.cohomology(n).group.normal_form()
                 for n in range(3)] == want
+
+
+def _constant(space, coeff):
+    def build():
+        gx = space()
+        return (gx, *constant_setup(gx, coeff))
+    return build
+
+
+def _refs1_doubling():
+    gx = refs1_gx()
+    cat = OrbitCategory(gx.group)
+    return gx, cat, nonconstant_system(cat, Z4, Z2, [[2]])
+
+
+# each complex of ACTION_SPACES with Z, Z/2 and Z/4 coefficients, and
+# the reflection circle with a restriction that doubles
+COBOUNDARY_CASES = {f"{name} {coeff.describe()}": _constant(space, coeff)
+                    for name, space in ACTION_SPACES.items()
+                    for coeff in (Z, Z2, Z4)}
+COBOUNDARY_CASES["refs1 doubling"] = _refs1_doubling
+
+
+@pytest.mark.parametrize("case", sorted(COBOUNDARY_CASES))
+def test_the_untwisted_coboundary_composes_nothing(monkeypatch, case):
+    gx, cat, system = COBOUNDARY_CASES[case]()
+    ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
+    trivial = TrivialTwistProvider(system)
+    for n in range(ec.nmax):
+        want = twisted_coboundary(ec, trivial, n)
+        products, homs = [], []
+        real_product, real_hom = IntMatrix.__matmul__, AbHom.__init__
+
+        def product(a, b):
+            products.append((a, b))
+            return real_product(a, b)
+
+        def hom(self, *args, **kwargs):
+            homs.append(self)
+            real_hom(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(IntMatrix, "__matmul__", product)
+            m.setattr(AbHom, "__init__", hom)
+            got = coboundary(ec, n)
+        # the one hom built is the coboundary itself
+        assert products == []
+        assert homs == [got]
+        assert got.matrix == want.matrix
+
+
+def test_cochains_of_the_four_by_four_torus_run_no_elimination(snf_calls):
+    gx = torus_gx(4, 4)
+    cat, system = constant_setup(gx, Z2)
+    snf_calls.clear()
+    ec = EquivariantCochains(gx, cat, system, 3)
+    assert [ec.groups[n].ngens for n in range(4)] == [16, 48, 32, 0]
+    assert snf_calls == []

@@ -534,11 +534,57 @@ def _twist(**data):
     return {k: v for k, v in base.items() if v is not None}
 
 
+def _kappa_paths(paths):
+    """The triangle's edge path twist with the given paths at e."""
+    return {"kappa": {"basepoint": "v0", "paths": {"e": paths}}}
+
+
+def _kappa_step(step):
+    """The triangle's edge path twist, its path to v1 the one step."""
+    return _kappa_paths({"v0": [], "v1": [step], "v2": [["e02", 1]]})
+
+
 def _kappa(direction):
     """The triangle's edge path twist, its path to v1 stepping along e01
     in the given direction."""
-    paths = {"v0": [], "v1": [["e01", direction]], "v2": [["e02", 1]]}
-    return {"kappa": {"basepoint": "v0", "paths": {"e": paths}}}
+    return _kappa_step(["e01", direction])
+
+
+# the triangle's edge path twist with one part of the wrong shape, and
+# the one error line it must give
+MALFORMED_PATHS = {
+    "step without a direction": (
+        _kappa_step(["e01"]),
+        "error: twist 'paths' step ['e01'] at 'v1' is not an "
+        "[edge name, direction] pair\n"),
+    "step as an object": (
+        _kappa_step({"e01": 1}),
+        "error: twist 'paths' step {'e01': 1} at 'v1' is not an "
+        "[edge name, direction] pair\n"),
+    "step as a string": (
+        _kappa_step("e01"),
+        "error: twist 'paths' step 'e01' at 'v1' is not an "
+        "[edge name, direction] pair\n"),
+    "step of three entries": (
+        _kappa_step(["e01", 1, 2]),
+        "error: twist 'paths' step ['e01', 1, 2] at 'v1' is not an "
+        "[edge name, direction] pair\n"),
+    "step with a numeric edge": (
+        _kappa_step([1, 1]),
+        "error: twist 'paths' step [1, 1] at 'v1' is not an "
+        "[edge name, direction] pair\n"),
+    "steps as a string": (
+        _kappa_paths({"v0": [], "v1": "x", "v2": [["e02", 1]]}),
+        "error: twist 'paths' key 'v1' at 'e' is not a list of steps\n"),
+    "vertex paths as a list": (
+        _kappa_paths([["v0", []]]),
+        "error: twist 'paths' key 'e' is not an object from vertices to "
+        "paths\n"),
+    "paths as a list": (
+        {"kappa": {"basepoint": "v0", "paths": [["e", {}]]}},
+        "error: twist 'paths' is not an object from subgroups to vertex "
+        "paths\n"),
+}
 
 
 # (file kind, malformed contents); each case is fed in place of one good
@@ -578,6 +624,8 @@ MALFORMED_FILES = {
     "string step direction": ("edge paths", _kappa("1")),
     "boolean step direction": ("edge paths", _kappa(True)),
     "step direction 3": ("edge paths", _kappa(3)),
+    **{case: ("edge paths", data)
+       for case, (data, _line) in MALFORMED_PATHS.items()},
 }
 
 FILE_COMMANDS = {
@@ -674,6 +722,17 @@ def test_action_and_edge_path_files_name_only_what_exists(capsys, tmp_path,
     for command in (["twisted", "--nmax", "1"], ["validate"]):
         assert run(capsys, *command, *others, f"--{kind}", str(path)) == \
             (1, "", message), command
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
+def test_a_malformed_edge_path_is_named_by_its_key(capsys, tmp_path, case):
+    data, message = MALFORMED_PATHS[case]
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(data))
+    for command in (["twisted", "--nmax", "1"], ["validate"]):
+        assert run(capsys, *command, *TRIANGLE,
+                   "--action", fx("action_triangle.json"),
+                   "--twist", str(path)) == (1, "", message), command
 
 
 # (file kind, contents with one non-integer entry, that entry as the

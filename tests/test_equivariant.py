@@ -3,11 +3,11 @@
 import pytest
 
 from eqtwist.equivariant import GSimplicialSet, OGComplex, fixed_point_system
-from eqtwist.groups import FiniteGroup, OrbitCategory
+from eqtwist.groups import FiniteGroup, OrbitCategory, subgroup_key
 from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef, SimplicialMap,
                                 nondeg)
 
-from helpers import load_gx, refs1_gx
+from helpers import ACTION_SPACES, load_gx, refs1_gx, reference_orbits
 
 
 def test_refs1_orbits():
@@ -103,3 +103,20 @@ def test_og_complex_names_the_first_pair_that_is_not_functorial():
     with pytest.raises(ValueError) as ex:
         OGComplex(cat, good.complexes, maps)
     assert str(ex.value) == want
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_SPACES))
+def test_orbits_are_found_once_and_agree_with_a_fresh_search(case):
+    gx = ACTION_SPACES[case]()
+    for q in range(gx.space.truncation + 1):
+        first = gx.orbits(q)
+        want = reference_orbits(gx, q)
+        assert [(o.rep, o.members, o.stabilizer, o.transporters, o.stab_key)
+                for o in first] == \
+            [(o.rep, o.members, o.stabilizer, o.transporters,
+              subgroup_key(o.stabilizer)) for o in want]
+        # the second call hands out the same orbits in a list of its own
+        again = gx.orbits(q)
+        assert again is not first
+        assert len(again) == len(first)
+        assert all(a is b for a, b in zip(again, first))
