@@ -27,9 +27,12 @@ ker [a | extra].  Cohomology at a term runs it twice and one Smith
 normal form: the first gives generators K of the cocycles, the second
 the relations of H among them, and the SNF presents H.  The cocycle
 group itself is never presented, and `is_iso` tests injectivity by
-membership of K instead.  A `CochainComplex` checks d o d = 0 for each
-pair once, at construction; `cohomology_at`, called on a pair of its
-own, checks it there.
+membership of K instead.  A matrix with no entry is the zero map and
+needs no elimination: when the outgoing map is zero the cocycles are
+the whole term, so H is the term modulo the image of the incoming map,
+presented by the term's own relations when that map is zero too.  A
+`CochainComplex` checks d o d = 0 for each pair once, at construction;
+`cohomology_at`, called on a pair of its own, checks it there.
 
 A `CochainComplex` runs those eliminations on a smaller complex.  On
 the first `cohomology` call it cancels its unit blocks once
@@ -39,9 +42,11 @@ out and the coboundary becomes its Schur complement.  The reduced
 complex is homotopy equivalent to the original.  It is kept as
 matrices, the relations of each term and the reduced coboundaries, so
 it presents no group: the one Smith normal form of a degree is the one
-that presents H.  Representatives are mapped back along the inclusion,
-so they are cocycles of the original terms.  The two edges of a circle
-on two vertices cancel down to one edge on one vertex:
+that presents H.  Its coboundaries are often left with no entry, and
+then no kernel is eliminated at all.  Representatives are mapped back
+along the inclusion on their first read, so they are cocycles of the
+original terms.  The two edges of a circle on two vertices cancel down
+to one edge on one vertex:
 
 >>> z = FgAbGroup.free(1)
 >>> c0, c1 = direct_sum([z, z]), direct_sum([z, z])
@@ -82,7 +87,10 @@ already there:
 True
 
 A `DirectSum`, built by `direct_sum`, is a group that keeps its
-summands and the generator offset of each.  Every hom between direct
+summands and the generator offset of each.  Its block-diagonal
+relations are built on their first read: the reduction of a complex
+reads the summands' relations, and the d o d check reads a term's only
+where a composite matrix is not zero.  Every hom between direct
 sums (coboundaries, face laws, model operators) is assembled from
 blocks by `assemble_hom`, which reads the layout from its two sums.
 
@@ -99,6 +107,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -368,14 +377,28 @@ class Subquotient:
 
     group       the subquotient as an abstract group
     rep_vectors generator-coordinate representatives in the ambient term,
-                one per generator of `group`
+                one per generator of `group`: the columns of the cocycle
+                generators, each mapped through `include` when one is
+                given; built on the first read
     """
 
-    __slots__ = ("group", "rep_vectors")
+    # rep_vectors stays unset until its first read
+    __slots__ = ("group", "rep_vectors", "_cocycles", "_include")
 
-    def __init__(self, group: FgAbGroup, rep_vectors: list[tuple[int, ...]]):
+    def __init__(self, group: FgAbGroup, cocycles: IntMatrix,
+                 include=None):
         self.group = group
-        self.rep_vectors = rep_vectors
+        self._cocycles = cocycles
+        self._include = include
+
+    def __getattr__(self, name: str):
+        if name != "rep_vectors":
+            raise AttributeError(name)
+        cols = self._cocycles.cols()
+        if self._include is not None:
+            cols = [self._include(v) for v in cols]
+        self.rep_vectors = cols
+        return cols
 
 
 def cohomology_at(
@@ -404,22 +427,29 @@ def _hom_subquotient(at: FgAbGroup, incoming: AbHom | None,
 
 
 def _subquotient(rels: IntMatrix, incoming: IntMatrix | None,
-                 outgoing: IntMatrix | None,
-                 out_rels: IntMatrix | None) -> Subquotient:
+                 outgoing: IntMatrix | None, out_rels: IntMatrix | None,
+                 include=None) -> Subquotient:
     """ker(outgoing)/im(incoming) on the term Z^n/im(rels), for matrices
     whose composite vanishes modulo out_rels, the relations of
-    outgoing's target.  The kernel generators K span the cocycles; the
-    relations of H are the K-parts of a basis of ker [K | incoming |
-    rels], so the kernel itself is never presented."""
+    outgoing's target; `include` maps the representatives.  The kernel
+    generators K span the cocycles; the relations of H are the K-parts
+    of a basis of ker [K | incoming | rels], so the kernel itself is
+    never presented.  A matrix with no entry is the zero map, as None
+    is: where outgoing is zero, K is the identity and H is the term
+    modulo im(incoming), with no kernel eliminated."""
     n = rels.nrows
-    if outgoing is not None:
-        kmat = IntMatrix.from_cols(_kernel_part(outgoing, out_rels), n)
-    else:
-        kmat = IntMatrix.identity(n)
-    extra = rels if incoming is None else IntMatrix.hstack([incoming, rels])
+    extra = rels if _is_zero(incoming) else IntMatrix.hstack([incoming, rels])
+    if _is_zero(outgoing):
+        return Subquotient(FgAbGroup(n, extra), IntMatrix.identity(n),
+                           include)
+    kmat = IntMatrix.from_cols(_kernel_part(outgoing, out_rels), n)
     rel_cols = _kernel_part(kmat, extra)
     h = FgAbGroup(kmat.ncols, IntMatrix.from_cols(rel_cols, kmat.ncols))
-    return Subquotient(h, kmat.cols())
+    return Subquotient(h, kmat, include)
+
+
+def _is_zero(mat: IntMatrix | None) -> bool:
+    return mat is None or not any(mat.sparse)
 
 
 class CochainComplex:
@@ -455,9 +485,9 @@ class CochainComplex:
         red = self.reduced()
         incoming = red.diffs[n - 1] if n >= 1 else None
         outgoing = red.diffs[n] if n < len(red.diffs) else None
-        h = _subquotient(red.rels[n], incoming, outgoing,
-                         outgoing and red.rels[n + 1])
-        return Subquotient(h.group, [red.include(n, v) for v in h.rep_vectors])
+        return _subquotient(red.rels[n], incoming, outgoing,
+                            outgoing and red.rels[n + 1],
+                            functools.partial(red.include, n))
 
 
 def _layout(g: FgAbGroup) -> tuple[list[FgAbGroup], list[int]]:
@@ -692,22 +722,29 @@ def direct_sum(groups: Sequence[FgAbGroup]) -> DirectSum:
             raise BudgetExceeded(
                 f"direct sums reached {budget[0]} generator columns, "
                 f"budget is {budget[1]}")
-    rels = IntMatrix.block_diag([g.rels for g in groups])
-    return DirectSum(groups, offsets, rels)
+    return DirectSum(groups, offsets, pos)
 
 
 class DirectSum(FgAbGroup):
     """A direct sum that keeps its layout: summand j occupies the
     generators offsets[j] .. offsets[j] + summands[j].ngens - 1.
-    Built by `direct_sum`."""
+    Built by `direct_sum`.  Its relations, the block diagonal of the
+    summands' relations, are built on their first read."""
 
     __slots__ = ("summands", "offsets")
 
     def __init__(self, summands: Sequence[FgAbGroup], offsets: list[int],
-                 rels: IntMatrix):
-        super().__init__(rels.nrows, rels)
+                 ngens: int):
+        # rels stays unset, so FgAbGroup.__init__ has nothing to check
+        self.ngens = ngens
         self.summands = list(summands)
         self.offsets = offsets
+
+    def __getattr__(self, name: str):
+        if name != "rels":
+            return super().__getattr__(name)
+        self.rels = IntMatrix.block_diag([g.rels for g in self.summands])
+        return self.rels
 
     def span(self, j: int) -> slice:
         """The generator coordinates of summand j."""

@@ -18,7 +18,11 @@ bad twist cannot slip through silently.
 The untwisted path (`coboundary`, `untwisted_complex`) passes no
 provider at all, so its coboundary is assembled from the coefficient
 maps' own matrices: each face block costs its entries, with no hom
-composed and no matrix product run per face.
+composed and no matrix product run per face.  The faces themselves are
+resolved once per complex, by `GSimplicialSet.orbit_faces`, to the
+orbit and transporter of each face of each orbit representative; a
+coboundary then only looks up the orbit morphism of each face and its
+block, so every set of cochains on one complex shares that work.
 """
 
 from __future__ import annotations
@@ -52,13 +56,6 @@ class EquivariantCochains:
         self.groups = {n: direct_sum([system.values[o.stab_key]
                                       for o in self.orbits[n]])
                        for n in range(nmax + 1)}
-        self.orbit_index = {}
-        for n in range(nmax + 1):
-            idx = {}
-            for j, o in enumerate(self.orbits[n]):
-                for cid in o.members:
-                    idx[cid] = (j, o)
-            self.orbit_index[n] = idx
 
     def describe(self, n: int) -> str:
         return self.groups[n].describe()
@@ -124,36 +121,25 @@ class EdgePathProvider:
 
 # coboundaries -------------------------------------------------------
 
-def _face_block(ec: EquivariantCochains, hkey: str, n: int,
-                fref: SimplexRef) -> tuple[int, str] | None:
-    """Column index, and the key of the orbit morphism whose coefficient
-    map evaluates a cochain there, for one face of an orbit rep."""
-    if fref.word:
-        return None
-    j, orb = ec.orbit_index[n][fref.base]
-    g = orb.transporters[fref.base]
-    m = ec.cat.coset_morphism(ec.cat.by_key[hkey],
-                              ec.cat.by_key[orb.stab_key], g)
-    return j, m.key
-
-
 def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
     """delta^n with the d_0 term corrected by the provider.  A provider
     of None means the d_0 face enters as is: every block is then the
     coefficient map's own matrix, negated once per morphism for the odd
     faces, and no hom is composed."""
     maps = ec.system.maps
+    cat = ec.cat
+    lower = [cat.by_key[o.stab_key] for o in ec.orbits[n]]
     # the odd faces' blocks, -1 times the map of each morphism key
     negated = {}
     blocks = []
-    for xi, ox in enumerate(ec.orbits[n + 1]):
+    for xi, (ox, faces) in enumerate(zip(ec.orbits[n + 1],
+                                         ec.gx.orbit_faces(n + 1))):
         hkey = ox.stab_key
-        # a representative is nondegenerate, so its faces are its own
-        for i, fref in enumerate(ec.gx.space.face_table[ox.rep]):
-            fb = _face_block(ec, hkey, n, fref)
-            if fb is None:
-                continue
-            j, key = fb
+        h = cat.by_key[hkey]
+        for i, j, g in faces:
+            # the orbit morphism whose coefficient map evaluates a
+            # cochain at the face
+            key = cat.coset_morphism(h, lower[j], g).key
             if i % 2:
                 block = negated.get(key)
                 if block is None:
@@ -179,22 +165,3 @@ def coboundary(ec: EquivariantCochains, n: int) -> AbHom:
 
 def untwisted_complex(ec: EquivariantCochains) -> CochainComplex:
     return twisted_complex(ec, None)
-
-
-# evaluation ---------------------------------------------------------
-
-def evaluate_cochain(ec: EquivariantCochains, n: int,
-                     coords: tuple[int, ...], skey: str,
-                     ref: SimplexRef) -> tuple[int, ...]:
-    """Value of a cochain at a cell of the skey-fixed complex, as a
-    normal-form vector in M(G/H).  Degenerate simplices give zero."""
-    target = ec.system.values[skey]
-    if ref.word:
-        return target.zero()
-    j, orb = ec.orbit_index[n][ref.base]
-    g = orb.transporters[ref.base]
-    m = ec.cat.coset_morphism(ec.cat.by_key[skey],
-                              ec.cat.by_key[orb.stab_key], g)
-    cochains = ec.groups[n]
-    piece = cochains.summands[j].reduce(coords[cochains.span(j)])
-    return target.reduce(ec.system.maps[m.key].apply(piece))

@@ -52,7 +52,7 @@ class CoefficientSystem:
     @classmethod
     def from_json(cls, cat: OrbitCategory, data: dict) -> "CoefficientSystem":
         if "constant" in data:
-            a = group_from_json(data["constant"])
+            a = group_from_json(data["constant"], "'constant'")
             return cls.constant(cat, a)
         values_data, maps_data = data["values"], data.get("maps", {})
         for field, obj in (("values", values_data), ("maps", maps_data)):
@@ -62,7 +62,8 @@ class CoefficientSystem:
             if key not in cat.by_key:
                 raise ValueError(
                     f"coefficient 'values' key {key!r} names no subgroup")
-        values = {key: group_from_json(v) for key, v in values_data.items()}
+        values = {key: group_from_json(v, f"'values' key {key!r}")
+                  for key, v in values_data.items()}
         # morphism key -> (the file's key for it, its matrix rows); a file
         # may name a morphism by any representative of its coset
         given = {}
@@ -102,12 +103,25 @@ def _morphism_named(cat: OrbitCategory, key: str) -> OrbitMorphism | None:
         return None
 
 
-def group_from_json(data: dict) -> FgAbGroup:
-    gens = data["gens"]
-    if type(gens) is not int:
-        raise ValueError(f"gens {gens!r} is not an integer")
-    rels = data.get("rels", [])
-    return FgAbGroup.from_relations(gens, [list(r) for r in rels])
+def group_from_json(data: dict, where: str) -> FgAbGroup:
+    """The group {gens, rels} of a coefficient file, read at `where`,
+    the key that errors name: rels has one row per generator and one
+    column per relation."""
+    if type(data) is not dict:
+        raise ValueError(f"coefficient {where} must be a JSON object")
+    if "gens" not in data:
+        raise ValueError(f"coefficient {where} has no 'gens'")
+    gens, rels = data["gens"], data.get("rels", [])
+    if type(gens) is not int or gens < 0:
+        raise ValueError(f"coefficient {where} 'gens' {gens!r} is not a "
+                         f"nonnegative JSON integer")
+    if type(rels) is not list or any(type(r) is not list for r in rels):
+        raise ValueError(f"coefficient {where} 'rels' must be a JSON list "
+                         f"of rows")
+    if rels and len(rels) != gens:
+        raise ValueError(f"coefficient {where} 'rels' must have one row "
+                         f"per generator")
+    return FgAbGroup.from_relations(gens, rels)
 
 
 class LocalSystem:

@@ -18,6 +18,10 @@ from .groups import FiniteGroup, OrbitCategory, subgroup_key
 from .simplicial import (FiniteSimplicialSet, SimplexRef, SimplicialMap,
                          nondeg)
 
+# per orbit of q-cells, the (face index, orbit of (q-1)-cells,
+# transporter) of each nondegenerate face of its representative
+FaceTable = tuple[tuple[tuple[int, int, str], ...], ...]
+
 
 class GSimplicialSet:
     """A complex with a group acting by cell permutations."""
@@ -27,9 +31,10 @@ class GSimplicialSet:
         self.space = space
         self.group = group
         self.perms = {g: dict(p) for g, p in perms.items()}
-        # orbits(q) of each q asked for so far; a complex is fixed once
-        # validate has passed
+        # orbits(q) and orbit_faces(q) of each q asked for so far; a
+        # complex is fixed once validate has passed
         self._orbits = {}
+        self._faces = {}
         self._close()
         self.validate()
 
@@ -135,6 +140,26 @@ class GSimplicialSet:
         out.sort(key=lambda o: o.rep)
         return out
 
+    def orbit_faces(self, q: int) -> FaceTable:
+        """Per orbit of orbits(q), in that order, the nondegenerate faces
+        of its representative as (i, j, g): face d_i is g times the
+        representative of orbit j of orbits(q - 1).  They are resolved on
+        the first call for q; they depend on the complex and its action
+        alone, so every set of cochains on the complex reads them."""
+        if q not in self._faces:
+            # the orbit and transporter of each (q-1)-cell, kept only
+            # while the faces are resolved
+            where = {cid: (j, o.transporters[cid])
+                     for j, o in enumerate(self.orbits(q - 1))
+                     for cid in o.members}
+            # a representative is nondegenerate, so its faces are its own
+            self._faces[q] = tuple(
+                tuple((i, *where[f.base])
+                      for i, f in enumerate(self.space.face_table[o.rep])
+                      if not f.word)
+                for o in self.orbits(q))
+        return self._faces[q]
+
     def to_json(self) -> dict:
         data = self.space.to_json()
         data["group"] = self.group.to_json()
@@ -146,7 +171,12 @@ class GSimplicialSet:
     def from_json(cls, data: dict) -> "GSimplicialSet":
         space = FiniteSimplicialSet.from_json(data)
         group = FiniteGroup.from_json(data["group"])
-        return cls(space, group, data.get("action", {}))
+        action = data.get("action", {})
+        for g in action:
+            if g not in group.index:
+                raise ValueError(f"complex 'action' key {g!r} names no "
+                                 f"element of the group")
+        return cls(space, group, action)
 
 
 class CellOrbit:

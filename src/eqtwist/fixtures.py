@@ -9,9 +9,14 @@ records in `Setup.checked`.
 File formats:
 
   complex   truncation, simplices, faces, group, action
-            (the serialization of GSimplicialSet)
+            (the serialization of GSimplicialSet); the truncation is a
+            nonnegative JSON integer, no cell lies above it, each
+            key of faces names a cell of dimension >= 1 and each key
+            of action a group element
   coeffs    {"constant": {gens, rels}} or explicit values and maps,
-            read against the orbit category of the complex
+            read against the orbit category of the complex; gens is a
+            nonnegative JSON integer and rels a list of rows, one per
+            generator
   twist     {"pi": <group>, "values": {cell: element}} for a group
             valued twisting function, one key per cell of dimension
             >= 1, or

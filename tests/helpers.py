@@ -7,6 +7,7 @@ variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form, the
 determinant, the kernel-presenting cohomology, the homotopy through
 Moore subgroups, the orbits found afresh on every call, the
+evaluation of a Bredon cochain at a cell, the
 subset-closure subgroup lattice, the name-level orbit category and the
 column-reduction map equality live here too:
 the tests use them as references, the package does not.  So do the
@@ -766,6 +767,28 @@ def determinant(a: IntMatrix) -> int:
     return sign * s[n - 1][n - 1]
 
 
+# cochains evaluated at a cell ----------------------------------------
+# A Bredon cochain read at any cell of a fixed complex, through the
+# coefficient map of the orbit morphism the cell's transporter gives.
+
+def evaluate_cochain(ec: EquivariantCochains, n: int,
+                     coords: tuple[int, ...], skey: str,
+                     ref: SimplexRef) -> tuple[int, ...]:
+    """Value of a cochain at a cell of the skey-fixed complex, as a
+    normal-form vector in M(G/H).  Degenerate simplices give zero."""
+    target = ec.system.values[skey]
+    if ref.word:
+        return target.zero()
+    j, orb = next((j, o) for j, o in enumerate(ec.orbits[n])
+                  if ref.base in o.transporters)
+    g = orb.transporters[ref.base]
+    m = ec.cat.coset_morphism(ec.cat.by_key[skey],
+                              ec.cat.by_key[orb.stab_key], g)
+    cochains = ec.groups[n]
+    piece = cochains.summands[j].reduce(coords[cochains.span(j)])
+    return target.reduce(ec.system.maps[m.key].apply(piece))
+
+
 # cohomology through a presented kernel -------------------------------
 # `abgroups.cohomology_at` and `AbHom.is_iso` as they were when both
 # built the kernel as a group: one more `kernel_basis` and one more
@@ -792,7 +815,7 @@ def reference_cohomology_at(at: FgAbGroup, incoming: AbHom | None,
     h = FgAbGroup(ker.ngens,
                   IntMatrix.from_cols(rel_cols, ker.ngens) if rel_cols
                   else IntMatrix.zeros(ker.ngens, 0))
-    return Subquotient(h, incl.matrix.cols())
+    return Subquotient(h, incl.matrix)
 
 
 # orbits found afresh --------------------------------------------------

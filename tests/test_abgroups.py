@@ -117,6 +117,25 @@ def test_direct_sum_offsets():
     assert total.normal_form() == (1, (2, 2))
 
 
+def test_a_direct_sum_builds_its_relations_when_they_are_read(monkeypatch):
+    summands = [FgAbGroup.cyclic(2), FgAbGroup.free(1),
+                FgAbGroup.from_relations(2, [[2, 0], [0, 3]])]
+    built = []
+    real = IntMatrix.block_diag
+
+    def block_diag(mats):
+        built.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(IntMatrix, "block_diag", staticmethod(block_diag))
+    total = direct_sum(summands)
+    assert built == [] and total.ngens == 4
+    assert total.rels == real([g.rels for g in summands])
+    assert total.rels is total.rels
+    assert built == [3]
+    assert total.normal_form() == (1, (2, 6))
+
+
 def test_column_budget_counts_every_direct_sum():
     z2 = FgAbGroup.cyclic(2)
     with column_budget(4):

@@ -7,7 +7,6 @@ from eqtwist.bredon import (
     EquivariantCochains,
     TrivialTwistProvider,
     coboundary,
-    evaluate_cochain,
     twisted_complex,
     twisted_coboundary,
     untwisted_complex,
@@ -22,6 +21,7 @@ from helpers import (
     circle_gx,
     constant_setup,
     delta2_gx,
+    evaluate_cochain,
     nonconstant_system,
     normal_forms,
     refs1_gx,
@@ -171,14 +171,34 @@ COBOUNDARY_CASES = {f"{name} {coeff.describe()}": _constant(space, coeff)
 COBOUNDARY_CASES["refs1 doubling"] = _refs1_doubling
 
 
+class _Reads(dict):
+    """A dict that records the key of every read by index."""
+
+    def __init__(self, data, reads):
+        super().__init__(data)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("case", sorted(COBOUNDARY_CASES))
 def test_the_untwisted_coboundary_composes_nothing(monkeypatch, case):
+    # the cochains measured are the second set on their complex, so they
+    # resolve no face: they read the faces the first set resolved.  The
+    # coboundaries they must give come from a fresh copy of the complex.
     gx, cat, system = COBOUNDARY_CASES[case]()
+    first = EquivariantCochains(gx, cat, system, gx.space.truncation)
+    for n in range(first.nmax):
+        coboundary(first, n)
     ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
-    trivial = TrivialTwistProvider(system)
+    fresh = EquivariantCochains(*COBOUNDARY_CASES[case](),
+                                gx.space.truncation)
+    trivial = TrivialTwistProvider(fresh.system)
     for n in range(ec.nmax):
-        want = twisted_coboundary(ec, trivial, n)
-        products, homs = [], []
+        want = twisted_coboundary(fresh, trivial, n)
+        products, homs, faces = [], [], []
         real_product, real_hom = IntMatrix.__matmul__, AbHom.__init__
 
         def product(a, b):
@@ -192,10 +212,13 @@ def test_the_untwisted_coboundary_composes_nothing(monkeypatch, case):
         with monkeypatch.context() as m:
             m.setattr(IntMatrix, "__matmul__", product)
             m.setattr(AbHom, "__init__", hom)
+            m.setattr(gx.space, "face_table",
+                      _Reads(gx.space.face_table, faces))
             got = coboundary(ec, n)
         # the one hom built is the coboundary itself
         assert products == []
         assert homs == [got]
+        assert faces == []
         assert got.matrix == want.matrix
 
 

@@ -534,6 +534,22 @@ def _twist(**data):
     return {k: v for k, v in base.items() if v is not None}
 
 
+def _s1(**changes):
+    """The circle's complex file with the given top-level keys replaced."""
+    with open(fx("s1.json")) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    return data
+
+
+def _s1_cells(**simplices):
+    """The circle's complex file with the given dimension keys of
+    'simplices' replaced."""
+    data = _s1()
+    data["simplices"] = {**data["simplices"], **simplices}
+    return data
+
+
 def _kappa_paths(paths):
     """The triangle's edge path twist with the given paths at e."""
     return {"kappa": {"basepoint": "v0", "paths": {"e": paths}}}
@@ -620,6 +636,23 @@ MALFORMED_FILES = {
                                          "p_max": 2}),
     "canonical as a number": ("theory", {"canonical": 1, "i_max": 2,
                                          "p_max": 2}),
+    "negative gens": ("coeffs", _coeffs(gens=-1)),
+    "constant as a one-entry list": ("coeffs", {"constant": [1]}),
+    "rels as a list of ints": ("coeffs", _coeffs(gens=1, rels=[2])),
+    "one rels row for two gens": ("coeffs", _coeffs(gens=2, rels=[[2]])),
+    "value as a list": ("coeffs", {"values": {"e": [1]}}),
+    "truncation as a string": ("complex", _s1(truncation="3")),
+    "fractional truncation": ("complex", _s1(truncation=3.0)),
+    "boolean truncation": ("complex", _s1(truncation=True)),
+    "negative dimension key": ("complex", _s1_cells(**{"-1": []})),
+    "padded dimension key": ("complex", _s1(simplices={
+        " 0": ["v"], "1": ["e"]})),
+    "numeric cell name": ("complex", _s1_cells(**{"2": [7]})),
+    "cells as a string": ("complex", _s1_cells(**{"2": "f"})),
+    "cells above the truncation": ("complex", _s1(
+        truncation=1, simplices={"0": ["v"], "1": ["e"], "2": ["f"]},
+        faces={"e": ["v", "v"], "f": ["e", "e", "e"]})),
+    "faces as a string": ("complex", _s1(faces={"e": "vv"})),
     "fractional step direction": ("edge paths", _kappa(1.5)),
     "string step direction": ("edge paths", _kappa("1")),
     "boolean step direction": ("edge paths", _kappa(True)),
@@ -628,7 +661,46 @@ MALFORMED_FILES = {
        for case, (data, _line) in MALFORMED_PATHS.items()},
 }
 
+# the one error line of the cases of MALFORMED_FILES that a key names
+MALFORMED_KEYS = {
+    "rels as an int":
+        "error: coefficient 'constant' 'rels' must be a JSON list of rows\n",
+    "rels as a list of ints":
+        "error: coefficient 'constant' 'rels' must be a JSON list of rows\n",
+    "no gens": "error: coefficient 'constant' has no 'gens'\n",
+    "negative gens": "error: coefficient 'constant' 'gens' -1 is not a "
+                     "nonnegative JSON integer\n",
+    "constant as a list":
+        "error: coefficient 'constant' must be a JSON object\n",
+    "constant as a one-entry list":
+        "error: coefficient 'constant' must be a JSON object\n",
+    "one rels row for two gens": "error: coefficient 'constant' 'rels' must "
+                                 "have one row per generator\n",
+    "value as a list":
+        "error: coefficient 'values' key 'e' must be a JSON object\n",
+    "truncation as a string": "error: complex 'truncation' '3' is not a "
+                              "nonnegative JSON integer\n",
+    "fractional truncation": "error: complex 'truncation' 3.0 is not a "
+                             "nonnegative JSON integer\n",
+    "boolean truncation": "error: complex 'truncation' True is not a "
+                          "nonnegative JSON integer\n",
+    "negative dimension key":
+        "error: complex 'simplices' key '-1' is not a dimension\n",
+    "padded dimension key":
+        "error: complex 'simplices' key ' 0' is not a dimension\n",
+    "numeric cell name": "error: complex 'simplices' key '2' is not a list "
+                         "of cell names\n",
+    "cells as a string": "error: complex 'simplices' key '2' is not a list "
+                         "of cell names\n",
+    "cells above the truncation": "error: complex 'simplices' key '2' lists "
+                                  "cells above the truncation 1\n",
+    "faces as a string": "error: complex 'faces' key 'e' is not a list of "
+                         "face references\n",
+}
+
 FILE_COMMANDS = {
+    "complex": [["bredon", "--coeffs", fx("coeffs_z.json"), "--nmax", "1"],
+                ["validate"]],
     "coeffs": [["bredon", "--complex", fx("s1.json"), "--nmax", "1"]],
     "twist": [["twisted", "--complex", fx("s1.json"),
                "--coeffs", fx("coeffs_z2.json"), "--nmax", "1"]],
@@ -662,10 +734,12 @@ def test_a_malformed_input_file_is_an_input_error(capsys, tmp_path, case):
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert err == MALFORMED_KEYS.get(case, err), command
 
 
-# the circle's group twist and sign action, and the triangle's edge path
-# twist with its edge holonomies, each with one name that names nothing
+# the circle's group twist and sign action, the triangle's edge path
+# twist with its edge holonomies, and the circle's complex, each with one
+# name that names nothing
 S1_SIGN = ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json"),
            "--twist", fx("twist_s1_z2.json")]
 TRIANGLE = ["--complex", fx("triangle.json"), "--coeffs", fx("coeffs_z.json")]
@@ -706,6 +780,19 @@ UNKNOWN_NAMES = {
         "twist", _twist(values={"e": "t", "bogus": "t"}),
         "error: twist 'values' key 'bogus' names no cell of dimension "
         ">= 1\n"),
+    "action element": (
+        ["--coeffs", fx("coeffs_z2.json"), "--twist", fx("twist_s1_z2.json")],
+        "complex", _s1(action={"e": {"e": "e", "v": "v"},
+                               "zz": {"e": "e", "v": "v"}}),
+        "error: complex 'action' key 'zz' names no element of the group\n"),
+    "face list of a vertex": (
+        ["--coeffs", fx("coeffs_z2.json"), "--twist", fx("twist_s1_z2.json")],
+        "complex", _s1(faces={"e": ["v", "v"], "v": []}),
+        "error: complex 'faces' key 'v' names no cell of dimension >= 1\n"),
+    "face list of an unlisted cell": (
+        ["--coeffs", fx("coeffs_z2.json"), "--twist", fx("twist_s1_z2.json")],
+        "complex", _s1(faces={"e": ["v", "v"], "f": ["e", "e", "e"]}),
+        "error: complex 'faces' key 'f' names no cell of dimension >= 1\n"),
     "twist value vertex": (
         ["--complex", fx("s1.json"), "--coeffs", fx("coeffs_z2.json")],
         "twist", _twist(values={"e": "t", "v": "e"}),

@@ -146,6 +146,30 @@ def test_bar_complex_cohomology_presents_only_cyclic_groups(eliminations):
     assert max(max(shape) for shape in eliminations["snf"]) <= 1
 
 
+REDUCED_TO_ZERO = {
+    "4x4 torus": (lambda: torus_gx(4, 4), [(0, (2,)), (0, (2, 2)), (0, (2,))]),
+    "W-bar C6 at T=4": (lambda: bar_complex(abelian(6), 4), [(0, (2,))] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_TO_ZERO))
+def test_a_coboundary_reduced_to_no_entry_runs_no_kernel(name, eliminations):
+    # with Z/2 the unit blocks of both complexes cancel down to
+    # coboundaries with no entry: zero maps, so each H^n is its reduced
+    # term, presented by that term's own relations
+    build, want = REDUCED_TO_ZERO[name]
+    gx = build()
+    cat, system = constant_setup(gx, COEFFS["Z2"])
+    cc = untwisted_complex(EquivariantCochains(gx, cat, system,
+                                               gx.space.truncation))
+    assert all(not any(d.sparse) for d in cc.reduced().diffs)
+    for calls in eliminations.values():
+        calls.clear()
+    assert [cc.cohomology(n).group.normal_form() for n in range(3)] == want
+    assert eliminations["kernel_basis"] == []
+    assert len(eliminations["snf"]) == 3
+
+
 # group cohomology on the classifying complex W-bar pi, degrees 0..3 of
 # the truncation at 4, where (|pi| - 1)^q cells in degree q fill in as
 # their unit blocks cancel; the reference runs where |pi| <= 4
