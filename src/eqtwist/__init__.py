@@ -8,9 +8,8 @@ groups.
 
 from .abgroups import AbHom, CochainComplex, FgAbGroup, cohomology_at
 from .bredon import (EdgePathProvider, EquivariantCochains,
-                     GroupTwistProvider, TrivialTwistProvider,
-                     coboundary, twisted_coboundary, twisted_complex,
-                     untwisted_complex)
+                     GroupTwistProvider, coboundary, twisted_coboundary,
+                     twisted_complex, untwisted_complex)
 from .cartan import (CartanTheory, LiftSystem, canonical_theory,
                      check_axioms, crosscheck_theorem, kernel_term,
                      theory_cohomology, vertical_homotopy)

@@ -8,15 +8,18 @@ vanishes on degenerate simplices.
 
 The coboundary is the alternating face sum; in the twisted variant the
 d_0 term is corrected by an automorphism of the coefficient value that
-depends on the simplex.  Three sources for that correction are
-provided: none at all, a group-valued twisting function pushed through
-a compatible action on the coefficients, and edge-path transport where
-the correction is the holonomy of the loop spanned by the leading edge.
-Squaring to zero is re-checked on the assembled integer matrices, so a
-bad twist cannot slip through silently.
+depends on the simplex.  Two sources for that correction are provided:
+a group-valued twisting function pushed through a compatible action on
+the coefficients, and edge-path transport where the correction is the
+holonomy of the loop spanned by the leading edge.  No twist is spelled
+as a provider of None, and so is a group twist with no action on the
+coefficients: `fixtures.load_setup` reads a group twist file with no
+action file as the untwisted complex.  Squaring to zero is re-checked
+on the assembled integer matrices, so a bad twist cannot slip through
+silently.
 
-The untwisted path (`coboundary`, `untwisted_complex`) passes no
-provider at all, so its coboundary is assembled from the coefficient
+The untwisted path (`coboundary`, `untwisted_complex`) passes a
+provider of None, so its coboundary is assembled from the coefficient
 maps' own matrices: each face block costs its entries, with no hom
 composed and no matrix product run per face.  The faces themselves are
 resolved once per complex, by `GSimplicialSet.orbit_faces`, to the
@@ -57,28 +60,8 @@ class EquivariantCochains:
                                       for o in self.orbits[n]])
                        for n in range(nmax + 1)}
 
-    def describe(self, n: int) -> str:
-        return self.groups[n].describe()
-
 
 # twist providers ----------------------------------------------------
-
-class TrivialTwistProvider:
-    """No correction: the d_0 term enters untwisted.  Every call at one
-    orbit type returns the same identity hom, so memos keyed on the hom
-    (the psi of a Cartan theory) serve every cell and every caller."""
-
-    def __init__(self, system: CoefficientSystem):
-        self.system = system
-        self._identities = {skey: AbHom.identity(g)
-                            for skey, g in system.values.items()}
-
-    def phi_hom(self, skey: str, xref: SimplexRef) -> AbHom:
-        return self._identities[skey]
-
-    def phi_inv_hom(self, skey: str, xref: SimplexRef) -> AbHom:
-        return self._identities[skey]
-
 
 class GroupTwistProvider:
     """Correction by phi(tau(x))^{-1} for a group-valued twisting function

@@ -682,7 +682,8 @@ class LiftCells:
         Each unknown x of dimension q >= 1 (restricted to `rows` when
         given) contributes q + 1 target summands: its value at the face
         d_i x minus d_i of its own value, where d_0 is followed by
-        twist(orbit type, x, q - 1), an endomorphism of that level.
+        twist(orbit type, x, q - 1), an endomorphism of that level; a
+        twist of None leaves d_0 as it is.
         """
         blocks = []
         tgroups = []
@@ -694,7 +695,7 @@ class LiftCells:
             xref = nondeg(o.rep)
             for i in range(q + 1):
                 face = obj.faces[(q, i)]
-                if i == 0:
+                if i == 0 and twist is not None:
                     face = twist(hkey, o.rep, q - 1).compose(face)
                 ti = len(tgroups)
                 tgroups.append(obj.levels[q - 1])
@@ -711,9 +712,9 @@ class LiftSystem:
     The degree-n group stores one element of A^n(G/G_sigma) at the
     level of sigma, per orbit of nondegenerate cells; membership is cut
     out by the face constraints of a simplicial map into the twisted
-    target, with the zero face corrected through psi(phi(tau)).  The
-    theory differentials act blockwise and descend to the cut-out
-    subgroups.
+    target, with the zero face corrected through psi(phi(tau)), or left
+    as it is by a provider of None.  The theory differentials act
+    blockwise and descend to the cut-out subgroups.
     """
 
     def __init__(self, ec: EquivariantCochains, theory: CartanTheory,
@@ -734,10 +735,12 @@ class LiftSystem:
         self.inclusions = {}
         for n in range(nmax + 1):
             amb = self.ambient[n] = self.cells.ambient(theory.terms[n])
-
-            def twist(hkey, rep, lvl):
-                return theory.psi(hkey, provider.phi_hom(hkey, nondeg(rep)),
-                                  n, lvl)
+            twist = None
+            if provider is not None:
+                def twist(hkey, rep, lvl):
+                    return theory.psi(hkey,
+                                      provider.phi_hom(hkey, nondeg(rep)),
+                                      n, lvl)
 
             laws = self.cells.face_constraints(amb, theory.terms[n], twist)
             self.groups[n], self.inclusions[n] = laws.kernel()
@@ -793,9 +796,6 @@ class LiftSystem:
             blocks.append(((bj, vi), IntMatrix.identity(ngens)))
         big = assemble_hom(amb, cochains, blocks)
         return big.compose(self.inclusions[n])
-
-    def describe(self, n: int) -> str:
-        return self.groups[n].describe()
 
 
 def theory_cohomology(ec: EquivariantCochains, theory: CartanTheory,
@@ -909,11 +909,14 @@ class _CylinderLaws:
                                   zn.inclusions[o.stab_key][q], amb.span(vi),
                                   amb.summands[vi]))
 
-        def twist(hkey, rep, lvl):
-            inc = zn.inclusions[hkey][lvl]
-            ph = theory.psi(hkey, ls.provider.phi_hom(hkey, pc.pair_of[rep][0]),
-                            n, lvl)
-            return ph.compose(inc).factor_through(inc)
+        twist = None
+        if ls.provider is not None:
+            def twist(hkey, rep, lvl):
+                inc = zn.inclusions[hkey][lvl]
+                ph = theory.psi(hkey,
+                                ls.provider.phi_hom(hkey, pc.pair_of[rep][0]),
+                                n, lvl)
+                return ph.compose(inc).factor_through(inc)
 
         self.end_laws = cells.face_constraints(amb, zn, twist, rows=end_rows)
         middles = [vi for vi in range(len(cells.orbits))

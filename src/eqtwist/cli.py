@@ -138,8 +138,6 @@ def _cohomology_payload(args, cc, ec, degrees):
 def cmd_bredon(args):
     degrees = _degree_list(args)
     setup = _loading(load_setup, args.complex, args.coeffs)
-    if setup.system is None:
-        raise InputError("bredon needs --coeffs")
     ec = _cochain_setup(setup, degrees)
     cc = _computing(untwisted_complex, ec)
     return _cohomology_payload(args, cc, ec, degrees)
@@ -149,10 +147,6 @@ def cmd_twisted(args):
     degrees = _degree_list(args)
     setup = _loading(load_setup, args.complex, args.coeffs,
                      args.twist, args.action)
-    if setup.system is None:
-        raise InputError("twisted needs --coeffs")
-    if setup.provider is None or setup.twist_kind is None:
-        raise InputError("twisted needs --twist")
     ec = _cochain_setup(setup, degrees)
     cc = _computing(twisted_complex, ec, setup.provider)
     return _cohomology_payload(args, cc, ec, degrees)
@@ -212,8 +206,6 @@ def cmd_cartan_check(args):
 def cmd_crosscheck(args):
     setup = _loading(load_setup, args.complex, args.coeffs,
                      args.twist, args.action)
-    if setup.system is None:
-        raise InputError("crosscheck needs --coeffs")
     truncation = setup.gx.space.truncation
     nmax = args.nmax if args.nmax is not None else min(2, truncation)
     if nmax < 0:

@@ -80,9 +80,10 @@ class CoefficientSystem:
         maps = {}
         for m in cat.all_morphisms():
             if m.key in given:
-                mat = IntMatrix([list(r) for r in given[m.key][1]],
-                                values[m.tgt.key].ngens)
-                maps[m.key] = AbHom(values[m.tgt.key], values[m.src.key], mat)
+                key, rows = given[m.key]
+                maps[m.key] = hom_from_json(
+                    rows, values[m.tgt.key], values[m.src.key],
+                    f"coefficient 'maps' key {key!r}")
             elif m.is_identity():
                 maps[m.key] = AbHom.identity(values[m.src.key])
             else:
@@ -124,6 +125,18 @@ def group_from_json(data: dict, where: str) -> FgAbGroup:
     return FgAbGroup.from_relations(gens, rels)
 
 
+def hom_from_json(rows, source: FgAbGroup, target: FgAbGroup,
+                  where: str) -> AbHom:
+    """The hom whose matrix rows a file gives at `where`, the key that
+    errors name."""
+    if type(rows) is not list or any(type(r) is not list for r in rows):
+        raise ValueError(f"{where} must be a JSON list of rows")
+    try:
+        return AbHom(source, target, IntMatrix(rows, source.ngens))
+    except ValueError as ex:
+        raise ValueError(f"{where}: {ex}") from ex
+
+
 class LocalSystem:
     """Coefficient system with an action of a finite group on each value.
 
@@ -134,12 +147,11 @@ class LocalSystem:
     """
 
     def __init__(self, system: CoefficientSystem, pi: FiniteGroup,
-                 phi: dict[tuple[str, str], AbHom], check: bool = True):
+                 phi: dict[tuple[str, str], AbHom]):
         self.system = system
         self.pi = pi
         self.phi = phi
-        if check:
-            self.validate()
+        self.validate()
 
     def act(self, subgroup_key: str, elem: str) -> AbHom:
         return self.phi[(subgroup_key, elem)]
@@ -179,21 +191,17 @@ class LocalSystem:
                         f"action fails to commute with restriction at {m.key}")
 
     @classmethod
-    def trivial(cls, system: CoefficientSystem, pi: FiniteGroup) -> "LocalSystem":
-        phi = {}
-        for s in system.cat.subgroups:
-            ident = AbHom.identity(system.values[s.key])
-            for u in pi.names:
-                phi[(s.key, u)] = ident
-        return cls(system, pi, phi, check=False)
-
-    @classmethod
     def from_json(cls, system: CoefficientSystem, pi: FiniteGroup,
                   data: dict) -> "LocalSystem":
         phi, given = {}, data["phi"]
+        if type(given) is not dict:
+            raise ValueError("action 'phi' must be a JSON object")
         for key, per in given.items():
             if key not in system.values:
                 raise ValueError(f"action 'phi' key {key!r} names no subgroup")
+            if type(per) is not dict:
+                raise ValueError(f"action 'phi' key {key!r} must be a JSON "
+                                 f"object")
             for u in per:
                 if u not in pi.index:
                     raise ValueError(f"action 'phi' key {u!r} at {key!r} "
@@ -203,8 +211,9 @@ class LocalSystem:
             per = given.get(s.key, {})
             for u in pi.names:
                 if u in per:
-                    mat = IntMatrix([list(r) for r in per[u]], val.ngens)
-                    phi[(s.key, u)] = AbHom(val, val, mat)
+                    phi[(s.key, u)] = hom_from_json(
+                        per[u], val, val,
+                        f"action 'phi' key {u!r} at {s.key!r}")
                 elif u == pi.identity:
                     phi[(s.key, u)] = AbHom.identity(val)
                 else:

@@ -20,7 +20,7 @@ traversal order, and acts by applying the first step first.
 from __future__ import annotations
 
 from .abgroups import AbHom
-from .coefficients import CoefficientSystem
+from .coefficients import CoefficientSystem, hom_from_json
 from .equivariant import OGComplex
 from .simplicial import FiniteSimplicialSet, SimplexRef, nondeg
 
@@ -225,17 +225,21 @@ class EdgeActionSystem:
     @classmethod
     def from_json(cls, ph: OGComplex, system: CoefficientSystem,
                   data: dict) -> "EdgeActionSystem":
-        from .intmat import IntMatrix
+        if type(data) is not dict:
+            raise ValueError("action 'edges' must be a JSON object")
         mats = {}
         for skey, per in data.items():
             if skey not in ph.complexes:
                 raise ValueError(f"action 'edges' key {skey!r} names no subgroup")
+            if type(per) is not dict:
+                raise ValueError(f"action 'edges' key {skey!r} must be a JSON "
+                                 f"object")
             val = system.values[skey]
             edges = set(ph.complexes[skey].cells.get(1, ()))
             for eid, rows in per.items():
                 if eid not in edges:
                     raise ValueError(f"action 'edges' key {eid!r} at {skey!r} "
                                      f"names no edge of that fixed complex")
-                mats[(skey, eid)] = AbHom(
-                    val, val, IntMatrix([list(r) for r in rows], val.ngens))
+                mats[(skey, eid)] = hom_from_json(
+                    rows, val, val, f"action 'edges' key {eid!r} at {skey!r}")
         return cls(ph, system, mats)

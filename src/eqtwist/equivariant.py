@@ -172,10 +172,26 @@ class GSimplicialSet:
         space = FiniteSimplicialSet.from_json(data)
         group = FiniteGroup.from_json(data["group"])
         action = data.get("action", {})
-        for g in action:
+        if type(action) is not dict:
+            raise ValueError("complex 'action' must be a JSON object")
+        cells = [cid for ids in space.cells.values() for cid in ids]
+        known = set(cells)
+        for g, perm in action.items():
+            where = f"complex 'action' key {g!r}"
             if g not in group.index:
-                raise ValueError(f"complex 'action' key {g!r} names no "
-                                 f"element of the group")
+                raise ValueError(f"{where} names no element of the group")
+            if type(perm) is not dict:
+                raise ValueError(f"{where} must be a JSON object")
+            for cid, image in perm.items():
+                if cid not in known:
+                    raise ValueError(f"{where} moves {cid!r}, which names "
+                                     f"no cell")
+                if type(image) is not str or image not in known:
+                    raise ValueError(f"{where} sends {cid!r} to {image!r}, "
+                                     f"which names no cell")
+            for cid in cells:
+                if cid not in perm:
+                    raise ValueError(f"{where} gives no image of {cid!r}")
         return cls(space, group, action)
 
 

@@ -4,7 +4,9 @@ tool and the test suite.
 `load_setup` is the one loader of a complex with its coefficients,
 twist and action, shared by the subcommands `validate`, `fixedpoints`,
 `bredon`, `twisted` and `crosscheck`; `validate` prints the checks it
-records in `Setup.checked`.
+records in `Setup.checked`.  Its provider is None when there is no
+twist: with no twist file, and with a group twist file but no action
+file, whose group then acts trivially and gives the untwisted complex.
 
 File formats:
 
@@ -12,7 +14,7 @@ File formats:
             (the serialization of GSimplicialSet); the truncation is a
             nonnegative JSON integer, no cell lies above it, each
             key of faces names a cell of dimension >= 1 and each key
-            of action a group element
+            of action a group element, mapping every cell to a cell
   coeffs    {"constant": {gens, rels}} or explicit values and maps,
             read against the orbit category of the complex; gens is a
             nonnegative JSON integer and rels a list of rows, one per
@@ -25,7 +27,8 @@ File formats:
             direction the JSON integer 1 or -1
   action    {"phi": {subgroup: {element: matrix}}} for a group acting
             on the coefficients, or
-            {"edges": {subgroup: {edge: matrix}}} for edge holonomies
+            {"edges": {subgroup: {edge: matrix}}} for edge holonomies;
+            a group twist with no action file is no twist
   theory    {"canonical": true, "i_max": i, "p_max": p}, with i and p
             positive JSON integers
 
@@ -37,8 +40,7 @@ import contextlib
 import json
 import os
 
-from .bredon import (EdgePathProvider, GroupTwistProvider,
-                     TrivialTwistProvider)
+from .bredon import EdgePathProvider, GroupTwistProvider
 from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .equivariant import GSimplicialSet, fixed_point_system
@@ -82,11 +84,13 @@ def parsing():
 class Setup:
     """Everything the cohomology commands need, parsed and validated.
 
-    checked names each check passed, in the order it ran.
+    provider is the twist of the coboundary, None for no twist: no
+    twist file, or a group twist with no action file, which acts
+    trivially.  twist is the group twist, when the twist file gives
+    one.  checked names each check passed, in the order it ran.
     """
 
-    __slots__ = ("gx", "cat", "ph", "system", "provider", "twist_kind",
-                 "twist", "pi", "choice", "actions", "checked")
+    __slots__ = ("gx", "cat", "ph", "system", "provider", "twist", "checked")
 
     def __init__(self):
         self.gx = None
@@ -94,11 +98,7 @@ class Setup:
         self.ph = None
         self.system = None
         self.provider = None
-        self.twist_kind = None
         self.twist = None
-        self.pi = None
-        self.choice = None
-        self.actions = None
         self.checked = []
 
 
@@ -125,38 +125,33 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     if twist_path is None:
         if action_path is not None:
             raise ValueError("an action file needs a twist file")
-        if out.system is not None:
-            out.provider = TrivialTwistProvider(out.system)
         return out
     tdata = load_json(twist_path)
     adata = load_json(action_path) if action_path is not None else None
     if "pi" in tdata:
-        out.twist_kind = "group"
+        if type(tdata["pi"]) is not dict:
+            raise ValueError("twist 'pi' must be a JSON object")
         with parsing():
-            out.pi = FiniteGroup.from_json(tdata["pi"])
-            out.twist = GroupTwist.from_json(out.gx.space, out.pi,
+            pi = FiniteGroup.from_json(tdata["pi"])
+            out.twist = GroupTwist.from_json(out.gx.space, pi,
                                              tdata["values"])
         out.checked.append("twisting identities")
         check_naturality(out.ph, out.twist)
         out.checked.append("classifying map naturality")
         out.twist.check_equivariant(out.gx)
-        if out.system is None:
-            if adata is not None:
-                raise ValueError("a coefficient action needs --coeffs")
-            return out
         if adata is None:
-            local = LocalSystem.trivial(out.system, out.pi)
-        elif "phi" in adata:
-            with parsing():
-                local = LocalSystem.from_json(out.system, out.pi, adata)
-            out.checked.append("coefficient action")
-        else:
+            return out
+        if out.system is None:
+            raise ValueError("a coefficient action needs --coeffs")
+        if "phi" not in adata:
             raise ValueError("action file for a group twist must carry 'phi'")
+        with parsing():
+            local = LocalSystem.from_json(out.system, pi, adata)
+        out.checked.append("coefficient action")
         out.provider = GroupTwistProvider(local, out.twist)
     elif "kappa" in tdata:
-        out.twist_kind = "kappa"
         with parsing():
-            out.choice = PathChoice.from_json(out.ph, tdata["kappa"])
+            choice = PathChoice.from_json(out.ph, tdata["kappa"])
         out.checked.append("edge paths")
         if out.system is None:
             if adata is not None:
@@ -166,10 +161,10 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
             raise ValueError(
                 "an edge path twist needs an action file with 'edges'")
         with parsing():
-            out.actions = EdgeActionSystem.from_json(
-                out.ph, out.system, adata["edges"])
+            actions = EdgeActionSystem.from_json(out.ph, out.system,
+                                                 adata["edges"])
         out.checked.append("edge holonomies")
-        out.provider = EdgePathProvider(out.ph, out.choice, out.actions)
+        out.provider = EdgePathProvider(out.ph, choice, actions)
     else:
         raise ValueError("twist file carries neither 'pi' nor 'kappa'")
     return out

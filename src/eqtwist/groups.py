@@ -215,9 +215,6 @@ class OrbitCategory:
     def hom(self, src_key: str, tgt_key: str) -> list[OrbitMorphism]:
         return list(self._at[(src_key, tgt_key)].values())
 
-    def morphism(self, key: str) -> OrbitMorphism:
-        return self._morphisms[key]
-
     def identity(self, key: str) -> OrbitMorphism:
         return self._by_index(key, key, self.group.identity_index)
 

@@ -7,12 +7,15 @@ variations.  The planted negative controls of the axiom checks, the
 brute-force vertical homotopy search, the dense Smith normal form, the
 determinant, the kernel-presenting cohomology, the homotopy through
 Moore subgroups, the orbits found afresh on every call, the
-evaluation of a Bredon cochain at a cell, the
+evaluation of a Bredon cochain at a cell, the twist provider that
+composes an identity into every d_0 face, the
 subset-closure subgroup lattice, the name-level orbit category and the
 column-reduction map equality live here too:
 the tests use them as references, the package does not.  So do the
 groups built from generators that the lattice tests need, the covering
-spaces that the twisted cohomology tests need, the orbit spaces and
+spaces that the twisted cohomology tests need, with the trivial
+action of a group twist that the package reads as no twist, the orbit
+spaces and
 polygons with actions that the Bredon oracle needs, and the classifying
 complexes whose group cohomology has closed forms.
 """
@@ -22,8 +25,8 @@ import itertools
 from eqtwist.abgroups import (AbHom, FgAbGroup, Subquotient, assemble_hom,
                               cohomology_at, direct_sum)
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
-                            GroupTwistProvider, TrivialTwistProvider,
-                            twisted_complex, untwisted_complex)
+                            GroupTwistProvider, twisted_complex,
+                            untwisted_complex)
 from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
                             SimplicialAb, cylinder_with_action,
                             element_preimage, kernel_term)
@@ -135,7 +138,7 @@ def s1_twisted(coeff: FgAbGroup, order: int = 2, gen_sign: int = -1):
 def s1_untwisted(coeff: FgAbGroup):
     gx = circle_gx()
     cat, system = constant_setup(gx, coeff)
-    return gx, cat, system, TrivialTwistProvider(system)
+    return gx, cat, system, None
 
 
 def triangle_kappa(coeff: FgAbGroup):
@@ -154,7 +157,7 @@ def triangle_kappa(coeff: FgAbGroup):
 def refs1_setup(coeff: FgAbGroup):
     gx = refs1_gx()
     cat, system = constant_setup(gx, coeff)
-    return gx, cat, system, TrivialTwistProvider(system)
+    return gx, cat, system, None
 
 
 def normal_forms(gx, cat, system, provider, nmax: int):
@@ -182,6 +185,36 @@ def ngon_twisted(n: int, coeff: FgAbGroup, order: int = 2,
                                       for i in range(n)})
     local = cyclic_local_system(system, pi, gen_rows)
     return gx, cat, system, GroupTwistProvider(local, twist, gx=gx)
+
+
+class IdentityTwistProvider:
+    """No correction: the d_0 term enters untwisted.  Every call at one
+    orbit type returns the same identity hom, so memos keyed on the hom
+    (the psi of a Cartan theory) serve every cell and every caller."""
+
+    def __init__(self, system: CoefficientSystem):
+        self.system = system
+        self._identities = {skey: AbHom.identity(g)
+                            for skey, g in system.values.items()}
+
+    def phi_hom(self, skey: str, xref: SimplexRef) -> AbHom:
+        return self._identities[skey]
+
+    def phi_inv_hom(self, skey: str, xref: SimplexRef) -> AbHom:
+        return self._identities[skey]
+
+
+def trivial_action(system: CoefficientSystem,
+                   twist: GroupTwist) -> GroupTwistProvider:
+    """A group twist whose group acts trivially on the coefficients.
+    `load_setup` reads such a twist as no twist at all, a provider of
+    None; its covering space still needs the twist."""
+    phi = {}
+    for s in system.cat.subgroups:
+        ident = AbHom.identity(system.values[s.key])
+        for u in twist.pi.names:
+            phi[(s.key, u)] = ident
+    return GroupTwistProvider(LocalSystem(system, twist.pi, phi), twist)
 
 
 def twisted_cover(gx: GSimplicialSet, provider: GroupTwistProvider):
@@ -228,7 +261,7 @@ def twisted_cover(gx: GSimplicialSet, provider: GroupTwistProvider):
         else:
             maps[f.key] = AbHom.zero(values[f.tgt.key], values[f.src.key])
     system = CoefficientSystem(cat, values, maps)
-    return cover, cat, system, TrivialTwistProvider(system)
+    return cover, cat, system, None
 
 
 def orbit_space(gx: GSimplicialSet) -> GSimplicialSet:
@@ -543,7 +576,7 @@ def vertical_homotopy_oracle(ls: LiftSystem, n: int, f, g,
         for i in range(q + 1):
             want = expand(values, hkey, space.face(i, ref))
             got = obj.faces[(q, i)].apply(values[o.rep])
-            if i == 0:
+            if i == 0 and provider is not None:
                 got = twist_hom(hkey, rx, q - 1).apply(got)
             if want != got:
                 return False

@@ -17,7 +17,6 @@ from eqtwist import cli
 from eqtwist.abgroups import FgAbGroup
 from eqtwist.bredon import (
     EquivariantCochains,
-    TrivialTwistProvider,
     twisted_complex,
 )
 from eqtwist.cartan import (
@@ -92,7 +91,7 @@ def run_criterion(num, name, body, limit=None):
 
 def trivial_setup(gx, coeff):
     cat, system = constant_setup(gx, coeff)
-    return gx, cat, system, TrivialTwistProvider(system)
+    return gx, cat, system, None
 
 
 def test_criterion_1_classical_reductions():

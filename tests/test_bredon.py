@@ -5,7 +5,6 @@ import pytest
 from eqtwist.abgroups import AbHom, FgAbGroup
 from eqtwist.bredon import (
     EquivariantCochains,
-    TrivialTwistProvider,
     coboundary,
     twisted_complex,
     twisted_coboundary,
@@ -18,6 +17,7 @@ from eqtwist.simplicial import SimplexRef, nondeg
 
 from helpers import (
     ACTION_SPACES,
+    IdentityTwistProvider,
     circle_gx,
     constant_setup,
     delta2_gx,
@@ -40,7 +40,7 @@ Z4 = FgAbGroup.from_relations(1, [[4]])
 
 def trivial_setup(gx, coeff):
     cat, system = constant_setup(gx, coeff)
-    return gx, cat, system, TrivialTwistProvider(system)
+    return gx, cat, system, None
 
 
 def test_circle_integral_cohomology():
@@ -195,7 +195,7 @@ def test_the_untwisted_coboundary_composes_nothing(monkeypatch, case):
     ec = EquivariantCochains(gx, cat, system, gx.space.truncation)
     fresh = EquivariantCochains(*COBOUNDARY_CASES[case](),
                                 gx.space.truncation)
-    trivial = TrivialTwistProvider(fresh.system)
+    trivial = IdentityTwistProvider(fresh.system)
     for n in range(ec.nmax):
         want = twisted_coboundary(fresh, trivial, n)
         products, homs, faces = [], [], []

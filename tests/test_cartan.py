@@ -4,7 +4,7 @@ import pytest
 
 from eqtwist import bredon, cartan, em
 from eqtwist.abgroups import AbHom, BudgetExceeded, FgAbGroup, column_budget
-from eqtwist.bredon import EquivariantCochains, TrivialTwistProvider
+from eqtwist.bredon import EquivariantCochains
 from eqtwist.cartan import (
     AxiomReport,
     LiftSystem,
@@ -28,9 +28,11 @@ from eqtwist.fixtures import fixture_path, load_json, load_setup
 from eqtwist.groups import FiniteGroup, OrbitCategory
 
 from helpers import (
+    IdentityTwistProvider,
     c2_category,
     circle_gx,
     constant_setup,
+    load_gx,
     nonconstant_system,
     reference_moore_homotopy,
     refs1_setup,
@@ -336,11 +338,9 @@ def test_lift_system_respects_the_theory_truncation():
 
 
 def test_lift_systems_over_one_theory_build_each_psi_once(monkeypatch):
-    # the trivial twist hands out one identity per orbit type, which the
-    # theory's psi memo is keyed on, so a second lift system adds nothing
-    gx, cat, system, provider = refs1_setup(Z2)
-    ec = EquivariantCochains(gx, cat, system, 2)
-    theory = canonical_theory(cat, system, 3, 3)
+    # the group twist hands out one action hom per element, which the
+    # theory's psi memo is keyed on, so a second lift system adds
+    # nothing; with no twist a lift system builds no psi at all
     built = []
     real = em.CochainModel.postcompose_hom
 
@@ -348,11 +348,21 @@ def test_lift_systems_over_one_theory_build_each_psi_once(monkeypatch):
         built.append(args)
         return real(self, *args)
 
+    def theory_of(setup):
+        gx, cat, system, provider = setup
+        ec = EquivariantCochains(gx, cat, system, 2)
+        return ec, canonical_theory(cat, system, 3, 3), provider
+
+    twisted = theory_of(s1_twisted(Z4))
+    untwisted = theory_of(refs1_setup(Z2))
     monkeypatch.setattr(em.CochainModel, "postcompose_hom", spy)
-    LiftSystem(ec, theory, provider, 2)
+    LiftSystem(*twisted, 2)
     first = len(built)
-    LiftSystem(ec, theory, provider, 2)
+    LiftSystem(*twisted, 2)
     assert first and len(built) == first
+    built.clear()
+    LiftSystem(*untwisted, 2)
+    assert untwisted[2] is None and built == []
 
 
 def _comparison_cases():
@@ -374,6 +384,23 @@ def test_comparison_theorem(name, setup):
     # the explicit cochain-level map is an isomorphism of complexes
     assert report["iso"] is True
     assert report["commutes"] is True
+
+
+# every bundled complex that loads: all but broken_delta2.json, which
+# fails a face identity
+FIXTURE_COMPLEXES = ["delta2.json", "refs1.json", "s1.json", "sphere0.json",
+                     "sphere2.json", "triangle.json"]
+
+
+@pytest.mark.parametrize("coeff", [Z, Z2, Z4], ids=["Z", "Z2", "Z4"])
+@pytest.mark.parametrize("name", FIXTURE_COMPLEXES)
+def test_no_twist_compares_as_the_identity_twist(name, coeff):
+    gx = load_gx(name)
+    cat, system = constant_setup(gx, coeff)
+    nmax = min(2, gx.space.truncation)
+    assert crosscheck_theorem(gx, cat, system, None, nmax) == \
+        crosscheck_theorem(gx, cat, system, IdentityTwistProvider(system),
+                           nmax)
 
 
 def test_comparison_reuses_the_twisted_coboundaries(monkeypatch):

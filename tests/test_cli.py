@@ -257,6 +257,35 @@ def test_twisted_needs_a_twist_file(capsys):
     assert "--twist" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("coeffs", ["z", "z2", "z4"])
+@pytest.mark.parametrize("twist", ["twist_s1_z2.json", "twist_s1_z4.json"])
+def test_a_group_twist_without_an_action_prints_what_bredon_prints(
+        capsys, twist, coeffs, fmt):
+    # with no action file the twist's group acts trivially: no twist
+    argv = ["--complex", fx("s1.json"), "--coeffs", fx(f"coeffs_{coeffs}.json"),
+            "--nmax", "2", "--format", fmt]
+    untwisted = run(capsys, "bredon", *argv)
+    assert untwisted[0] == 0
+    assert run(capsys, "twisted", *argv, "--twist", fx(twist)) == untwisted
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("bredon", "--coeffs"), ("twisted", "--coeffs"),
+    ("crosscheck", "--coeffs"), ("twisted", "--twist")])
+def test_argparse_refuses_a_missing_required_file(capsys, command, missing):
+    files = {"--complex": fx("s1.json"), "--coeffs": fx("coeffs_z.json")}
+    if command == "twisted":
+        files["--twist"] = fx("twist_s1_z2.json")
+    del files[missing]
+    argv = [command, "--nmax", "1"] + [a for kv in files.items() for a in kv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (f"eqtwist {command}: error: the "
+                                   f"following arguments are required: "
+                                   f"{missing}")
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["bredon", "--complex", fx("s1.json"),
             "--coeffs", fx("coeffs_z.json"), "--nmax", "2"]
@@ -542,6 +571,22 @@ def _s1(**changes):
     return data
 
 
+def _refs1_action(t):
+    """The reflection circle's complex file with t acting by the given
+    value in place of its cell map."""
+    with open(fx("refs1.json")) as fh:
+        data = json.load(fh)
+    data["action"]["t"] = t
+    return data
+
+
+# t's cell map on the reflection circle
+REFS1_T = {"a": "a", "b": "b", "p": "q", "q": "p"}
+
+# Z over the trivial group, as a "values" coefficient file
+Z_VALUES = {"values": {"e": {"gens": 1}}}
+
+
 def _s1_cells(**simplices):
     """The circle's complex file with the given dimension keys of
     'simplices' replaced."""
@@ -653,6 +698,28 @@ MALFORMED_FILES = {
         truncation=1, simplices={"0": ["v"], "1": ["e"], "2": ["f"]},
         faces={"e": ["v", "v"], "f": ["e", "e", "e"]})),
     "faces as a string": ("complex", _s1(faces={"e": "vv"})),
+    "action image names no cell": ("complex",
+                                   _refs1_action({**REFS1_T, "p": "zz"})),
+    "action moves no cell": ("complex",
+                             _refs1_action({**REFS1_T, "zz": "zz"})),
+    "action leaves a cell out": ("complex", _refs1_action(
+        {c: x for c, x in REFS1_T.items() if c != "p"})),
+    "numeric action image": ("complex", _refs1_action({**REFS1_T, "p": 3})),
+    "cell map as a list": ("complex", _refs1_action(["a"])),
+    "action as a list": ("complex", _s1(action=[])),
+    "pi as a string": ("twist", _twist(pi="x")),
+    "phi as a string": ("action", {"phi": "x"}),
+    "phi subgroup as a string": ("action", {"phi": {"e": "x"}}),
+    "string phi entry": ("action", {"phi": {"e": {"t": [["x"]]}}}),
+    "wide phi matrix": ("action", {"phi": {"e": {"t": [[1, 2]]}}}),
+    "edges as a string": ("edge actions", {"edges": "x"}),
+    "edge subgroup as a string": ("edge actions", {"edges": {"e": "x"}}),
+    "string edge entry": ("edge actions", {"edges": {"e": {
+        "e01": [[1]], "e02": [[1]], "e12": [["x"]]}}}),
+    "wide edge matrix": ("edge actions", {"edges": {"e": {
+        "e01": [[1]], "e02": [[1]], "e12": [[1, 2]]}}}),
+    "string maps entry": ("coeffs", {**Z_VALUES, "maps": {"e|e|e": [["x"]]}}),
+    "wide maps matrix": ("coeffs", {**Z_VALUES, "maps": {"e|e|e": [[1, 2]]}}),
     "fractional step direction": ("edge paths", _kappa(1.5)),
     "string step direction": ("edge paths", _kappa("1")),
     "boolean step direction": ("edge paths", _kappa(True)),
@@ -696,6 +763,40 @@ MALFORMED_KEYS = {
                                   "cells above the truncation 1\n",
     "faces as a string": "error: complex 'faces' key 'e' is not a list of "
                          "face references\n",
+    "action image names no cell": "error: complex 'action' key 't' sends "
+                                  "'p' to 'zz', which names no cell\n",
+    "action moves no cell": "error: complex 'action' key 't' moves 'zz', "
+                            "which names no cell\n",
+    "action leaves a cell out":
+        "error: complex 'action' key 't' gives no image of 'p'\n",
+    "numeric action image": "error: complex 'action' key 't' sends 'p' to "
+                            "3, which names no cell\n",
+    "cell map as a list":
+        "error: complex 'action' key 't' must be a JSON object\n",
+    "action as a list": "error: complex 'action' must be a JSON object\n",
+    "pi as a string": "error: twist 'pi' must be a JSON object\n",
+    "pi as a list": "error: twist 'pi' must be a JSON object\n",
+    "phi as a string": "error: action 'phi' must be a JSON object\n",
+    "phi as a list": "error: action 'phi' must be a JSON object\n",
+    "phi subgroup as a string":
+        "error: action 'phi' key 'e' must be a JSON object\n",
+    "matrix as an int": "error: action 'phi' key 't' at 'e' must be a JSON "
+                        "list of rows\n",
+    "string phi entry": "error: action 'phi' key 't' at 'e': matrix entry "
+                        "(0, 0) is 'x', not an integer\n",
+    "wide phi matrix": "error: action 'phi' key 't' at 'e': ncols disagrees "
+                       "with row length\n",
+    "edges as a string": "error: action 'edges' must be a JSON object\n",
+    "edge subgroup as a string":
+        "error: action 'edges' key 'e' must be a JSON object\n",
+    "string edge entry": "error: action 'edges' key 'e12' at 'e': matrix "
+                         "entry (0, 0) is 'x', not an integer\n",
+    "wide edge matrix": "error: action 'edges' key 'e12' at 'e': ncols "
+                        "disagrees with row length\n",
+    "string maps entry": "error: coefficient 'maps' key 'e|e|e': matrix "
+                         "entry (0, 0) is 'x', not an integer\n",
+    "wide maps matrix": "error: coefficient 'maps' key 'e|e|e': ncols "
+                        "disagrees with row length\n",
 }
 
 FILE_COMMANDS = {
@@ -716,10 +817,13 @@ FILE_COMMANDS = {
     "edge paths": [["twisted", "--complex", fx("triangle.json"),
                     "--coeffs", fx("coeffs_z.json"),
                     "--action", fx("action_triangle.json"), "--nmax", "1"]],
+    "edge actions": [["twisted", "--complex", fx("triangle.json"),
+                      "--coeffs", fx("coeffs_z.json"),
+                      "--twist", fx("twist_triangle.json"), "--nmax", "1"]],
 }
 
 # the flag of a file kind, where it is not the kind itself
-FILE_FLAGS = {"edge paths": "twist"}
+FILE_FLAGS = {"edge paths": "twist", "edge actions": "action"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
