@@ -818,6 +818,9 @@ def crosscheck_theorem(gx: GSimplicialSet, cat: OrbitCategory,
     differentials.
     """
     space = gx.space
+    if nmax > space.truncation:
+        raise ValueError(f"--nmax exceeds the truncation {space.truncation} "
+                         "of the complex")
     maxdim = space.dimension
     ecn = min(space.truncation, max(nmax + 1, maxdim))
     ec = EquivariantCochains(gx, cat, system, ecn)

@@ -10,13 +10,23 @@ H  ->  fixed complex of H, with a morphism of orbits G/H -> G/K of
 representative g acting as x -> g x from the K-fixed to the H-fixed
 complex, is the contravariant system of fixed complexes used
 everywhere downstream.
+
+Loading a complex checks both, on tables.  The action must keep each
+cell's dimension, act bijectively, obey the group law (composed on cell
+numbers) and commute with every face: g d_i x and d_i(g x) are read
+from the face table, so no face operator runs.  The system numbers the
+cells of each fixed complex once and writes each map as a tuple of
+cell numbers; every value must be a cell of the map's target, each
+identity must be the identity tuple, and every composable pair must
+compose, its composite found by table index.  Each cell's stabilizer
+is found once, and the fixed complex of H holds the cells whose
+stabilizer contains H.
 """
 
 from __future__ import annotations
 
 from .groups import FiniteGroup, OrbitCategory, subgroup_key
-from .simplicial import (FiniteSimplicialSet, SimplexRef, SimplicialMap,
-                         nondeg)
+from .simplicial import FiniteSimplicialSet, SimplicialMap, nondeg
 
 # per orbit of q-cells, the (face index, orbit of (q-1)-cells,
 # transporter) of each nondegenerate face of its representative
@@ -61,47 +71,42 @@ class GSimplicialSet:
         g = self.group
         fs = self.space
         all_ids = [cid for ids in fs.cells.values() for cid in ids]
+        every = sorted(all_ids)
         for a in g.names:
             p = self.perms[a]
-            for cid in all_ids:
-                if fs.dim_of(p[cid]) != fs.dim_of(cid):
-                    raise ValueError(f"{a} moves {cid!r} across dimensions")
-            if sorted(p.values()) != sorted(all_ids):
+            for q, ids in fs.cells.items():
+                for cid in ids:
+                    if fs.dim_of(p[cid]) != q:
+                        raise ValueError(
+                            f"{a} moves {cid!r} across dimensions")
+            if sorted(p.values()) != every:
                 raise ValueError(f"{a} does not act bijectively")
+        # the group law on cell numbers: each element as the list of the
+        # numbers of its images
+        number = {cid: k for k, cid in enumerate(all_ids)}
+        moves = {a: [number[self.perms[a][cid]] for cid in all_ids]
+                 for a in g.names}
         for a in g.names:
+            pa = moves[a]
             for b in g.names:
-                pa, pb, pab = self.perms[a], self.perms[b], \
-                    self.perms[g.mul(a, b)]
-                for cid in all_ids:
-                    if pa[pb[cid]] != pab[cid]:
-                        raise ValueError("action fails the group law")
+                if [pa[k] for k in moves[b]] != moves[g.mul(a, b)]:
+                    raise ValueError("action fails the group law")
+        # g d_i x = d_i(g x) on the face table: d_i x and d_i(g x) are
+        # entries of the table, so the check compares their words, and g
+        # of the base of the one with the base of the other
+        table = fs.face_table
         for a in g.names:
+            p = self.perms[a]
             for q in range(1, fs.truncation + 1):
                 for cid in fs.cells[q]:
+                    faces, moved = table[cid], table[p[cid]]
                     for i in range(q + 1):
-                        if self.apply(a, fs.face(i, nondeg(cid))) != \
-                                fs.face(i, self.apply(a, nondeg(cid))):
+                        word, base = faces[i]
+                        if moved[i] != (word, p[base]):
                             raise ValueError(
                                 f"{a} fails to commute with d{i} at {cid!r}")
 
-    def apply(self, g: str, ref: SimplexRef) -> SimplexRef:
-        return SimplexRef(ref.word, self.perms[g][ref.base])
-
     # fixed points and orbits ----------------------------------------
-
-    def fixed_complex(self, members) -> FiniteSimplicialSet:
-        fixed = []
-        for q in range(self.space.truncation + 1):
-            for cid in self.space.cells[q]:
-                if all(self.perms[h][cid] == cid for h in members):
-                    fixed.append(cid)
-        keep = set(fixed)
-        cells = {q: [c for c in self.space.cells[q] if c in keep]
-                 for q in range(self.space.truncation + 1)}
-        faces = {cid: self.space.face_table[cid]
-                 for cid in keep if cid in self.space.face_table}
-        return FiniteSimplicialSet(self.space.truncation, cells, faces,
-                                   check=False)
 
     def stabilizer_members(self, cid: str) -> frozenset[str]:
         return frozenset(g for g in self.group.names
@@ -170,7 +175,7 @@ class GSimplicialSet:
     @classmethod
     def from_json(cls, data: dict) -> "GSimplicialSet":
         space = FiniteSimplicialSet.from_json(data)
-        group = FiniteGroup.from_json(data["group"])
+        group = FiniteGroup.from_json(data["group"], "complex 'group'")
         action = data.get("action", {})
         if type(action) is not dict:
             raise ValueError("complex 'action' must be a JSON object")
@@ -224,39 +229,72 @@ class OGComplex:
         self.validate()
 
     def validate(self):
-        for s in self.cat.subgroups:
-            ident = self.cat.identity(s.key)
-            m = self.maps[ident.key]
-            for ids in self.complexes[s.key].cells.values():
-                for cid in ids:
-                    if m.values[cid] != nondeg(cid):
-                        raise ValueError(f"identity of {s.key} acts nontrivially")
-        # maps[f] after maps[h] against maps[h o f], cell by cell, with no
-        # composite SimplicialMap built
-        for f, h in self.cat.composable_pairs():
-            then = self.maps[f.key].apply
-            want = self.maps[self.cat.compose(f, h).key].values
-            if {cid: then(ref) for cid, ref in
-                    self.maps[h.key].values.items()} != want:
+        """Checks the system on cell numbers.  Each complex's cells are
+        numbered once, in their order, and each map is written as the
+        tuple of the numbers of its values.  That pass refuses a value
+        that is degenerate or no cell of the map's target: the group acts
+        by automorphisms, so a transport sends cells to cells.  Then each
+        identity must be the identity tuple, and each composable pair
+        (f, h), in `composable_pairs` order, must give maps[f] after
+        maps[h] = maps[h o f]; a pair whose last complex has no cell holds
+        vacuously and is skipped."""
+        cat = self.cat
+        cells = {key: [cid for ids in cx.cells.values() for cid in ids]
+                 for key, cx in self.complexes.items()}
+        numbers = {key: {cid: k for k, cid in enumerate(ids)}
+                   for key, ids in cells.items()}
+        table = {}
+        for m in cat.all_morphisms():
+            number = numbers[m.src.key]
+            values = self.maps[m.key].values
+            row = tuple([None if word else number.get(base) for word, base
+                         in map(values.__getitem__, cells[m.tgt.key])])
+            if None in row:
+                raise ValueError(
+                    f"transport along {m.key} leaves the fixed complex")
+            table[m.key] = row
+        for s in cat.subgroups:
+            identity = table[cat.identity(s.key).key]
+            if identity != tuple(range(len(cells[s.key]))):
+                raise ValueError(f"identity of {s.key} acts nontrivially")
+        ends = {key for key, ids in cells.items() if ids}
+        for f, h, hf in cat.composites(ends):
+            then = table[f.key]
+            if tuple([then[k] for k in table[h.key]]) != table[hf.key]:
                 raise ValueError(f"functoriality fails at {f.key} ; {h.key}")
 
 
 def fixed_point_system(gx: GSimplicialSet, cat: OrbitCategory) -> OGComplex:
-    complexes = {s.key: gx.fixed_complex(s.members) for s in cat.subgroups}
+    """The fixed complex X^H of every subgroup H, and for every orbit
+    morphism G/H -> G/K of representative g the map x -> g x from X^K to
+    X^H.  Each cell's stabilizer is found once, and X^H holds the cells
+    whose stabilizer contains H."""
+    space = gx.space
+    trunc = space.truncation
+    cells = {s.key: {q: [] for q in range(trunc + 1)} for s in cat.subgroups}
+    # the keys of the subgroups inside each distinct stabilizer
+    inside = {}
+    for q in range(trunc + 1):
+        for cid in space.cells[q]:
+            stab = gx.stabilizer_members(cid)
+            keys = inside.get(stab)
+            if keys is None:
+                keys = inside[stab] = [s.key for s in cat.subgroups
+                                       if s.members <= stab]
+            for key in keys:
+                cells[key][q].append(cid)
+    table = space.face_table
+    complexes = {}
+    for key, fixed in cells.items():
+        faces = {cid: table[cid] for q in range(1, trunc + 1)
+                 for cid in fixed[q]}
+        complexes[key] = FiniteSimplicialSet(trunc, fixed, faces, check=False)
+    ref = {cid: nondeg(cid) for ids in space.cells.values() for cid in ids}
     maps = {}
     for m in cat.all_morphisms():
-        src_cx = complexes[m.src.key]
-        tgt_cx = complexes[m.tgt.key]
-        vals = {}
-        for ids in tgt_cx.cells.values():
-            for cid in ids:
-                vals[cid] = nondeg(gx.perms[m.rep][cid])
+        perm = gx.perms[m.rep]
+        src_cx, tgt_cx = complexes[m.src.key], complexes[m.tgt.key]
+        vals = {cid: ref[perm[cid]]
+                for ids in tgt_cx.cells.values() for cid in ids}
         maps[m.key] = SimplicialMap(tgt_cx, src_cx, vals, check=False)
-    out = OGComplex(cat, complexes, maps)
-    # the transported cells must indeed be fixed by the source subgroup
-    for m in cat.all_morphisms():
-        for cid, ref in maps[m.key].values.items():
-            if not complexes[m.src.key].has_cell(ref.base):
-                raise ValueError(
-                    f"transport along {m.key} leaves the fixed complex")
-    return out
+    return OGComplex(cat, complexes, maps)

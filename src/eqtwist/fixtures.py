@@ -129,10 +129,8 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     tdata = load_json(twist_path)
     adata = load_json(action_path) if action_path is not None else None
     if "pi" in tdata:
-        if type(tdata["pi"]) is not dict:
-            raise ValueError("twist 'pi' must be a JSON object")
         with parsing():
-            pi = FiniteGroup.from_json(tdata["pi"])
+            pi = FiniteGroup.from_json(tdata["pi"], "twist 'pi'")
             out.twist = GroupTwist.from_json(out.gx.space, pi,
                                              tdata["values"])
         out.checked.append("twisting identities")

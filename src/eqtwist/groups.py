@@ -82,11 +82,19 @@ class FiniteGroup:
                 "table": [list(r) for r in self.table]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "FiniteGroup":
+    def from_json(cls, data: dict, where: str = "group") -> "FiniteGroup":
+        """The group an object of a file describes; `where` names it in
+        the errors, as "complex 'group'" or "twist 'pi'"."""
+        if type(data) is not dict:
+            raise ValueError(f"{where} must be a JSON object")
         names = data["elements"]
         if type(names) is not list or any(type(n) is not str for n in names):
-            raise ValueError("group 'elements' must be a JSON list of strings")
-        return cls(names, [list(r) for r in data["table"]])
+            raise ValueError(f"{where} 'elements' must be a JSON list of "
+                             f"strings")
+        table = data["table"]
+        if type(table) is not list or any(type(r) is not list for r in table):
+            raise ValueError(f"{where} 'table' must be a JSON list of rows")
+        return cls(names, table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup<order {self.order}>"
@@ -196,6 +204,8 @@ class OrbitCategory:
                    for s in self.subgroups}
         self._low = {k: [min(row[x] for x in ks) for row in t]
                      for k, ks in members.items()}
+        # the coset representatives of each target, in increasing order
+        reps = {k: sorted(set(low)) for k, low in self._low.items()}
         self._at: dict[tuple[str, str], dict[int, OrbitMorphism]] = {}
         self._morphisms: dict[str, OrbitMorphism] = {}
         for src in self.subgroups:
@@ -205,7 +215,7 @@ class OrbitCategory:
             for tgt in self.subgroups:
                 ks = members[tgt.key]
                 at = self._at[(src.key, tgt.key)] = {}
-                for r in sorted(set(self._low[tgt.key])):
+                for r in reps[tgt.key]:
                     if conj[r] <= ks:
                         coset = frozenset(group.names[t[r][k]] for k in ks)
                         m = at[r] = OrbitMorphism(group, src, tgt, coset)
@@ -237,7 +247,20 @@ class OrbitCategory:
         return list(self._sorted)
 
     def composable_pairs(self):
+        """Every (f, h) with h o f defined: f in `all_morphisms` order,
+        then h by its target in subgroup order, then in `hom` order."""
+        for f, h, _ in self.composites(self.by_key.keys()):
+            yield f, h
+
+    def composites(self, ends):
+        """(f, h, h o f) for the pairs (f, h) of `composable_pairs`, in
+        its order, whose h ends at a subgroup with its key in `ends`; the
+        composite is found by table index."""
+        t, index = self.group.table, self.group.index
+        last = [tgt for tgt in self.subgroups if tgt.key in ends]
         for f in self._sorted:
-            for tgt in self.subgroups:
-                for h in self._at[(f.tgt.key, tgt.key)].values():
-                    yield f, h
+            row = t[index[f.rep]]
+            for tgt in last:
+                low, at = self._low[tgt.key], self._at[(f.src.key, tgt.key)]
+                for r, h in self._at[(f.tgt.key, tgt.key)].items():
+                    yield f, h, at[low[row[r]]]

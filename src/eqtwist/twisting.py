@@ -97,13 +97,6 @@ class GroupTwist:
                             f"twist is not constant on the orbit of {cid!r}")
 
     @classmethod
-    def trivial(cls, space: FiniteSimplicialSet, pi: FiniteGroup) -> "GroupTwist":
-        values = {cid: pi.identity
-                  for q in range(1, space.truncation + 1)
-                  for cid in space.cells[q]}
-        return cls(space, pi, values, check=False)
-
-    @classmethod
     def from_json(cls, space: FiniteSimplicialSet, pi: FiniteGroup,
                   data: dict) -> "GroupTwist":
         if not isinstance(data, dict):

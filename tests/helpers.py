@@ -9,13 +9,14 @@ determinant, the kernel-presenting cohomology, the homotopy through
 Moore subgroups, the orbits found afresh on every call, the
 evaluation of a Bredon cochain at a cell, the twist provider that
 composes an identity into every d_0 face, the
-subset-closure subgroup lattice, the name-level orbit category and the
+subset-closure subgroup lattice, the name-level orbit category, the
+name-level checks of an action and of its fixed-point system and the
 column-reduction map equality live here too:
 the tests use them as references, the package does not.  So do the
 groups built from generators that the lattice tests need, the covering
 spaces that the twisted cohomology tests need, with the trivial
-action of a group twist that the package reads as no twist, the orbit
-spaces and
+action of a group twist that the package reads as no twist, the twist
+whose values are all the identity, the orbit spaces and
 polygons with actions that the Bredon oracle needs, and the classifying
 complexes whose group cohomology has closed forms.
 """
@@ -41,7 +42,7 @@ from eqtwist.groups import (FiniteGroup, OrbitCategory, OrbitMorphism,
 from eqtwist import intmat
 from eqtwist.intmat import IntMatrix
 from eqtwist.simplicial import (FiniteSimplicialSet, PairedComplex,
-                                SimplexRef, nondeg, product)
+                                SimplexRef, SimplicialMap, nondeg, product)
 from eqtwist.twisting import GroupTwist
 
 
@@ -363,6 +364,15 @@ def times_polygon(gx: GSimplicialSet, n: int) -> GSimplicialSet:
                  for cid, (rx, ry) in pc.pair_of.items()}
              for g, table in gx.perms.items()}
     return GSimplicialSet(pc.complex, gx.group, perms)
+
+
+def trivial_twist(space: FiniteSimplicialSet,
+                  pi: FiniteGroup) -> GroupTwist:
+    """The twist of `space` with every value the identity of pi."""
+    values = {cid: pi.identity
+              for q in range(1, space.truncation + 1)
+              for cid in space.cells[q]}
+    return GroupTwist(space, pi, values, check=False)
 
 
 def c2_category():
@@ -1045,3 +1055,129 @@ def quaternion8() -> FiniteGroup:
                 a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
     return generated_group([(0, 1, 0, 0), (0, 0, 1, 0)], hamilton,
                            (1, 0, 0, 0))
+
+
+# loading checks on element and cell names ---------------------------
+# `GSimplicialSet.validate`, `OGComplex.validate` and
+# `fixed_point_system` as they were before they read tables: the face
+# check pushes references through `FiniteSimplicialSet.face` and
+# `GSimplicialSet.apply`, the functoriality check applies one
+# `SimplicialMap` per cell, and the check that a transport stays in its
+# fixed complex runs after the system is built.  The package must pass
+# what they pass and raise what they raise.
+
+class _NameLevelGSimplicialSet:
+    def __init__(self, space: FiniteSimplicialSet, group: FiniteGroup,
+                 perms: dict[str, dict[str, str]]):
+        self.space = space
+        self.group = group
+        self.perms = perms
+        self.validate()
+
+    def validate(self):
+        g = self.group
+        fs = self.space
+        all_ids = [cid for ids in fs.cells.values() for cid in ids]
+        for a in g.names:
+            p = self.perms[a]
+            for cid in all_ids:
+                if fs.dim_of(p[cid]) != fs.dim_of(cid):
+                    raise ValueError(f"{a} moves {cid!r} across dimensions")
+            if sorted(p.values()) != sorted(all_ids):
+                raise ValueError(f"{a} does not act bijectively")
+        for a in g.names:
+            for b in g.names:
+                pa, pb, pab = self.perms[a], self.perms[b], \
+                    self.perms[g.mul(a, b)]
+                for cid in all_ids:
+                    if pa[pb[cid]] != pab[cid]:
+                        raise ValueError("action fails the group law")
+        for a in g.names:
+            for q in range(1, fs.truncation + 1):
+                for cid in fs.cells[q]:
+                    for i in range(q + 1):
+                        if self.apply(a, fs.face(i, nondeg(cid))) != \
+                                fs.face(i, self.apply(a, nondeg(cid))):
+                            raise ValueError(
+                                f"{a} fails to commute with d{i} at {cid!r}")
+
+    def apply(self, g: str, ref: SimplexRef) -> SimplexRef:
+        return SimplexRef(ref.word, self.perms[g][ref.base])
+
+
+def reference_action_check(space: FiniteSimplicialSet, group: FiniteGroup,
+                           perms: dict[str, dict[str, str]]) -> None:
+    """The checks of an action given on every element."""
+    _NameLevelGSimplicialSet(space, group, perms)
+
+
+class _NameLevelOGComplex:
+    def __init__(self, cat: OrbitCategory, complexes: dict,
+                 maps: dict):
+        self.cat = cat
+        self.complexes = complexes
+        self.maps = maps
+        self.validate()
+
+    def validate(self):
+        for s in self.cat.subgroups:
+            ident = self.cat.identity(s.key)
+            m = self.maps[ident.key]
+            for ids in self.complexes[s.key].cells.values():
+                for cid in ids:
+                    if m.values[cid] != nondeg(cid):
+                        raise ValueError(f"identity of {s.key} acts nontrivially")
+        # maps[f] after maps[h] against maps[h o f], cell by cell, with no
+        # composite SimplicialMap built
+        for f, h in self.cat.composable_pairs():
+            then = self.maps[f.key].apply
+            want = self.maps[self.cat.compose(f, h).key].values
+            if {cid: then(ref) for cid, ref in
+                    self.maps[h.key].values.items()} != want:
+                raise ValueError(f"functoriality fails at {f.key} ; {h.key}")
+
+
+def reference_system_check(cat: OrbitCategory, complexes: dict,
+                           maps: dict) -> None:
+    """The checks of a system of fixed complexes, in their old order:
+    identities and functoriality, then the transports."""
+    _NameLevelOGComplex(cat, complexes, maps)
+    # the transported cells must indeed be fixed by the source subgroup
+    for m in cat.all_morphisms():
+        for cid, ref in maps[m.key].values.items():
+            if not complexes[m.src.key].has_cell(ref.base):
+                raise ValueError(
+                    f"transport along {m.key} leaves the fixed complex")
+
+
+def reference_fixed_complex(gx: GSimplicialSet,
+                            members) -> FiniteSimplicialSet:
+    fixed = []
+    for q in range(gx.space.truncation + 1):
+        for cid in gx.space.cells[q]:
+            if all(gx.perms[h][cid] == cid for h in members):
+                fixed.append(cid)
+    keep = set(fixed)
+    cells = {q: [c for c in gx.space.cells[q] if c in keep]
+             for q in range(gx.space.truncation + 1)}
+    faces = {cid: gx.space.face_table[cid]
+             for cid in keep if cid in gx.space.face_table}
+    return FiniteSimplicialSet(gx.space.truncation, cells, faces,
+                               check=False)
+
+
+def reference_fixed_point_maps(gx: GSimplicialSet, cat: OrbitCategory):
+    """The fixed complexes and transport maps, one subgroup and one
+    morphism at a time, unchecked."""
+    complexes = {s.key: reference_fixed_complex(gx, s.members)
+                 for s in cat.subgroups}
+    maps = {}
+    for m in cat.all_morphisms():
+        src_cx = complexes[m.src.key]
+        tgt_cx = complexes[m.tgt.key]
+        vals = {}
+        for ids in tgt_cx.cells.values():
+            for cid in ids:
+                vals[cid] = nondeg(gx.perms[m.rep][cid])
+        maps[m.key] = SimplicialMap(tgt_cx, src_cx, vals, check=False)
+    return complexes, maps

@@ -33,6 +33,7 @@ from helpers import (
     circle_gx,
     constant_setup,
     load_gx,
+    ngon_twisted,
     nonconstant_system,
     reference_moore_homotopy,
     refs1_setup,
@@ -438,6 +439,16 @@ def test_comparison_accepts_an_explicit_theory():
     report = crosscheck_theorem(gx, cat, system, provider, 1, theory=theory)
     assert report["all_match"] is True
     assert report["iso"] is True
+
+
+def test_comparison_refuses_a_degree_above_the_truncation():
+    # the truncation-1 square: degree 2 is refused with the line the
+    # command line prints, before any cochain is built
+    gx, cat, system, provider = ngon_twisted(4, Z)
+    with pytest.raises(ValueError) as ex:
+        crosscheck_theorem(gx, cat, system, provider, 2)
+    assert str(ex.value) == "--nmax exceeds the truncation 1 of the complex"
+    assert crosscheck_theorem(gx, cat, system, provider, 1)["all_match"]
 
 
 def test_comparison_lets_an_exhausted_budget_through(monkeypatch):

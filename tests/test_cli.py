@@ -663,6 +663,21 @@ MALFORMED_FILES = {
                                                  "table": [[0, 1], [1, 0]]})),
     "group elements as a string": ("group", {"elements": "et",
                                              "table": [[0, 1], [1, 0]]}),
+    "group as an int": ("complex", _s1(group=5)),
+    "group table as an int": ("complex", _s1(group={"elements": ["e"],
+                                                    "table": 5})),
+    "group table as a list of ints": ("complex", _s1(group={
+        "elements": ["e"], "table": [5, 5]})),
+    "group table as null": ("complex", _s1(group={"elements": ["e"],
+                                                  "table": None})),
+    "pi table as an int": ("twist", _twist(pi={"elements": ["e", "t"],
+                                               "table": 5})),
+    "pi table as a list of ints": ("twist", _twist(pi={
+        "elements": ["e", "t"], "table": [5, 5]})),
+    "pi table as null": ("twist", _twist(pi={"elements": ["e", "t"],
+                                             "table": None})),
+    "group file table as an int": ("group", {"elements": ["e"],
+                                             "table": 5}),
     "phi as a list": ("action", {"phi": [[-1]]}),
     "matrix as an int": ("action", {"phi": {"e": {"t": -1}}}),
     "string bounds": ("theory", {"canonical": True, "i_max": "two",
@@ -775,6 +790,21 @@ MALFORMED_KEYS = {
         "error: complex 'action' key 't' must be a JSON object\n",
     "action as a list": "error: complex 'action' must be a JSON object\n",
     "pi as a string": "error: twist 'pi' must be a JSON object\n",
+    "group as an int": "error: complex 'group' must be a JSON object\n",
+    "group table as an int":
+        "error: complex 'group' 'table' must be a JSON list of rows\n",
+    "group table as a list of ints":
+        "error: complex 'group' 'table' must be a JSON list of rows\n",
+    "group table as null":
+        "error: complex 'group' 'table' must be a JSON list of rows\n",
+    "pi table as an int":
+        "error: twist 'pi' 'table' must be a JSON list of rows\n",
+    "pi table as a list of ints":
+        "error: twist 'pi' 'table' must be a JSON list of rows\n",
+    "pi table as null":
+        "error: twist 'pi' 'table' must be a JSON list of rows\n",
+    "group file table as an int":
+        "error: group 'table' must be a JSON list of rows\n",
     "pi as a list": "error: twist 'pi' must be a JSON object\n",
     "phi as a string": "error: action 'phi' must be a JSON object\n",
     "phi as a list": "error: action 'phi' must be a JSON object\n",

@@ -170,6 +170,18 @@ def test_orbit_category_agrees_with_the_name_level_construction(name):
                     assert cat.coset_morphism(src, tgt, g).key == want
 
 
+@pytest.mark.parametrize("name", sorted(ORBIT_GROUPS))
+def test_composites_are_the_composable_pairs_in_order(name):
+    cat = OrbitCategory(ORBIT_GROUPS[name]())
+    keys = [s.key for s in cat.subgroups]
+    # every subgroup's key, none, and every other one
+    for ends in (set(keys), set(), set(keys[::2])):
+        want = [(f.key, h.key, cat.compose(f, h).key)
+                for f, h in cat.composable_pairs() if h.tgt.key in ends]
+        assert [(f.key, h.key, hf.key)
+                for f, h, hf in cat.composites(ends)] == want
+
+
 def test_orbit_category_of_s4_x_c2_counts_cosets():
     grp = permutation_group((1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5),
                             (0, 1, 2, 3, 5, 4))

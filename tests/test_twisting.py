@@ -14,7 +14,7 @@ from eqtwist.groups import FiniteGroup
 from eqtwist.simplicial import nondeg, standard_simplex
 from eqtwist.twisting import GroupTwist, classifying_map
 
-from helpers import circle_gx
+from helpers import circle_gx, trivial_twist
 
 STRUCTURE_GROUPS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(4),
                     FiniteGroup.symmetric3()]
@@ -94,4 +94,4 @@ def test_degenerate_references_twist_trivially():
 def test_trivial_twist_always_valid():
     for pi in STRUCTURE_GROUPS:
         s1 = circle_gx().space
-        GroupTwist.trivial(s1, pi).validate()
+        trivial_twist(s1, pi).validate()
