@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 validation failure, 2 budget exhausted,
 3 internal invariant breach.  Inputs are parsed and cross validated
 before any cohomology is computed, so code 1 always points at the
-input files and code 3 at the library itself.  `validate`,
-`fixedpoints`, `bredon`, `twisted` and `crosscheck` load their files
-through `fixtures.load_setup`; `validate` is that loader alone,
-reporting the checks it passed.
+input files and code 3 at the library itself.  A stdout closed before
+the output is written (`| head -1`) still exits 0, with nothing on
+stderr: the result was computed and checked, and its reader stopped.
+`validate`, `fixedpoints`, `bredon`, `twisted` and `crosscheck` load
+their files through `fixtures.load_setup`; `validate` is that loader
+alone, reporting the checks it passed.
 
 Every command runs inside `abgroups.column_budget(--budget)`, so the
 budget bounds the generator columns of all direct sums the command
@@ -19,6 +21,7 @@ rerun on the same inputs is byte identical.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -28,7 +31,7 @@ from .cartan import canonical_theory, check_axioms, crosscheck_theorem
 from .coefficients import CoefficientSystem
 from .em import CocycleModel
 from .equivariant import GSimplicialSet
-from .fixtures import load_json, load_setup, load_theory_data, parsing
+from .fixtures import load_json, load_setup, load_theory_data
 from .groups import FiniteGroup, OrbitCategory
 
 DEFAULT_BUDGET = 200000
@@ -169,18 +172,15 @@ def cmd_cartan_check(args):
         raise InputError("--group and --complex exclude each other")
 
     def load():
-        with parsing():
-            if args.group:
-                grp = FiniteGroup.from_json(load_json(args.group))
-            elif args.complex:
-                grp = GSimplicialSet.from_json(load_json(args.complex)).group
-            else:
-                grp = FiniteGroup.trivial()
+        if args.group:
+            grp = FiniteGroup.from_json(load_json(args.group))
+        elif args.complex:
+            grp = GSimplicialSet.from_json(load_json(args.complex)).group
+        else:
+            grp = FiniteGroup.trivial()
         cat = OrbitCategory(grp)
-        with parsing():
-            system = CoefficientSystem.from_json(cat, load_json(args.coeffs))
-        th = load_theory_data(args.theory)
-        i_max, p_max = th["i_max"], th["p_max"]
+        system = CoefficientSystem.from_json(cat, load_json(args.coeffs))
+        i_max, p_max = load_theory_data(args.theory)
         if args.bounds:
             i_max, p_max = _parse_bounds(args.bounds)
         return cat, system, i_max, p_max
@@ -215,11 +215,11 @@ def cmd_crosscheck(args):
                          "of the complex")
     theory = None
     if args.theory:
-        th = _loading(load_theory_data, args.theory)
-        if th["i_max"] < nmax + 1:
+        i_max, p_max = _loading(load_theory_data, args.theory)
+        if i_max < nmax + 1:
             raise InputError("theory bounds truncate below --nmax + 1")
         theory = _computing(canonical_theory, setup.cat, setup.system,
-                            th["i_max"], th["p_max"])
+                            i_max, p_max)
     report = _computing(crosscheck_theorem, setup.gx, setup.cat,
                         setup.system, setup.provider, nmax, theory)
     lines = []
@@ -370,11 +370,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal invariant breach: {ex}\n")
         return 3
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True))
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: the flush at exit writes to nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .abgroups import AbHom, FgAbGroup
 from .groups import FiniteGroup, OrbitCategory, OrbitMorphism
 from .intmat import IntMatrix
+from .reader import NATURAL, OBJECT, ROWS, entries, expect
 
 
 class CoefficientSystem:
@@ -52,22 +53,22 @@ class CoefficientSystem:
     @classmethod
     def from_json(cls, cat: OrbitCategory, data: dict) -> "CoefficientSystem":
         if "constant" in data:
-            a = group_from_json(data["constant"], "'constant'")
+            a = group_from_json(expect(data, "constant", OBJECT, "coefficient"),
+                                "coefficient 'constant'")
             return cls.constant(cat, a)
-        values_data, maps_data = data["values"], data.get("maps", {})
-        for field, obj in (("values", values_data), ("maps", maps_data)):
-            if type(obj) is not dict:
-                raise ValueError(f"coefficient {field!r} must be a JSON object")
-        for key in values_data:
+        values_data = expect(data, "values", OBJECT, "coefficient")
+        for key, _v in entries(values_data, OBJECT, "coefficient 'values'"):
             if key not in cat.by_key:
                 raise ValueError(
                     f"coefficient 'values' key {key!r} names no subgroup")
-        values = {key: group_from_json(v, f"'values' key {key!r}")
-                  for key, v in values_data.items()}
+        values = {s.key: group_from_json(
+            expect(values_data, s.key, OBJECT, "coefficient 'values'"),
+            f"coefficient 'values' key {s.key!r}") for s in cat.subgroups}
         # morphism key -> (the file's key for it, its matrix rows); a file
         # may name a morphism by any representative of its coset
         given = {}
-        for key, rows in maps_data.items():
+        for key, rows in entries(expect(data, "maps", OBJECT, "coefficient",
+                                        {}), ROWS, "coefficient 'maps'"):
             m = _morphism_named(cat, key)
             if m is None:
                 raise ValueError(
@@ -106,31 +107,22 @@ def _morphism_named(cat: OrbitCategory, key: str) -> OrbitMorphism | None:
 
 def group_from_json(data: dict, where: str) -> FgAbGroup:
     """The group {gens, rels} of a coefficient file, read at `where`,
-    the key that errors name: rels has one row per generator and one
+    the path that errors name: rels has one row per generator and one
     column per relation."""
-    if type(data) is not dict:
-        raise ValueError(f"coefficient {where} must be a JSON object")
-    if "gens" not in data:
-        raise ValueError(f"coefficient {where} has no 'gens'")
-    gens, rels = data["gens"], data.get("rels", [])
-    if type(gens) is not int or gens < 0:
-        raise ValueError(f"coefficient {where} 'gens' {gens!r} is not a "
-                         f"nonnegative JSON integer")
-    if type(rels) is not list or any(type(r) is not list for r in rels):
-        raise ValueError(f"coefficient {where} 'rels' must be a JSON list "
-                         f"of rows")
+    gens = expect(data, "gens", NATURAL, where)
+    rels = expect(data, "rels", ROWS, where, [])
     if rels and len(rels) != gens:
-        raise ValueError(f"coefficient {where} 'rels' must have one row "
-                         f"per generator")
-    return FgAbGroup.from_relations(gens, rels)
+        raise ValueError(f"{where} 'rels' must have one row per generator")
+    try:
+        return FgAbGroup.from_relations(gens, rels)
+    except ValueError as ex:
+        raise ValueError(f"{where} 'rels': {ex}") from ex
 
 
 def hom_from_json(rows, source: FgAbGroup, target: FgAbGroup,
                   where: str) -> AbHom:
     """The hom whose matrix rows a file gives at `where`, the key that
     errors name."""
-    if type(rows) is not list or any(type(r) is not list for r in rows):
-        raise ValueError(f"{where} must be a JSON list of rows")
     try:
         return AbHom(source, target, IntMatrix(rows, source.ngens))
     except ValueError as ex:
@@ -193,29 +185,22 @@ class LocalSystem:
     @classmethod
     def from_json(cls, system: CoefficientSystem, pi: FiniteGroup,
                   data: dict) -> "LocalSystem":
-        phi, given = {}, data["phi"]
-        if type(given) is not dict:
-            raise ValueError("action 'phi' must be a JSON object")
-        for key, per in given.items():
+        phi = {}
+        for key, per in entries(expect(data, "phi", OBJECT, "action"),
+                                OBJECT, "action 'phi'"):
             if key not in system.values:
                 raise ValueError(f"action 'phi' key {key!r} names no subgroup")
-            if type(per) is not dict:
-                raise ValueError(f"action 'phi' key {key!r} must be a JSON "
-                                 f"object")
-            for u in per:
+            val = system.values[key]
+            for u, rows in entries(per, ROWS, "action 'phi'", key):
                 if u not in pi.index:
                     raise ValueError(f"action 'phi' key {u!r} at {key!r} "
                                      f"names no element of pi")
+                phi[(key, u)] = hom_from_json(
+                    rows, val, val, f"action 'phi' key {u!r} at {key!r}")
         for s in system.cat.subgroups:
-            val = system.values[s.key]
-            per = given.get(s.key, {})
+            phi.setdefault((s.key, pi.identity),
+                           AbHom.identity(system.values[s.key]))
             for u in pi.names:
-                if u in per:
-                    phi[(s.key, u)] = hom_from_json(
-                        per[u], val, val,
-                        f"action 'phi' key {u!r} at {s.key!r}")
-                elif u == pi.identity:
-                    phi[(s.key, u)] = AbHom.identity(val)
-                else:
+                if (s.key, u) not in phi:
                     raise ValueError(f"no action matrix for {u} at {s.key}")
         return cls(system, pi, phi)

@@ -22,6 +22,8 @@ from __future__ import annotations
 from .abgroups import AbHom
 from .coefficients import CoefficientSystem, hom_from_json
 from .equivariant import OGComplex
+from .reader import (OBJECT, ROWS, STEP, STEPS, STRING, SUBGROUP_PATHS,
+                     VERTEX_PATHS, entries, expect, members)
 from .simplicial import FiniteSimplicialSet, SimplexRef, nondeg
 
 
@@ -56,11 +58,6 @@ def edge_endpoints(fs: FiniteSimplicialSet, eid: str) -> tuple[str, str]:
     return fs.base_face(1, eid).base, fs.base_face(0, eid).base
 
 
-def step_endpoints(fs: FiniteSimplicialSet, step) -> tuple[str, str]:
-    a, b = edge_endpoints(fs, step[0])
-    return (a, b) if step[1] > 0 else (b, a)
-
-
 class PathChoice:
     """Basepoint and an edge path to every vertex of every fixed complex.
 
@@ -93,7 +90,11 @@ class PathChoice:
                     if not fc.has_cell(step[0]):
                         raise ValueError(
                             f"path to {v!r} leaves the {s.key} complex")
-                    a, b = step_endpoints(fc, step)
+                    if fc.dim_of(step[0]) != 1:
+                        raise ValueError(f"path to {v!r} steps along "
+                                         f"{step[0]!r}, which is not an edge")
+                    # direction -1 walks the edge from its end to its start
+                    a, b = edge_endpoints(fc, step[0])[::step[1]]
                     if a != at:
                         raise ValueError(f"path to {v!r} breaks at {step}")
                     at = b
@@ -104,36 +105,23 @@ class PathChoice:
 
     @classmethod
     def from_json(cls, ph: OGComplex, data: dict) -> "PathChoice":
-        if not isinstance(data["paths"], dict):
-            raise ValueError("twist 'paths' is not an object from subgroups "
-                             "to vertex paths")
+        basepoint = expect(data, "basepoint", STRING, "twist")
         paths = {}
-        for skey, per in data["paths"].items():
+        for skey, per in entries(expect(data, "paths", SUBGROUP_PATHS, "twist"),
+                                 VERTEX_PATHS, "twist 'paths'"):
             if skey not in ph.complexes:
                 raise ValueError(f"twist 'paths' key {skey!r} names no subgroup")
-            if not isinstance(per, dict):
-                raise ValueError(f"twist 'paths' key {skey!r} is not an "
-                                 f"object from vertices to paths")
             vertices = set(ph.complexes[skey].cells.get(0, ()))
-            for v, steps in per.items():
+            for v, steps in entries(per, STEPS, "twist 'paths'", skey):
                 if v not in vertices:
                     raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
                                      f"names no vertex of that fixed complex")
-                if not isinstance(steps, list):
-                    raise ValueError(f"twist 'paths' key {v!r} at {skey!r} "
-                                     f"is not a list of steps")
-                for step in steps:
-                    if not isinstance(step, list) or len(step) != 2 or \
-                            not isinstance(step[0], str):
-                        raise ValueError(f"twist 'paths' step {step!r} at "
-                                         f"{v!r} is not an [edge name, "
-                                         f"direction] pair")
-                    d = step[1]
+                for _edge, d in members(steps, STEP, "twist 'paths' step", v):
                     if type(d) is not int or d not in (1, -1):
                         raise ValueError(f"twist 'paths' step direction {d!r} "
                                          f"at {v!r} is not 1 or -1")
                 paths[(skey, v)] = EdgeWord(steps)
-        return cls(ph, data["basepoint"], paths)
+        return cls(ph, basepoint, paths)
 
 
 def loop_of_simplex(fc: FiniteSimplicialSet, choice: PathChoice,
@@ -225,18 +213,13 @@ class EdgeActionSystem:
     @classmethod
     def from_json(cls, ph: OGComplex, system: CoefficientSystem,
                   data: dict) -> "EdgeActionSystem":
-        if type(data) is not dict:
-            raise ValueError("action 'edges' must be a JSON object")
         mats = {}
-        for skey, per in data.items():
+        for skey, per in entries(data, OBJECT, "action 'edges'"):
             if skey not in ph.complexes:
                 raise ValueError(f"action 'edges' key {skey!r} names no subgroup")
-            if type(per) is not dict:
-                raise ValueError(f"action 'edges' key {skey!r} must be a JSON "
-                                 f"object")
             val = system.values[skey]
             edges = set(ph.complexes[skey].cells.get(1, ()))
-            for eid, rows in per.items():
+            for eid, rows in entries(per, ROWS, "action 'edges'", skey):
                 if eid not in edges:
                     raise ValueError(f"action 'edges' key {eid!r} at {skey!r} "
                                      f"names no edge of that fixed complex")

@@ -26,6 +26,7 @@ stabilizer contains H.
 from __future__ import annotations
 
 from .groups import FiniteGroup, OrbitCategory, subgroup_key
+from .reader import OBJECT, entries, expect
 from .simplicial import FiniteSimplicialSet, SimplicialMap, nondeg
 
 # per orbit of q-cells, the (face index, orbit of (q-1)-cells,
@@ -175,22 +176,20 @@ class GSimplicialSet:
     @classmethod
     def from_json(cls, data: dict) -> "GSimplicialSet":
         space = FiniteSimplicialSet.from_json(data)
-        group = FiniteGroup.from_json(data["group"], "complex 'group'")
-        action = data.get("action", {})
-        if type(action) is not dict:
-            raise ValueError("complex 'action' must be a JSON object")
+        group = FiniteGroup.from_json(expect(data, "group", OBJECT, "complex"),
+                                      "complex 'group'")
+        action = expect(data, "action", OBJECT, "complex", {})
         cells = [cid for ids in space.cells.values() for cid in ids]
         known = set(cells)
-        for g, perm in action.items():
+        for g, perm in entries(action, OBJECT, "complex 'action'"):
             where = f"complex 'action' key {g!r}"
             if g not in group.index:
                 raise ValueError(f"{where} names no element of the group")
-            if type(perm) is not dict:
-                raise ValueError(f"{where} must be a JSON object")
             for cid, image in perm.items():
                 if cid not in known:
                     raise ValueError(f"{where} moves {cid!r}, which names "
                                      f"no cell")
+                # a name that is no string names no cell
                 if type(image) is not str or image not in known:
                     raise ValueError(f"{where} sends {cid!r} to {image!r}, "
                                      f"which names no cell")

@@ -32,11 +32,10 @@ File formats:
   theory    {"canonical": true, "i_max": i, "p_max": p}, with i and p
             positive JSON integers
 
-All loaders validate as they go and raise ValueError with the offending
-item named; a file of the wrong shape is reported the same way.
+Every key is read through `reader`, whose errors name the key path of
+a value of the wrong JSON type; the loaders check what the keys mean.
 """
 
-import contextlib
 import json
 import os
 
@@ -45,6 +44,7 @@ from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .equivariant import GSimplicialSet, fixed_point_system
 from .groups import FiniteGroup, OrbitCategory
+from .reader import OBJECT, POSITIVE, TRUE, expect
 from .twisting import GroupTwist, check_naturality
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -55,30 +55,16 @@ def fixture_path(name: str) -> str:
 
 
 def load_json(path: str) -> dict:
-    """The JSON object a file holds; every input format is an object."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
+    """The JSON object a UTF-8 file holds; every input format is an
+    object, and any other file is refused by its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as ex:  # no UTF-8, or no JSON
+        raise ValueError(f"{path}: {ex}") from ex
+    if type(data) is not dict:
         raise ValueError(f"{path}: expected a JSON object")
     return data
-
-
-@contextlib.contextmanager
-def parsing():
-    """Block that reads JSON data into objects.
-
-    A file of the wrong shape (a missing key, a list where an object
-    belongs) fails inside a `from_json` with KeyError, TypeError,
-    IndexError or AttributeError; in this block it raises the ValueError
-    of bad input instead.  Only parsing belongs here, so the errors of
-    the computations between parsing steps pass through unchanged.
-    """
-    try:
-        yield
-    except KeyError as ex:
-        raise ValueError(f"malformed input: missing key {ex}") from ex
-    except (TypeError, IndexError, AttributeError) as ex:
-        raise ValueError(f"malformed input: {ex}") from ex
 
 
 class Setup:
@@ -111,16 +97,14 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     ValueError out of here always means bad input, not a broken run.
     """
     out = Setup()
-    with parsing():
-        out.gx = GSimplicialSet.from_json(load_json(complex_path))
+    out.gx = GSimplicialSet.from_json(load_json(complex_path))
     out.checked.append("complex")
     out.cat = OrbitCategory(out.gx.group)
     out.ph = fixed_point_system(out.gx, out.cat)
     out.checked.append("fixed point system")
     if coeffs_path is not None:
-        with parsing():
-            out.system = CoefficientSystem.from_json(out.cat,
-                                                     load_json(coeffs_path))
+        out.system = CoefficientSystem.from_json(out.cat,
+                                                 load_json(coeffs_path))
         out.checked.append("coefficient system")
     if twist_path is None:
         if action_path is not None:
@@ -129,10 +113,10 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     tdata = load_json(twist_path)
     adata = load_json(action_path) if action_path is not None else None
     if "pi" in tdata:
-        with parsing():
-            pi = FiniteGroup.from_json(tdata["pi"], "twist 'pi'")
-            out.twist = GroupTwist.from_json(out.gx.space, pi,
-                                             tdata["values"])
+        pi = FiniteGroup.from_json(expect(tdata, "pi", OBJECT, "twist"),
+                                   "twist 'pi'")
+        out.twist = GroupTwist.from_json(
+            out.gx.space, pi, expect(tdata, "values", OBJECT, "twist"))
         out.checked.append("twisting identities")
         check_naturality(out.ph, out.twist)
         out.checked.append("classifying map naturality")
@@ -141,26 +125,21 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
             return out
         if out.system is None:
             raise ValueError("a coefficient action needs --coeffs")
-        if "phi" not in adata:
-            raise ValueError("action file for a group twist must carry 'phi'")
-        with parsing():
-            local = LocalSystem.from_json(out.system, pi, adata)
+        local = LocalSystem.from_json(out.system, pi, adata)
         out.checked.append("coefficient action")
         out.provider = GroupTwistProvider(local, out.twist)
     elif "kappa" in tdata:
-        with parsing():
-            choice = PathChoice.from_json(out.ph, tdata["kappa"])
+        choice = PathChoice.from_json(out.ph,
+                                      expect(tdata, "kappa", OBJECT, "twist"))
         out.checked.append("edge paths")
         if out.system is None:
             if adata is not None:
                 raise ValueError("edge actions need a coefficient system")
             return out
-        if adata is None or "edges" not in adata:
-            raise ValueError(
-                "an edge path twist needs an action file with 'edges'")
-        with parsing():
-            actions = EdgeActionSystem.from_json(out.ph, out.system,
-                                                 adata["edges"])
+        if adata is None:
+            raise ValueError("an edge path twist needs an action file")
+        actions = EdgeActionSystem.from_json(
+            out.ph, out.system, expect(adata, "edges", OBJECT, "action"))
         out.checked.append("edge holonomies")
         out.provider = EdgePathProvider(out.ph, choice, actions)
     else:
@@ -168,15 +147,9 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
     return out
 
 
-def load_theory_data(theory_path: str) -> dict:
+def load_theory_data(theory_path: str) -> tuple[int, int]:
+    """The bounds (i_max, p_max) of a canonical theory file."""
     data = load_json(theory_path)
-    if data.get("canonical") is not True:
-        raise ValueError("only canonical theory descriptors are supported")
-    with parsing():
-        bounds = {key: data[key] for key in ("i_max", "p_max")}
-    for key, value in bounds.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"theory bound {key!r} must be a JSON integer")
-        if value < 1:
-            raise ValueError("theory bounds must be positive")
-    return bounds
+    expect(data, "canonical", TRUE, "theory")
+    return (expect(data, "i_max", POSITIVE, "theory"),
+            expect(data, "p_max", POSITIVE, "theory"))

@@ -16,6 +16,8 @@ takes two table lookups and builds nothing.
 
 from __future__ import annotations
 
+from .reader import ROWS, STRINGS, expect
+
 
 class FiniteGroup:
     """Multiplication table on named elements."""
@@ -85,16 +87,8 @@ class FiniteGroup:
     def from_json(cls, data: dict, where: str = "group") -> "FiniteGroup":
         """The group an object of a file describes; `where` names it in
         the errors, as "complex 'group'" or "twist 'pi'"."""
-        if type(data) is not dict:
-            raise ValueError(f"{where} must be a JSON object")
-        names = data["elements"]
-        if type(names) is not list or any(type(n) is not str for n in names):
-            raise ValueError(f"{where} 'elements' must be a JSON list of "
-                             f"strings")
-        table = data["table"]
-        if type(table) is not list or any(type(r) is not list for r in table):
-            raise ValueError(f"{where} 'table' must be a JSON list of rows")
-        return cls(names, table)
+        return cls(expect(data, "elements", STRINGS, where),
+                   expect(data, "table", ROWS, where))
 
     def __repr__(self) -> str:
         return f"FiniteGroup<order {self.order}>"
@@ -154,17 +148,16 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 class OrbitMorphism:
     """Morphism of orbits G/src -> G/tgt, i.e. a coset g*tgt with
-    g^-1 (src) g inside tgt."""
+    g^-1 (src) g inside tgt; rep is its element of least table index."""
 
-    __slots__ = ("group", "src", "tgt", "coset", "rep", "key")
+    __slots__ = ("src", "tgt", "coset", "rep", "key")
 
-    def __init__(self, group: FiniteGroup, src: Subgroup, tgt: Subgroup,
-                 coset: frozenset[str]):
-        self.group = group
+    def __init__(self, src: Subgroup, tgt: Subgroup, coset: frozenset[str],
+                 rep: str):
         self.src = src
         self.tgt = tgt
         self.coset = coset
-        self.rep = min(coset, key=lambda n: group.index[n])
+        self.rep = rep
         self.key = f"{src.key}|{tgt.key}|{self.rep}"
 
     def is_identity(self) -> bool:
@@ -218,7 +211,8 @@ class OrbitCategory:
                 for r in reps[tgt.key]:
                     if conj[r] <= ks:
                         coset = frozenset(group.names[t[r][k]] for k in ks)
-                        m = at[r] = OrbitMorphism(group, src, tgt, coset)
+                        m = at[r] = OrbitMorphism(src, tgt, coset,
+                                                  group.names[r])
                         self._morphisms[m.key] = m
         self._sorted = [self._morphisms[k] for k in sorted(self._morphisms)]
 

@@ -24,6 +24,8 @@ import itertools
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .reader import CELL_NAMES, FACE_REFS, NATURAL, OBJECT, entries, expect
+
 
 class SimplexRef(NamedTuple):
     word: tuple[int, ...]
@@ -201,38 +203,27 @@ class FiniteSimplicialSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteSimplicialSet":
-        """The complex a file describes.  A key that would be dropped or
-        read as something else is refused by name: a truncation or a
-        dimension that is not written as a nonnegative integer, a cell
-        name that is not a string, cells above the truncation, face lists
-        of vertices or of unlisted cells, and face lists that are not
-        lists of strings."""
-        trunc = data["truncation"]
-        if type(trunc) is not int or trunc < 0:
-            raise ValueError(f"complex 'truncation' {trunc!r} is not a "
-                             f"nonnegative JSON integer")
+        """The complex a file describes.  A dimension not written as a
+        nonnegative integer, cells above the truncation and face lists of
+        vertices or of unlisted cells are refused by name."""
+        trunc = expect(data, "truncation", NATURAL, "complex")
         cells = {}
-        for key, ids in data["simplices"].items():
+        for key, ids in entries(expect(data, "simplices", OBJECT, "complex"),
+                                CELL_NAMES, "complex 'simplices'"):
             if not _DIMENSION.fullmatch(key):
                 raise ValueError(f"complex 'simplices' key {key!r} is not "
                                  f"a dimension")
-            if type(ids) is not list or any(type(c) is not str for c in ids):
-                raise ValueError(f"complex 'simplices' key {key!r} is not "
-                                 f"a list of cell names")
             if ids and int(key) > trunc:
                 raise ValueError(f"complex 'simplices' key {key!r} lists "
                                  f"cells above the truncation {trunc}")
             cells[int(key)] = ids
         higher = {cid for q, ids in cells.items() if q >= 1 for cid in ids}
         faces = {}
-        for cid, refs in data.get("faces", {}).items():
+        for cid, refs in entries(expect(data, "faces", OBJECT, "complex", {}),
+                                 FACE_REFS, "complex 'faces'"):
             if cid not in higher:
                 raise ValueError(f"complex 'faces' key {cid!r} names no "
                                  f"cell of dimension >= 1")
-            if type(refs) is not list or any(type(t) is not str
-                                             for t in refs):
-                raise ValueError(f"complex 'faces' key {cid!r} is not a "
-                                 f"list of face references")
             faces[cid] = tuple(parse_ref(t) for t in refs)
         return cls(trunc, cells, faces)
 

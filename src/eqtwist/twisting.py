@@ -25,6 +25,7 @@ from .classifying import (Materialized, SimplicialFiniteGroup,
                           classifying_complex)
 from .equivariant import GSimplicialSet, OGComplex
 from .groups import FiniteGroup
+from .reader import STRING, entries
 from .simplicial import FiniteSimplicialSet, SimplexRef, SimplicialMap, nondeg
 
 
@@ -99,9 +100,7 @@ class GroupTwist:
     @classmethod
     def from_json(cls, space: FiniteSimplicialSet, pi: FiniteGroup,
                   data: dict) -> "GroupTwist":
-        if not isinstance(data, dict):
-            raise ValueError("twist 'values' must be a JSON object")
-        return cls(space, pi, data)
+        return cls(space, pi, dict(entries(data, STRING, "twist 'values'")))
 
 
 def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,

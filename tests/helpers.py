@@ -954,6 +954,12 @@ def reference_all_subgroups(g: FiniteGroup) -> list[tuple[int, str]]:
 # `groups.OrbitCategory` as it was before it worked on table indices:
 # |S|^2 |G| |H| name-level conjugations, and each lookup builds its coset.
 
+def _morphism(group, src, tgt, coset) -> OrbitMorphism:
+    """The morphism on a coset, with its least member found by name."""
+    return OrbitMorphism(src, tgt, coset,
+                         min(coset, key=lambda n: group.index[n]))
+
+
 class _NameLevelOrbitCategory:
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -974,7 +980,7 @@ class _NameLevelOrbitCategory:
                     if coset in seen:
                         continue
                     seen.add(coset)
-                    m = OrbitMorphism(group, src, tgt, coset)
+                    m = _morphism(group, src, tgt, coset)
                     homs.append(m)
                     self._morphisms[m.key] = m
                 homs.sort(key=lambda m: group.index[m.rep])
@@ -989,7 +995,7 @@ class _NameLevelOrbitCategory:
 
     def coset_morphism(self, src, tgt, gname: str) -> OrbitMorphism:
         coset = frozenset(self.group.mul(gname, k) for k in tgt.members)
-        m = OrbitMorphism(self.group, src, tgt, coset)
+        m = _morphism(self.group, src, tgt, coset)
         return self._morphisms[m.key]
 
     def compose(self, f: OrbitMorphism, h: OrbitMorphism) -> OrbitMorphism:

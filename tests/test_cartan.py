@@ -387,6 +387,23 @@ def test_comparison_theorem(name, setup):
     assert report["commutes"] is True
 
 
+# H^0 and H^1 of the n-gon whose edge e0 acts by -1 on the coefficients,
+# for every n: the invariants and the coinvariants of the sign action
+SIGN_NGON_FORMS = {"Z": ("0", "C2"), "Z2": ("C2", "C2"), "Z4": ("C2", "C2")}
+
+
+@pytest.mark.parametrize("coeff", sorted(SIGN_NGON_FORMS))
+@pytest.mark.parametrize("n", range(3, 11))
+def test_comparison_theorem_on_the_sign_twisted_polygons(n, coeff):
+    setup = ngon_twisted(n, {"Z": Z, "Z2": Z2, "Z4": Z4}[coeff])
+    report = crosscheck_theorem(*setup, 1)
+    assert [(e["bredon"], e["lift"]) for e in report["degrees"]] == \
+        [(form, form) for form in SIGN_NGON_FORMS[coeff]]
+    assert report["all_match"] is True
+    assert report["iso"] is True
+    assert report["commutes"] is True
+
+
 # every bundled complex that loads: all but broken_delta2.json, which
 # fails a face identity
 FIXTURE_COMPLEXES = ["delta2.json", "refs1.json", "s1.json", "sphere0.json",

@@ -1,6 +1,11 @@
 """Command line behavior: payload shapes, exit codes, determinism."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -408,6 +413,71 @@ def test_a_missing_input_file_is_an_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+# (raw contents of a coefficient file, the reason after its path)
+UNREADABLE_FILES = {
+    "not JSON": (b"constant", "Expecting value: line 1 column 1 (char 0)"),
+    "not UTF-8": (b"\xff{}", "'utf-8' codec can't decode byte 0xff in "
+                              "position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_an_unreadable_input_file_is_named(capsys, tmp_path, case):
+    contents, reason = UNREADABLE_FILES[case]
+    path = tmp_path / "coeffs.json"
+    path.write_bytes(contents)
+    assert run(capsys, "bredon", "--complex", fx("s1.json"),
+               "--coeffs", str(path), "--nmax", "1") == \
+        (1, "", f"error: {path}: {reason}\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises, and its file
+    descriptor is the given one."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["bredon", "--complex", fx("refs1.json"), "--coeffs", fx("coeffs_z2.json"),
+     "--nmax", "3", "--format", "text"],
+    ["em-info", "--A", "Z2", "--n", "1", "--q", "3"],
+], ids=["bredon", "em-info"])
+def test_a_closed_stdout_ends_the_run_quietly(capsys, monkeypatch, tmp_path,
+                                              argv):
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        assert cli.main(argv) == 0
+        # the descriptor now writes to the null device, as the flush at
+        # exit will
+        os.write(fh.fileno(), b"left in the buffer")
+    assert target.read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_a_pipe_with_no_reader_gets_no_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqtwist.cli", "em-info", "--A", "Z2",
+             "--n", "1", "--q", "3"], stdout=write, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def _without_group():
     with open(fx("s1.json")) as fh:
         data = json.load(fh)
@@ -549,7 +619,7 @@ def test_a_theory_without_bounds_is_an_input_error(capsys, tmp_path,
     code, out, err = run(capsys, *command, "--theory", str(path))
     assert code == 1
     assert out == ""
-    assert err == "error: malformed input: missing key 'i_max'\n"
+    assert err == "error: theory has no 'i_max'\n"
 
 
 def _coeffs(**constant):
@@ -645,6 +715,9 @@ MALFORMED_PATHS = {
         {"kappa": {"basepoint": "v0", "paths": [["e", {}]]}},
         "error: twist 'paths' is not an object from subgroups to vertex "
         "paths\n"),
+    "step along a vertex": (
+        _kappa_step(["v1", 1]),
+        "error: path to 'v1' steps along 'v1', which is not an edge\n"),
 }
 
 
@@ -701,6 +774,7 @@ MALFORMED_FILES = {
     "rels as a list of ints": ("coeffs", _coeffs(gens=1, rels=[2])),
     "one rels row for two gens": ("coeffs", _coeffs(gens=2, rels=[[2]])),
     "value as a list": ("coeffs", {"values": {"e": [1]}}),
+    "no values": ("coeffs", {"values": {}}),
     "truncation as a string": ("complex", _s1(truncation="3")),
     "fractional truncation": ("complex", _s1(truncation=3.0)),
     "boolean truncation": ("complex", _s1(truncation=True)),
@@ -760,6 +834,13 @@ MALFORMED_KEYS = {
                                  "have one row per generator\n",
     "value as a list":
         "error: coefficient 'values' key 'e' must be a JSON object\n",
+    "no values": "error: coefficient 'values' has no 'e'\n",
+    "fractional step direction":
+        "error: twist 'paths' step direction 1.5 at 'v1' is not 1 or -1\n",
+    "string step direction":
+        "error: twist 'paths' step direction '1' at 'v1' is not 1 or -1\n",
+    "boolean step direction":
+        "error: twist 'paths' step direction True at 'v1' is not 1 or -1\n",
     "truncation as a string": "error: complex 'truncation' '3' is not a "
                               "nonnegative JSON integer\n",
     "fractional truncation": "error: complex 'truncation' 3.0 is not a "
@@ -1027,6 +1108,9 @@ BAD_KEYS = {
     "values as a list": (
         {"values": []},
         "error: coefficient 'values' must be a JSON object\n"),
+    "no value at the fixed orbit": (
+        {"values": {"e": C2_VALUES["values"]["e"]}},
+        "error: coefficient 'values' has no 'e,t'\n"),
     "two matrices for one morphism": (
         {"maps": {**C2_VALUES["maps"], "e|e,t|t": [[0]]}},
         "error: coefficient 'maps' keys 'e|e,t|e' and 'e|e,t|t' give the "
