@@ -12,7 +12,7 @@ from __future__ import annotations
 from .abgroups import AbHom, FgAbGroup
 from .groups import FiniteGroup, OrbitCategory, OrbitMorphism
 from .intmat import IntMatrix
-from .reader import NATURAL, OBJECT, ROWS, entries, expect
+from .reader import NATURAL, OBJECT, ROWS, entries, expect, known
 
 
 class CoefficientSystem:
@@ -53,9 +53,11 @@ class CoefficientSystem:
     @classmethod
     def from_json(cls, cat: OrbitCategory, data: dict) -> "CoefficientSystem":
         if "constant" in data:
+            known(data, ("constant",), "coefficient")
             a = group_from_json(expect(data, "constant", OBJECT, "coefficient"),
                                 "coefficient 'constant'")
             return cls.constant(cat, a)
+        known(data, ("values", "maps"), "coefficient")
         values_data = expect(data, "values", OBJECT, "coefficient")
         for key, _v in entries(values_data, OBJECT, "coefficient 'values'"):
             if key not in cat.by_key:
@@ -109,6 +111,7 @@ def group_from_json(data: dict, where: str) -> FgAbGroup:
     """The group {gens, rels} of a coefficient file, read at `where`,
     the path that errors name: rels has one row per generator and one
     column per relation."""
+    known(data, ("gens", "rels"), where)
     gens = expect(data, "gens", NATURAL, where)
     rels = expect(data, "rels", ROWS, where, [])
     if rels and len(rels) != gens:
@@ -133,9 +136,9 @@ class LocalSystem:
     """Coefficient system with an action of a finite group on each value.
 
     phi[(subgroup key, element name)] is the automorphism by which that
-    element acts on the value at the orbit.  The action must be by
-    automorphisms, send products to composites, and intertwine the
-    restriction maps of the system.
+    element acts on the value at the orbit.  e must act as the identity,
+    products as composites, intertwining the restriction maps; then
+    act(u) act(u^-1) = act(e) = id, so every element acts invertibly.
     """
 
     def __init__(self, system: CoefficientSystem, pi: FiniteGroup,
@@ -168,11 +171,6 @@ class LocalSystem:
                                                       self.pi.mul(u, v))):
                         raise ValueError(
                             f"action at {s.key} is not a homomorphism")
-            for u in self.pi.names:
-                comp = self.act(s.key, u).compose(
-                    self.act(s.key, self.pi.inv(u)))
-                if not comp.equal_as_maps(AbHom.identity(val)):
-                    raise ValueError(f"{u} does not act invertibly at {s.key}")
         for m in cat.all_morphisms():
             res = self.system.maps[m.key]
             for u in self.pi.names:
@@ -185,6 +183,7 @@ class LocalSystem:
     @classmethod
     def from_json(cls, system: CoefficientSystem, pi: FiniteGroup,
                   data: dict) -> "LocalSystem":
+        known(data, ("phi",), "action")
         phi = {}
         for key, per in entries(expect(data, "phi", OBJECT, "action"),
                                 OBJECT, "action 'phi'"):

@@ -23,7 +23,7 @@ from .abgroups import AbHom
 from .coefficients import CoefficientSystem, hom_from_json
 from .equivariant import OGComplex
 from .reader import (OBJECT, ROWS, STEP, STEPS, STRING, SUBGROUP_PATHS,
-                     VERTEX_PATHS, entries, expect, members)
+                     VERTEX_PATHS, entries, expect, known, members)
 from .simplicial import FiniteSimplicialSet, SimplexRef, nondeg
 
 
@@ -105,7 +105,10 @@ class PathChoice:
 
     @classmethod
     def from_json(cls, ph: OGComplex, data: dict) -> "PathChoice":
+        known(data, ("basepoint", "paths"), "twist 'kappa'")
         basepoint = expect(data, "basepoint", STRING, "twist")
+        if basepoint not in ph.complexes[ph.cat.subgroups[0].key].cells[0]:
+            raise ValueError(f"twist 'basepoint' {basepoint!r} names no vertex")
         paths = {}
         for skey, per in entries(expect(data, "paths", SUBGROUP_PATHS, "twist"),
                                  VERTEX_PATHS, "twist 'paths'"):

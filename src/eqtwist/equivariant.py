@@ -26,7 +26,7 @@ stabilizer contains H.
 from __future__ import annotations
 
 from .groups import FiniteGroup, OrbitCategory, subgroup_key
-from .reader import OBJECT, entries, expect
+from .reader import OBJECT, entries, expect, known
 from .simplicial import FiniteSimplicialSet, SimplicialMap, nondeg
 
 # per orbit of q-cells, the (face index, orbit of (q-1)-cells,
@@ -175,22 +175,23 @@ class GSimplicialSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "GSimplicialSet":
+        known(data, ("truncation", "simplices", "faces", "group", "action"),
+              "complex")
         space = FiniteSimplicialSet.from_json(data)
         group = FiniteGroup.from_json(expect(data, "group", OBJECT, "complex"),
                                       "complex 'group'")
         action = expect(data, "action", OBJECT, "complex", {})
         cells = [cid for ids in space.cells.values() for cid in ids]
-        known = set(cells)
         for g, perm in entries(action, OBJECT, "complex 'action'"):
             where = f"complex 'action' key {g!r}"
             if g not in group.index:
                 raise ValueError(f"{where} names no element of the group")
             for cid, image in perm.items():
-                if cid not in known:
+                if not space.has_cell(cid):
                     raise ValueError(f"{where} moves {cid!r}, which names "
                                      f"no cell")
                 # a name that is no string names no cell
-                if type(image) is not str or image not in known:
+                if type(image) is not str or not space.has_cell(image):
                     raise ValueError(f"{where} sends {cid!r} to {image!r}, "
                                      f"which names no cell")
             for cid in cells:

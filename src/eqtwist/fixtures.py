@@ -4,9 +4,7 @@ tool and the test suite.
 `load_setup` is the one loader of a complex with its coefficients,
 twist and action, shared by the subcommands `validate`, `fixedpoints`,
 `bredon`, `twisted` and `crosscheck`; `validate` prints the checks it
-records in `Setup.checked`.  Its provider is None when there is no
-twist: with no twist file, and with a group twist file but no action
-file, whose group then acts trivially and gives the untwisted complex.
+records in `Setup.checked`.
 
 File formats:
 
@@ -32,8 +30,8 @@ File formats:
   theory    {"canonical": true, "i_max": i, "p_max": p}, with i and p
             positive JSON integers
 
-Every key is read through `reader`, whose errors name the key path of
-a value of the wrong JSON type; the loaders check what the keys mean.
+Every key is read through `reader`, whose errors name its key path; a
+key no loader reads is refused, and the loaders check what keys mean.
 """
 
 import json
@@ -44,7 +42,7 @@ from .coefficients import CoefficientSystem, LocalSystem
 from .edgepaths import EdgeActionSystem, PathChoice
 from .equivariant import GSimplicialSet, fixed_point_system
 from .groups import FiniteGroup, OrbitCategory
-from .reader import OBJECT, POSITIVE, TRUE, expect
+from .reader import OBJECT, POSITIVE, TRUE, expect, known
 from .twisting import GroupTwist, check_naturality
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -112,6 +110,9 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
         return out
     tdata = load_json(twist_path)
     adata = load_json(action_path) if action_path is not None else None
+    if "pi" not in tdata and "kappa" not in tdata:
+        raise ValueError("twist file carries neither 'pi' nor 'kappa'")
+    known(tdata, ("pi", "values") if "pi" in tdata else ("kappa",), "twist")
     if "pi" in tdata:
         pi = FiniteGroup.from_json(expect(tdata, "pi", OBJECT, "twist"),
                                    "twist 'pi'")
@@ -120,7 +121,6 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
         out.checked.append("twisting identities")
         check_naturality(out.ph, out.twist)
         out.checked.append("classifying map naturality")
-        out.twist.check_equivariant(out.gx)
         if adata is None:
             return out
         if out.system is None:
@@ -128,7 +128,7 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
         local = LocalSystem.from_json(out.system, pi, adata)
         out.checked.append("coefficient action")
         out.provider = GroupTwistProvider(local, out.twist)
-    elif "kappa" in tdata:
+    else:
         choice = PathChoice.from_json(out.ph,
                                       expect(tdata, "kappa", OBJECT, "twist"))
         out.checked.append("edge paths")
@@ -138,18 +138,18 @@ def load_setup(complex_path: str, coeffs_path: str | None = None,
             return out
         if adata is None:
             raise ValueError("an edge path twist needs an action file")
+        known(adata, ("edges",), "action")
         actions = EdgeActionSystem.from_json(
             out.ph, out.system, expect(adata, "edges", OBJECT, "action"))
         out.checked.append("edge holonomies")
         out.provider = EdgePathProvider(out.ph, choice, actions)
-    else:
-        raise ValueError("twist file carries neither 'pi' nor 'kappa'")
     return out
 
 
 def load_theory_data(theory_path: str) -> tuple[int, int]:
     """The bounds (i_max, p_max) of a canonical theory file."""
     data = load_json(theory_path)
+    known(data, ("canonical", "i_max", "p_max"), "theory")
     expect(data, "canonical", TRUE, "theory")
     return (expect(data, "i_max", POSITIVE, "theory"),
             expect(data, "p_max", POSITIVE, "theory"))

@@ -16,7 +16,7 @@ takes two table lookups and builds nothing.
 
 from __future__ import annotations
 
-from .reader import ROWS, STRINGS, expect
+from .reader import ROWS, STRINGS, expect, known
 
 
 class FiniteGroup:
@@ -27,7 +27,7 @@ class FiniteGroup:
         self.names = list(names)
         self.index = {n: k for k, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
-            raise ValueError("duplicate element names")
+            raise ValueError("elements repeat a name")
         t = self.table = [list(row) for row in table]
         n = len(self.names)
         if len(t) != n or any(len(row) != n for row in t):
@@ -87,8 +87,14 @@ class FiniteGroup:
     def from_json(cls, data: dict, where: str = "group") -> "FiniteGroup":
         """The group an object of a file describes; `where` names it in
         the errors, as "complex 'group'" or "twist 'pi'"."""
-        return cls(expect(data, "elements", STRINGS, where),
-                   expect(data, "table", ROWS, where))
+        known(data, ("elements", "table"), where)
+        names = expect(data, "elements", STRINGS, where)
+        table = expect(data, "table", ROWS, where)
+        try:
+            return cls(names, table)
+        except ValueError as ex:  # its message opens with the key
+            key, rest = str(ex).split(" ", 1)
+            raise ValueError(f"{where} {key!r} {rest}") from ex
 
     def __repr__(self) -> str:
         return f"FiniteGroup<order {self.order}>"

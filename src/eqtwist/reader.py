@@ -8,6 +8,13 @@ that resolve, group laws, face identities) the callers check.
 """
 
 
+def known(data: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuses a key of data outside keys, the keys its reader reads."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where} has an unknown key {key!r}")
+
+
 def expect(data: dict, key: str, kind, where: str, default=None):
     """data[key], of the given kind; a missing key is refused unless a
     default is given."""

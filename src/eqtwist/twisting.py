@@ -9,9 +9,10 @@ the twisted product with that group's classifying complex simplicial:
     tau(s_i x) = tau(x)                     for i >= 1
     tau(s_0 x) = e
 
-Values are stored on nondegenerate cells; the last two identities
-determine the value on every reference.  On a complex with a group
-action the function must also be constant on orbits.
+Values are stored on nondegenerate cells, and `value` reads the last
+two identities into every reference (s_0 ends the word in 0; s_i, i >= 1,
+keeps a final 0 or its absence).  So a twist is checked on its face
+table; with a group action it must also be natural, on one classifying map.
 
 Each twisting function induces a map to the classifying complex,
 sending x of dimension q to the tuple of values on the iterated zero
@@ -52,6 +53,9 @@ class GroupTwist:
         return self.values[ref.base]
 
     def validate(self):
+        """The identities are checked at nondegenerate cells alone: at
+        y = s_j x each face is x or s_j' d_i' x (simplicial identities),
+        so each identity at y is one at x or reads tau(x) = tau(x)."""
         fs = self.space
         for key in self.values:
             if not fs.has_cell(key) or fs.dim_of(key) < 1:
@@ -63,29 +67,16 @@ class GroupTwist:
                     raise ValueError(f"no twist value on {cid!r}")
                 if self.values[cid] not in self.pi.index:
                     raise ValueError(f"twist value on {cid!r} not in the group")
-        for q in range(1, fs.truncation + 1):
-            for ref in fs.all_refs(q):
-                if q >= 2:
-                    lhs = self.value(fs.face(1, ref))
-                    rhs = self.pi.mul(self.value(fs.face(0, ref)),
-                                      self.value(ref))
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"tau(d1 x) != tau(d0 x) tau(x) at {ref}")
-                    for i in range(2, q + 1):
-                        if self.value(fs.face(i, ref)) != self.value(ref):
-                            raise ValueError(f"tau(d{i} x) moved at {ref}")
-                if q < fs.truncation:
-                    if self.value(fs.degeneracy(0, ref)) != self.pi.identity:
-                        raise ValueError(f"tau(s0 x) != e at {ref}")
-                    for i in range(1, q + 1):
-                        if self.value(fs.degeneracy(i, ref)) != \
-                                self.value(ref):
-                            raise ValueError(f"tau(s{i} x) moved at {ref}")
-        if fs.truncation >= 1:
-            for v in fs.cells[0]:
-                if self.value(fs.degeneracy(0, nondeg(v))) != self.pi.identity:
-                    raise ValueError(f"tau(s0 {v}) != e")
+        value, mul = self.value, self.pi.mul
+        for q in range(2, fs.truncation + 1):
+            for cid in fs.cells[q]:
+                faces, tau = fs.face_table[cid], self.values[cid]
+                if value(faces[1]) != mul(value(faces[0]), tau):
+                    raise ValueError(
+                        f"tau(d1 x) != tau(d0 x) tau(x) at {nondeg(cid)}")
+                for i in range(2, q + 1):
+                    if value(faces[i]) != tau:
+                        raise ValueError(f"tau(d{i} x) moved at {nondeg(cid)}")
 
     def check_equivariant(self, gx: GSimplicialSet):
         if gx.space is not self.space:
@@ -124,16 +115,15 @@ def classifying_map(space: FiniteSimplicialSet, twist: GroupTwist,
 
 
 def check_naturality(ph: OGComplex, twist: GroupTwist):
-    """Build the classifying map on every fixed complex and compare
-    along the orbit category, without assuming orbit constancy first;
-    a non natural twist is then reported by the morphism it breaks."""
-    cat = ph.cat
-    trunc = ph.complexes[cat.subgroups[0].key].truncation
+    """Build the classifying map theta once, on the complex of ph, and
+    compare theta(g c) with theta(c) along each orbit morphism G/H -> G/K
+    of representative g, for the cells c of X^K: the map of X^K is theta
+    restricted, and the morphisms G/e -> G/e decide orbit constancy."""
+    trunc = twist.space.truncation
     wbar = classifying_complex(
         SimplicialFiniteGroup.constant(twist.pi, trunc), trunc)
-    maps = {s.key: classifying_map(ph.complexes[s.key], twist, wbar)
-            for s in cat.subgroups}
-    for m in cat.all_morphisms():
+    theta = classifying_map(twist.space, twist, wbar)
+    for m in ph.cat.all_morphisms():
         for cid, ref in ph.maps[m.key].values.items():
-            if maps[m.src.key].apply(ref) != maps[m.tgt.key].values[cid]:
+            if theta.apply(ref) != theta.values[cid]:
                 raise ValueError(f"classifying maps disagree along {m.key}")

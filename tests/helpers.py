@@ -10,7 +10,8 @@ Moore subgroups, the orbits found afresh on every call, the
 evaluation of a Bredon cochain at a cell, the twist provider that
 composes an identity into every d_0 face, the
 subset-closure subgroup lattice, the name-level orbit category, the
-name-level checks of an action and of its fixed-point system and the
+name-level checks of an action and of its fixed-point system, the
+twist checks on every simplex and the
 column-reduction map equality live here too:
 the tests use them as references, the package does not.  So do the
 groups built from generators that the lattice tests need, the covering
@@ -18,7 +19,8 @@ spaces that the twisted cohomology tests need, with the trivial
 action of a group twist that the package reads as no twist, the twist
 whose values are all the identity, the orbit spaces and
 polygons with actions that the Bredon oracle needs, and the classifying
-complexes whose group cohomology has closed forms.
+complexes, with their universal twist, whose group cohomology has
+closed forms.
 """
 
 import itertools
@@ -31,7 +33,8 @@ from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
 from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
                             SimplicialAb, cylinder_with_action,
                             element_preimage, kernel_term)
-from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
+from eqtwist.classifying import (SimplicialFiniteGroup, classifying_complex,
+                                 classifying_twist)
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
 from eqtwist.edgepaths import EdgeActionSystem, PathChoice
 from eqtwist.equivariant import (CellOrbit, GSimplicialSet,
@@ -43,7 +46,7 @@ from eqtwist import intmat
 from eqtwist.intmat import IntMatrix
 from eqtwist.simplicial import (FiniteSimplicialSet, PairedComplex,
                                 SimplexRef, SimplicialMap, nondeg, product)
-from eqtwist.twisting import GroupTwist
+from eqtwist.twisting import GroupTwist, classifying_map
 
 
 def load_gx(name: str) -> GSimplicialSet:
@@ -91,6 +94,17 @@ def bar_complex(pi: FiniteGroup, t: int) -> GSimplicialSet:
     cohomology of pi."""
     wbar = classifying_complex(SimplicialFiniteGroup.constant(pi, t), t)
     return GSimplicialSet(wbar.complex, FiniteGroup.trivial(), {})
+
+
+def universal_twist(pi: FiniteGroup, t: int) -> GroupTwist:
+    """The universal twist on `bar_complex(pi, t)`: each simplex of the
+    classifying complex twisted by its top coordinate."""
+    sg = SimplicialFiniteGroup.constant(pi, t)
+    wbar = classifying_complex(sg, t)
+    tau = classifying_twist(sg, wbar)
+    return GroupTwist(wbar.complex, pi, {
+        cid: tau(nondeg(cid))
+        for q in range(1, t + 1) for cid in wbar.complex.cells[q]})
 
 
 def constant_setup(gx, coeff: FgAbGroup):
@@ -1187,3 +1201,93 @@ def reference_fixed_point_maps(gx: GSimplicialSet, cat: OrbitCategory):
                 vals[cid] = nondeg(gx.perms[m.rep][cid])
         maps[m.key] = SimplicialMap(tgt_cx, src_cx, vals, check=False)
     return complexes, maps
+
+
+# twist checks on every simplex ---------------------------------------
+# `GroupTwist.validate`, `check_naturality` and `LocalSystem.validate`
+# as they were before a twist was checked once: the identities are
+# checked on every simplex up to the truncation, degenerate ones
+# included, through `FiniteSimplicialSet.face` and `degeneracy`;
+# naturality builds one classifying map per fixed complex; and the
+# action is checked to be invertible after its homomorphism law.  The
+# package must pass what they pass and raise what they raise.
+
+def reference_twist_check(twist: GroupTwist) -> None:
+    fs, pi, value = twist.space, twist.pi, twist.value
+    for key in twist.values:
+        if not fs.has_cell(key) or fs.dim_of(key) < 1:
+            raise ValueError(f"twist 'values' key {key!r} names no cell "
+                             f"of dimension >= 1")
+    for q in range(1, fs.truncation + 1):
+        for cid in fs.cells[q]:
+            if cid not in twist.values:
+                raise ValueError(f"no twist value on {cid!r}")
+            if twist.values[cid] not in pi.index:
+                raise ValueError(f"twist value on {cid!r} not in the group")
+    for q in range(1, fs.truncation + 1):
+        for ref in fs.all_refs(q):
+            if q >= 2:
+                lhs = value(fs.face(1, ref))
+                rhs = pi.mul(value(fs.face(0, ref)), value(ref))
+                if lhs != rhs:
+                    raise ValueError(f"tau(d1 x) != tau(d0 x) tau(x) at {ref}")
+                for i in range(2, q + 1):
+                    if value(fs.face(i, ref)) != value(ref):
+                        raise ValueError(f"tau(d{i} x) moved at {ref}")
+            if q < fs.truncation:
+                if value(fs.degeneracy(0, ref)) != pi.identity:
+                    raise ValueError(f"tau(s0 x) != e at {ref}")
+                for i in range(1, q + 1):
+                    if value(fs.degeneracy(i, ref)) != value(ref):
+                        raise ValueError(f"tau(s{i} x) moved at {ref}")
+    if fs.truncation >= 1:
+        for v in fs.cells[0]:
+            if value(fs.degeneracy(0, nondeg(v))) != pi.identity:
+                raise ValueError(f"tau(s0 {v}) != e")
+
+
+def reference_naturality(ph, twist: GroupTwist) -> None:
+    """One classifying map per fixed complex, compared along every orbit
+    morphism."""
+    cat = ph.cat
+    trunc = ph.complexes[cat.subgroups[0].key].truncation
+    wbar = classifying_complex(
+        SimplicialFiniteGroup.constant(twist.pi, trunc), trunc)
+    maps = {s.key: classifying_map(ph.complexes[s.key], twist, wbar)
+            for s in cat.subgroups}
+    for m in cat.all_morphisms():
+        for cid, ref in ph.maps[m.key].values.items():
+            if maps[m.src.key].apply(ref) != maps[m.tgt.key].values[cid]:
+                raise ValueError(f"classifying maps disagree along {m.key}")
+
+
+def reference_local_system_check(system: CoefficientSystem,
+                                 pi: FiniteGroup, phi: dict) -> None:
+    def act(skey: str, u: str) -> AbHom:
+        return phi[(skey, u)]
+    cat = system.cat
+    for s in cat.subgroups:
+        val = system.values[s.key]
+        if not act(s.key, pi.identity).equal_as_maps(AbHom.identity(val)):
+            raise ValueError(f"identity of pi acts nontrivially at {s.key}")
+        for u in pi.names:
+            h = act(s.key, u)
+            if h.source is not val or h.target is not val:
+                raise ValueError(f"action at {s.key} has wrong endpoints")
+            for v in pi.names:
+                lhs = act(s.key, u).compose(act(s.key, v))
+                if not lhs.equal_as_maps(act(s.key, pi.mul(u, v))):
+                    raise ValueError(
+                        f"action at {s.key} is not a homomorphism")
+        for u in pi.names:
+            comp = act(s.key, u).compose(act(s.key, pi.inv(u)))
+            if not comp.equal_as_maps(AbHom.identity(val)):
+                raise ValueError(f"{u} does not act invertibly at {s.key}")
+    for m in cat.all_morphisms():
+        res = system.maps[m.key]
+        for u in pi.names:
+            lhs = act(m.src.key, u).compose(res)
+            rhs = res.compose(act(m.tgt.key, u))
+            if not lhs.equal_as_maps(rhs):
+                raise ValueError(
+                    f"action fails to commute with restriction at {m.key}")

@@ -146,21 +146,20 @@ def test_fixedpoints_lists_subgroups_in_order(capsys):
     assert fixed["cells"]["1"] == []
 
 
-@pytest.mark.parametrize("table", [
-    [[0, 1], [1, 0], [0, 1]],
-    [[0, 1], [1, 0, 7]],
-    [[0, True], [True, 0]],
+@pytest.mark.parametrize("table,line", [
+    ([[0, 1], [1, 0], [0, 1]], "'table' must be 2 x 2 for 2 elements"),
+    ([[0, 1], [1, 0, 7]], "'table' must be 2 x 2 for 2 elements"),
+    ([[0, True], [True, 0]], "'table' entries must be integers in 0..1"),
 ], ids=["three rows", "long row", "boolean entries"])
-def test_fixedpoints_rejects_a_malformed_group_table(capsys, tmp_path, table):
+def test_fixedpoints_rejects_a_malformed_group_table(capsys, tmp_path, table,
+                                                    line):
     with open(fx("refs1.json")) as fh:
         data = json.load(fh)
     data["group"]["table"] = table
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "fixedpoints", "--complex", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: table ")
-    assert err.count("\n") == 1
+    assert run(capsys, "fixedpoints", "--complex", str(path)) == \
+        (1, "", f"error: complex 'group' {line}\n")
 
 
 def test_fixedpoints_reaches_s4(capsys, tmp_path):
@@ -675,6 +674,12 @@ def _kappa_step(step):
     return _kappa_paths({"v0": [], "v1": [step], "v2": [["e02", 1]]})
 
 
+def _kappa_at(basepoint):
+    """The triangle's edge path twist with the given basepoint."""
+    return {"kappa": {"basepoint": basepoint, "paths": {"e": {
+        "v0": [], "v1": [["e01", 1]], "v2": [["e02", 1]]}}}}
+
+
 def _kappa(direction):
     """The triangle's edge path twist, its path to v1 stepping along e01
     in the given direction."""
@@ -718,6 +723,14 @@ MALFORMED_PATHS = {
     "step along a vertex": (
         _kappa_step(["v1", 1]),
         "error: path to 'v1' steps along 'v1', which is not an edge\n"),
+    "basepoint naming nothing": (
+        _kappa_at("zz"), "error: twist 'basepoint' 'zz' names no vertex\n"),
+    "basepoint naming an edge": (
+        _kappa_at("e01"),
+        "error: twist 'basepoint' 'e01' names no vertex\n"),
+    "unknown kappa key": (
+        {"kappa": {**_kappa_at("v0")["kappa"], "base": "v0"}},
+        "error: twist 'kappa' has an unknown key 'base'\n"),
 }
 
 
@@ -813,6 +826,22 @@ MALFORMED_FILES = {
     "string step direction": ("edge paths", _kappa("1")),
     "boolean step direction": ("edge paths", _kappa(True)),
     "step direction 3": ("edge paths", _kappa(3)),
+    "misspelt rels": ("coeffs", _coeffs(gens=1, rel=[[4]])),
+    "misspelt action": ("complex", {
+        ("actoin" if k == "action" else k): v
+        for k, v in _refs1_action(REFS1_T).items()}),
+    "unknown group key": ("complex", _s1(group={
+        "elements": ["e"], "table": [[0]], "order": 1})),
+    "unknown group file key": ("group", {"elements": ["e"], "table": [[0]],
+                                         "name": "C1"}),
+    "unknown values key": ("coeffs", {"values": {"e": {"gens": 1,
+                                                       "rel": []}}}),
+    "maps beside constant": ("coeffs", {**_coeffs(gens=1), "maps": {}}),
+    "unknown twist key": ("twist", _twist(kappa={})),
+    "unknown action key": ("action", {"phi": {}, "edges": {}}),
+    "unknown edge action key": ("edge actions", {"edges": {}, "phi": {}}),
+    "unknown theory key": ("theory", {"canonical": True, "i_max": 2,
+                                      "p_max": 2, "q_max": 2}),
     **{case: ("edge paths", data)
        for case, (data, _line) in MALFORMED_PATHS.items()},
 }
@@ -908,6 +937,19 @@ MALFORMED_KEYS = {
                          "entry (0, 0) is 'x', not an integer\n",
     "wide maps matrix": "error: coefficient 'maps' key 'e|e|e': ncols "
                         "disagrees with row length\n",
+    "misspelt rels":
+        "error: coefficient 'constant' has an unknown key 'rel'\n",
+    "misspelt action": "error: complex has an unknown key 'actoin'\n",
+    "unknown group key":
+        "error: complex 'group' has an unknown key 'order'\n",
+    "unknown group file key": "error: group has an unknown key 'name'\n",
+    "unknown values key":
+        "error: coefficient 'values' key 'e' has an unknown key 'rel'\n",
+    "maps beside constant": "error: coefficient has an unknown key 'maps'\n",
+    "unknown twist key": "error: twist has an unknown key 'kappa'\n",
+    "unknown action key": "error: action has an unknown key 'edges'\n",
+    "unknown edge action key": "error: action has an unknown key 'phi'\n",
+    "unknown theory key": "error: theory has an unknown key 'q_max'\n",
 }
 
 FILE_COMMANDS = {

@@ -7,8 +7,10 @@ and an explicit isomorphism onto the reference's group.  On the polygon and toru
 over the trivial group, the Euler characteristic and the universal
 coefficient theorem must hold.  Over a group twist, the twisted
 cohomology of a complex must be the untwisted Bredon cohomology of its
-covering space.  With constant coefficients, the Bredon cohomology of a
-complex with an action must be the cohomology of its orbit space.
+covering space, and on a classifying complex under its universal twist
+the group cohomology with twisted coefficients.  With constant
+coefficients, the Bredon cohomology of a complex with an action must be
+the cohomology of its orbit space.
 """
 
 import math
@@ -16,8 +18,8 @@ import math
 import pytest
 
 from eqtwist.abgroups import AbHom, FgAbGroup
-from eqtwist.bredon import (EquivariantCochains, twisted_complex,
-                            untwisted_complex)
+from eqtwist.bredon import (EquivariantCochains, GroupTwistProvider,
+                            twisted_complex, untwisted_complex)
 from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path, load_setup
 from eqtwist.groups import FiniteGroup
@@ -26,8 +28,9 @@ from eqtwist.intmat import IntMatrix, solve
 from helpers import (abelian, bar_complex, constant_setup, dihedral,
                      dihedral_polygon, load_gx, ngon_space, ngon_twisted,
                      normal_forms, orbit_space, reference_cohomology_at,
-                     rotated_ngon, s3_polygon, times_polygon, torus_gx,
-                     trivial_action, twisted_cover)
+                     rotated_ngon, s3_polygon, sign_local_system,
+                     times_polygon, torus_gx, trivial_action, twisted_cover,
+                     universal_twist)
 
 COEFFS = {"Z": FgAbGroup.free(1), "Z2": FgAbGroup.cyclic(2),
           "Z4": FgAbGroup.cyclic(4)}
@@ -190,6 +193,34 @@ def test_group_cohomology_of_the_bar_complex(name, pi, coeff, want):
     assert [cc.cohomology(n).group.normal_form() for n in range(4)] == want
     if len(pi.names) <= 4:
         assert_matches_reference(cc)
+
+
+# twisted group cohomology on W-bar C_m at T=5: the universal twist with
+# the generator acting by -1.  For even m, H^n(C_m; Z) with that action
+# is Z/2 in odd degrees and 0 in even ones; on Z/2 the action is
+# trivial, so every H^n is Z/2.  For odd m, -1 is no action of C_m.
+
+SIGN_BAR = {"Z": [(0, ()), (0, (2,))] * 2 + [(0, ())],
+            "Z2": [(0, (2,))] * 5}
+
+
+@pytest.mark.parametrize("coeff", sorted(SIGN_BAR))
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_sign_twisted_group_cohomology_of_the_bar_complex(m, coeff):
+    twist = universal_twist(FiniteGroup.cyclic(m), 5)
+    gx = GSimplicialSet(twist.space, FiniteGroup.trivial(), {})
+    cat, system = constant_setup(gx, COEFFS[coeff])
+    local = sign_local_system(system, twist.pi, -1)
+    assert normal_forms(gx, cat, system, GroupTwistProvider(local, twist),
+                        4) == SIGN_BAR[coeff]
+
+
+def test_an_odd_cyclic_group_has_no_sign_action():
+    cat, system = constant_setup(bar_complex(FiniteGroup.cyclic(3), 2),
+                                 COEFFS["Z"])
+    with pytest.raises(ValueError) as ex:
+        sign_local_system(system, FiniteGroup.cyclic(3), -1)
+    assert str(ex.value) == "action at e is not a homomorphism"
 
 
 # generated families: oracles over the trivial group -------------------

@@ -129,26 +129,16 @@ ALLOWED = {
        for path, edit in [((0,), "[5]"), ((0, 0), "5"), ((0, 0), "-1")]},
 }
 
-UNREAD = "a key no reader looks for is not read"
-
 # (file, path, "key" or "value", the name put there) -> why the edited
-# file is still valid input
+# file is still valid input; a key no reader reads is refused, so no
+# key renamed onto another name is valid
 RENAMES_ALLOWED = {
-    **{("s1", ("action",), "key", name):
-       UNREAD + "; the trivial group's identity needs no cell map"
-       for name in ("0", "1", "2", "3", "e", "elements", "table", "v")},
-    ("coeffs_z4", ("constant", "rels"), "key", "constant"):
-        UNREAD + "; Z, with no relation",
     **{("twist_s1_z2", ("pi", "elements", 0), "value", name):
        "the identity renamed; the twist names only t"
        for name in ("elements", "pi", "table", "values")},
     ("twist_s1_z2", ("values", "e"), "value", "e"):
         "the cell twisted by the identity",
-    **{("c2_values", ("values", "e,t", "rels"), "key", name):
-       UNREAD + "; Z at the fixed orbit, restricted onto Z/2"
-       for name in ("e", "e,t", "e|e,t|e", "e|e|t", "maps", "values")},
 }
-
 
 def nodes(data, path=()):
     yield path, data
