@@ -92,7 +92,10 @@ relations are built on their first read: the reduction of a complex
 reads the summands' relations, and the d o d check reads a term's only
 where a composite matrix is not zero.  Every hom between direct
 sums (coboundaries, face laws, model operators) is assembled from
-blocks by `assemble_hom`, which reads the layout from its two sums.
+blocks by `assemble_hom`, which reads the layout from its two sums and
+hands `IntMatrix.from_blocks` each block as it checks its shape;
+`from_blocks` adds each block row into its target row, so no list of
+placed blocks is built and no row list is sliced.
 
 >>> s = direct_sum([z6a, FgAbGroup.free(2), z6b])
 >>> s.offsets, s.span(2), s.describe()
@@ -515,6 +518,12 @@ class ReducedComplex:
     cancelled sigma; it is a chain map, so it carries cocycles to
     cocycles whose classes generate the same cohomology.
 
+    The degrees are reduced from d^0 up, one loop each: it sweeps the
+    summands sigma of C^{n+1} in order until a sweep cancels nothing,
+    each pivot preferring the sparsest column.  That order decides
+    which blocks cancel, and so the kept generators and the coordinates
+    of the reduced terms.
+
     The elimination runs on the integer entries whatever the relations,
     so torsion coefficients cancel the same blocks as Z.  A reduced
     coboundary then takes each entry of a row whose summand has
@@ -534,9 +543,6 @@ class ReducedComplex:
                  diffs: Sequence[AbHom | None]):
         layouts = [_layout(g) for g in groups]
         alive = [[True] * len(parts) for parts, _ in layouts]
-        # per degree, the summand that starts at each generator
-        starts = [{o: j for j, (o, sg) in enumerate(zip(offs, parts))
-                   if sg.ngens} for parts, offs in layouts]
         # rows[n]: the sparse rows of d^n, cols[n][c]: the rows of d^n
         # holding column c; both None where d^n is None
         rows = [None if d is None else [dict(r) for r in d.matrix.sparse]
@@ -546,94 +552,102 @@ class ReducedComplex:
         # steps[n]: (first generator, eps, b) of each tau cancelled from
         # term n, in order
         steps = [[] for _ in groups]
-
-        def pivot(n, s):
-            # the column summand tau and eps of a unit block in the rows
-            # of summand s of C^{n+1}, preferring the sparsest column
-            parts, offs = layouts[n + 1]
-            r0, k = offs[s], parts[s].ngens
-            best = None
-            for c, x in rows[n][r0].items():
-                t = starts[n].get(c)
-                if x not in (1, -1) or t is None or not alive[n][t]:
-                    continue
-                tg = layouts[n][0][t]
-                if tg is not parts[s] and tg.rels != parts[s].rels:
-                    continue
-                if k > 1 and any(
-                        {j: y for j, y in rows[n][r0 + i].items()
-                         if c <= j < c + k} != {c + i: x}
-                        for i in range(k)):
-                    continue
-                key = (len(cols[n][c]), c)
-                if best is None or key < best[0]:
-                    best = (key, t, x)
-            return best and best[1:]
-
-        def cancel(n, s, t, eps):
-            r0 = layouts[n + 1][1][s]
-            c0 = layouts[n][1][t]
-            k = layouts[n][0][t].ngens
-            mat, index = rows[n], cols[n]
-            # e -= c*eps*b, one row operation per row of c
-            for i in range(k):
-                piv = mat[r0 + i]
-                for r in list(index[c0 + i]):
-                    if not r0 <= r < r0 + k:
-                        _add_row(mat, index, r, piv, -eps * mat[r][c0 + i])
-            b = []
-            for i in range(k):
-                piv = mat[r0 + i]
-                for c in piv:
-                    index[c].discard(r0 + i)
-                del piv[c0 + i]
-                b.append(piv)
-                mat[r0 + i] = {}
-            steps[n].append((c0, eps, b))
-            if n >= 1 and rows[n - 1] is not None:
-                _drop_rows(rows[n - 1], cols[n - 1], range(c0, c0 + k))
-            if n + 1 < len(rows) and rows[n + 1] is not None:
-                _drop_cols(rows[n + 1], cols[n + 1], range(r0, r0 + k))
-            alive[n + 1][s] = alive[n][t] = False
-
-        for n, d in enumerate(diffs):
-            if d is None:
+        # d^0 up; in each degree, sweep the summands sigma of C^{n+1}
+        # until a sweep cancels nothing
+        for n, mat in enumerate(rows):
+            if mat is None:
                 continue
+            index, step = cols[n], steps[n]
+            parts, offs = layouts[n + 1]
+            tparts, toffs = layouts[n]
+            live, tlive = alive[n + 1], alive[n]
+            # the summand tau that starts at each generator of C^n
+            starts = {o: t for t, (o, tg) in enumerate(zip(toffs, tparts))
+                      if tg.ngens}
+            # d^{n-1} loses the rows of tau, d^{n+1} the columns of sigma
+            below = rows[n - 1] if n >= 1 else None
+            above = rows[n + 1] if n + 1 < len(rows) else None
             found = True
             while found:
                 found = False
-                for s, sg in enumerate(layouts[n + 1][0]):
-                    if alive[n + 1][s] and sg.ngens:
-                        piv = pivot(n, s)
-                        if piv:
-                            cancel(n, s, *piv)
-                            found = True
+                for s, sg in enumerate(parts):
+                    k = sg.ngens
+                    if not k or not live[s]:
+                        continue
+                    # the pivot: a unit block eps*I in the rows of sigma,
+                    # preferring the sparsest column
+                    r0 = offs[s]
+                    best = None
+                    for c, x in mat[r0].items():
+                        t = starts.get(c)
+                        if x not in (1, -1) or t is None or not tlive[t]:
+                            continue
+                        tg = tparts[t]
+                        if tg is not sg and tg.rels != sg.rels:
+                            continue
+                        if k > 1 and any(
+                                {j: y for j, y in mat[r0 + i].items()
+                                 if c <= j < c + k} != {c + i: x}
+                                for i in range(k)):
+                            continue
+                        key = (len(index[c]), c)
+                        if best is None or key < best[0]:
+                            best = (key, t, x)
+                    if best is None:
+                        continue
+                    _, t, eps = best
+                    c0 = toffs[t]
+                    # e -= c*eps*b, one row operation per row of c
+                    for i in range(k):
+                        piv = mat[r0 + i]
+                        for r in list(index[c0 + i]):
+                            if not r0 <= r < r0 + k:
+                                _add_row(mat, index, r, piv,
+                                         -eps * mat[r][c0 + i])
+                    b = []
+                    for i in range(k):
+                        piv = mat[r0 + i]
+                        for c in piv:
+                            index[c].discard(r0 + i)
+                        del piv[c0 + i]
+                        b.append(piv)
+                        mat[r0 + i] = {}
+                    step.append((c0, eps, b))
+                    if below is not None:
+                        _drop_rows(below, cols[n - 1], range(c0, c0 + k))
+                    if above is not None:
+                        _drop_cols(above, cols[n + 1], range(r0, r0 + k))
+                    live[s] = tlive[t] = False
+                    found = True
 
-        # the reduced terms, and the original generators they keep
-        self.rels, self._kept = [], []
+        # the reduced terms: the relations of the summands each keeps,
+        # its original generators, and mods[n][i], m when kept generator
+        # i lies in a summand with relations m*I, else 0; summands are
+        # often one shared object
+        self.rels, self._kept, mods = [], [], []
+        moduli = {}
         for (parts, offs), live in zip(layouts, alive):
-            keep = [j for j, on in enumerate(live) if on]
-            self.rels.append(IntMatrix.block_diag([parts[j].rels
-                                                   for j in keep]))
-            self._kept.append([c for j in keep
-                               for c in range(offs[j], offs[j] + parts[j].ngens)])
-        # mods[n][c]: m when generator c of C^n lies in a summand with
-        # relations m*I, else 0; summands are often one shared object
-        moduli = {sg: _modulus(sg)
-                  for sg in {sg for parts, _ in layouts for sg in parts}}
-        mods = [[moduli[sg] for sg in parts for _ in range(sg.ngens)]
-                for parts, _ in layouts]
+            keep = list(itertools.compress(zip(parts, offs), live))
+            self.rels.append(IntMatrix.block_diag([sg.rels for sg, _ in keep]))
+            kept, km = [], []
+            for sg, o in keep:
+                m = moduli.get(sg)
+                if m is None:
+                    m = moduli[sg] = _modulus(sg)
+                kept.extend(range(o, o + sg.ngens))
+                km.extend([m] * sg.ngens)
+            self._kept.append(kept)
+            mods.append(km)
         self.diffs = []
-        for n, d in enumerate(diffs):
-            if d is None:
+        for n, mat in enumerate(rows):
+            if mat is None:
                 self.diffs.append(None)
                 continue
             new = {c: j for j, c in enumerate(self._kept[n])}
             # zero-free rows with keys below len(new), as _of_sparse takes
-            mat = tuple(_residues({new[c]: x for c, x in rows[n][r].items()},
-                                  mods[n + 1][r])
-                        for r in self._kept[n + 1])
-            self.diffs.append(IntMatrix._of_sparse(mat, len(new)))
+            self.diffs.append(IntMatrix._of_sparse(tuple(
+                _residues({new[c]: x for c, x in mat[r].items()}, m)
+                for r, m in zip(self._kept[n + 1], mods[n + 1])), len(new)))
         self._steps = steps
         self._ngens = [g.ngens for g in groups]
 
@@ -757,14 +771,19 @@ def assemble_hom(
     blocks: Iterable[tuple[tuple[int, int], IntMatrix]],
 ) -> AbHom:
     """Hom between direct sums from sparse ((target_i, source_j), block)
-    pairs; blocks that share a key are added."""
-    placed = []
-    for (ti, sj), b in blocks:
-        if b.nrows != target.summands[ti].ngens or \
-                b.ncols != source.summands[sj].ngens:
-            raise ValueError("block shape mismatch")
-        placed.append((target.offsets[ti], source.offsets[sj], b))
-    mat = IntMatrix.from_blocks(target.ngens, source.ngens, placed)
+    pairs; blocks that share a key are added.  Each block's shape is
+    checked as `IntMatrix.from_blocks` draws it, so no list of placed
+    blocks is built."""
+    rows, cols = target.summands, source.summands
+    roffs, coffs = target.offsets, source.offsets
+
+    def placed():
+        for (ti, sj), b in blocks:
+            if b.nrows != rows[ti].ngens or b.ncols != cols[sj].ngens:
+                raise ValueError("block shape mismatch")
+            yield roffs[ti], coffs[sj], b
+
+    mat = IntMatrix.from_blocks(target.ngens, source.ngens, placed())
     return AbHom(source, target, mat, check=False)
 
 

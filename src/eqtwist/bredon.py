@@ -23,9 +23,12 @@ provider of None, so its coboundary is assembled from the coefficient
 maps' own matrices: each face block costs its entries, with no hom
 composed and no matrix product run per face.  The faces themselves are
 resolved once per complex, by `GSimplicialSet.orbit_faces`, to the
-orbit and transporter of each face of each orbit representative; a
-coboundary then only looks up the orbit morphism of each face and its
-block, so every set of cochains on one complex shares that work.
+orbit and the table index of the transporter of each face of each
+orbit representative; a coboundary then only looks up the orbit
+morphism of each face by that index (`OrbitCategory.by_index`, two
+lookups, no name read) and its block, so every set of cochains on one
+complex shares that work.  `abgroups.assemble_hom` checks each block's
+shape and `IntMatrix.from_blocks` adds it row by row into the matrix.
 """
 
 from __future__ import annotations
@@ -110,19 +113,18 @@ def twisted_coboundary(ec: EquivariantCochains, provider, n: int) -> AbHom:
     coefficient map's own matrix, negated once per morphism for the odd
     faces, and no hom is composed."""
     maps = ec.system.maps
-    cat = ec.cat
-    lower = [cat.by_key[o.stab_key] for o in ec.orbits[n]]
+    by_index = ec.cat.by_index
+    lower = [o.stab_key for o in ec.orbits[n]]
     # the odd faces' blocks, -1 times the map of each morphism key
     negated = {}
     blocks = []
     for xi, (ox, faces) in enumerate(zip(ec.orbits[n + 1],
                                          ec.gx.orbit_faces(n + 1))):
         hkey = ox.stab_key
-        h = cat.by_key[hkey]
         for i, j, g in faces:
             # the orbit morphism whose coefficient map evaluates a
-            # cochain at the face
-            key = cat.coset_morphism(h, lower[j], g).key
+            # cochain at the face, from the transporter's table index
+            key = by_index(hkey, lower[j], g).key
             if i % 2:
                 block = negated.get(key)
                 if block is None:

@@ -29,9 +29,10 @@ from .groups import FiniteGroup, OrbitCategory, subgroup_key
 from .reader import OBJECT, entries, expect, known
 from .simplicial import FiniteSimplicialSet, SimplicialMap, nondeg
 
-# per orbit of q-cells, the (face index, orbit of (q-1)-cells,
-# transporter) of each nondegenerate face of its representative
-FaceTable = tuple[tuple[tuple[int, int, str], ...], ...]
+# per orbit of q-cells, the (face index, orbit of (q-1)-cells, table
+# index of the transporter) of each nondegenerate face of its
+# representative
+FaceTable = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 class GSimplicialSet:
@@ -148,14 +149,18 @@ class GSimplicialSet:
 
     def orbit_faces(self, q: int) -> FaceTable:
         """Per orbit of orbits(q), in that order, the nondegenerate faces
-        of its representative as (i, j, g): face d_i is g times the
-        representative of orbit j of orbits(q - 1).  They are resolved on
-        the first call for q; they depend on the complex and its action
-        alone, so every set of cochains on the complex reads them."""
+        of its representative as (i, j, g): face d_i is the element of
+        table index g times the representative of orbit j of
+        orbits(q - 1).  The index is what `OrbitCategory.by_index` takes,
+        so a coboundary finds each face's orbit morphism without reading
+        a name.  The faces are resolved on the first call for q; they
+        depend on the complex and its action alone, so every set of
+        cochains on the complex reads them."""
         if q not in self._faces:
-            # the orbit and transporter of each (q-1)-cell, kept only
-            # while the faces are resolved
-            where = {cid: (j, o.transporters[cid])
+            # the orbit and transporter index of each (q-1)-cell, kept
+            # only while the faces are resolved
+            index = self.group.index
+            where = {cid: (j, index[o.transporters[cid]])
                      for j, o in enumerate(self.orbits(q - 1))
                      for cid in o.members}
             # a representative is nondegenerate, so its faces are its own

@@ -10,8 +10,9 @@ The orbit category is built on table indices, not names: subgroups are
 frozensets of indices, the conjugates g^-1 H g are computed once per
 (H, g), and the containment test is a frozenset comparison.  Each
 morphism is filed under the least index of its coset, so looking one
-up from any representative (`coset_morphism`, `identity`, `compose`)
-takes two table lookups and builds nothing.
+up from any representative takes two table lookups and builds nothing:
+`by_index` does so from a table index, and `coset_morphism`, `identity`
+and `compose` go through it.
 """
 
 from __future__ import annotations
@@ -183,8 +184,10 @@ class OrbitCategory:
     g^-1 H g <= K holds for all of gK or for none, so it is tested on
     the representatives alone.  The morphisms G/H -> G/K sit in
     `at[(H, K)]` under their representatives, in increasing order, so
-    `coset_morphism`, `identity` and `compose` are two lookups each,
-    and a coset that is no morphism raises KeyError.
+    `by_index` is two lookups, and a coset that is no morphism raises
+    KeyError.  A caller holding table indices, as a coboundary does for
+    the transporters of faces, calls `by_index` itself; `coset_morphism`,
+    `identity` and `compose` go through it from names and morphisms.
 
     >>> cat = OrbitCategory(FiniteGroup.cyclic(2))
     >>> [len(cat.hom(h, k)) for h in ("e", "e,t") for k in ("e", "e,t")]
@@ -226,22 +229,24 @@ class OrbitCategory:
         return list(self._at[(src_key, tgt_key)].values())
 
     def identity(self, key: str) -> OrbitMorphism:
-        return self._by_index(key, key, self.group.identity_index)
+        return self.by_index(key, key, self.group.identity_index)
 
-    def _by_index(self, src_key: str, tgt_key: str, g: int) -> OrbitMorphism:
+    def by_index(self, src_key: str, tgt_key: str, g: int) -> OrbitMorphism:
+        """The morphism G/src -> G/tgt of the coset g*tgt, for the
+        element of table index g."""
         return self._at[(src_key, tgt_key)][self._low[tgt_key][g]]
 
     def coset_morphism(self, src: Subgroup, tgt: Subgroup,
                        gname: str) -> OrbitMorphism:
-        return self._by_index(src.key, tgt.key, self.group.index[gname])
+        return self.by_index(src.key, tgt.key, self.group.index[gname])
 
     def compose(self, f: OrbitMorphism, h: OrbitMorphism) -> OrbitMorphism:
         """h o f for f: G/H -> G/K, h: G/K -> G/L."""
         if f.tgt.key != h.src.key:
             raise ValueError("morphisms do not compose")
         index = self.group.index
-        return self._by_index(f.src.key, h.tgt.key,
-                              self.group.table[index[f.rep]][index[h.rep]])
+        return self.by_index(f.src.key, h.tgt.key,
+                             self.group.table[index[f.rep]][index[h.rep]])
 
     def all_morphisms(self) -> list[OrbitMorphism]:
         return list(self._sorted)

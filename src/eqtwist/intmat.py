@@ -114,12 +114,14 @@ class IntMatrix:
                     placed: Iterable[tuple[int, int, "IntMatrix"]]) \
             -> "IntMatrix":
         """The nrows x ncols sum of blocks (r, c, a), a's top left at (r, c);
-        each entry of a block is added in place."""
+        each row of a block is added in place into its target row."""
         out = [{} for _ in range(nrows)]
         for r, c, a in placed:
             if r + a.nrows > nrows or c + a.ncols > ncols:
                 raise ValueError("block does not fit")
-            for dst, row in zip(out[r:r + a.nrows], a.sparse):
+            for row in a.sparse:
+                dst = out[r]
+                r += 1
                 for j, x in row.items():
                     j += c
                     y = dst.get(j)

@@ -11,22 +11,27 @@ evaluation of a Bredon cochain at a cell, the twist provider that
 composes an identity into every d_0 face, the
 subset-closure subgroup lattice, the name-level orbit category, the
 name-level checks of an action and of its fixed-point system, the
-twist checks on every simplex and the
-column-reduction map equality live here too:
+twist checks on every simplex, the
+column-reduction map equality, and the block assembly, face lookup by
+name and unit-block reduction as they were before their loops were
+hoisted live here too:
 the tests use them as references, the package does not.  So do the
 groups built from generators that the lattice tests need, the covering
 spaces that the twisted cohomology tests need, with the trivial
 action of a group twist that the package reads as no twist, the twist
 whose values are all the identity, the orbit spaces and
-polygons with actions that the Bredon oracle needs, and the classifying
+polygons with actions that the Bredon oracle needs, the classifying
 complexes, with their universal twist, whose group cohomology has
-closed forms.
+closed forms, the torus twisted along one factor, and a sign twist and
+edge-path transport on any complex with an action, for the assembly
+reference.
 """
 
 import itertools
 
-from eqtwist.abgroups import (AbHom, FgAbGroup, Subquotient, assemble_hom,
-                              cohomology_at, direct_sum)
+from eqtwist.abgroups import (AbHom, FgAbGroup, Subquotient, _drop_cols,
+                              _drop_rows, _layout, _modulus, _residues,
+                              assemble_hom, cohomology_at, direct_sum)
 from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
                             GroupTwistProvider, twisted_complex,
                             untwisted_complex)
@@ -36,14 +41,15 @@ from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
 from eqtwist.classifying import (SimplicialFiniteGroup, classifying_complex,
                                  classifying_twist)
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
-from eqtwist.edgepaths import EdgeActionSystem, PathChoice
+from eqtwist.edgepaths import (EdgeActionSystem, EdgeWord, PathChoice,
+                               edge_endpoints)
 from eqtwist.equivariant import (CellOrbit, GSimplicialSet,
                                  fixed_point_system)
 from eqtwist.fixtures import fixture_path, load_json
 from eqtwist.groups import (FiniteGroup, OrbitCategory, OrbitMorphism,
                             all_subgroups)
 from eqtwist import intmat
-from eqtwist.intmat import IntMatrix
+from eqtwist.intmat import IntMatrix, _add_row, _column_index
 from eqtwist.simplicial import (FiniteSimplicialSet, PairedComplex,
                                 SimplexRef, SimplicialMap, nondeg, product)
 from eqtwist.twisting import GroupTwist, classifying_map
@@ -367,6 +373,89 @@ ACTION_SPACES = {
     **{f"D{n} polygon": lambda n=n: dihedral_polygon(n) for n in range(3, 7)},
     "S3 hexagon": s3_polygon,
 }
+
+
+def signed_edges(gx: GSimplicialSet) -> set[str]:
+    """A set of edges, closed under the action, whose indicator is a
+    1-cocycle mod 2: with no 2-cell, the first orbit of edges; else the
+    edges whose ends lie in vertex orbits of different parity."""
+    space = gx.space
+    edges = gx.orbits(1) if space.cells.get(1) else []
+    if not space.cells.get(2):
+        return set(edges[0].members) if edges else set()
+    parity = {v: j % 2 for j, o in enumerate(gx.orbits(0)) for v in o.members}
+    return {cid for o in edges for cid in o.members
+            if len({parity[end] for end in edge_endpoints(space, cid)}) == 2}
+
+
+def sign_twist(gx: GSimplicialSet) -> GroupTwist:
+    """The C_2 twist of gx with value t exactly at the cells whose leading
+    edge is one of `signed_edges`: constant on orbits, and its face
+    identities hold because the indicator is a cocycle."""
+    space, pi = gx.space, FiniteGroup.cyclic(2)
+    marked = signed_edges(gx)
+    values = {}
+    for q in range(1, space.truncation + 1):
+        for cid in space.cells.get(q, []):
+            edge = nondeg(cid)
+            for i in range(q, 1, -1):
+                edge = space.face(i, edge)
+            values[cid] = pi.names[int(not edge.word and edge.base in marked)]
+    return GroupTwist(space, pi, values)
+
+
+def edge_path_provider(gx: GSimplicialSet, cat: OrbitCategory,
+                       system: CoefficientSystem) -> EdgePathProvider | None:
+    """Edge-path transport on gx: each edge of `signed_edges` acts by -1
+    in every fixed complex, the rest by 1, with paths found breadth first
+    from the first vertex the whole group fixes.  None where no vertex is
+    fixed by the whole group or a fixed complex is not connected."""
+    space = gx.space
+    base = next((v for v in space.cells[0]
+                 if all(p[v] == v for p in gx.perms.values())), None)
+    if base is None:
+        return None
+    ph = fixed_point_system(gx, cat)
+    paths = {}
+    for s in cat.subgroups:
+        fc = ph.complexes[s.key]
+        ends = {e: edge_endpoints(fc, e) for e in fc.cells.get(1, [])}
+        reached, frontier = {base: []}, [base]
+        while frontier:
+            step = []
+            for v in frontier:
+                for e, (a, b) in ends.items():
+                    for x, y, d in ((a, b, 1), (b, a, -1)):
+                        if x == v and y not in reached:
+                            reached[y] = reached[v] + [(e, d)]
+                            step.append(y)
+            frontier = step
+        if len(reached) < len(fc.cells.get(0, [])):
+            return None
+        paths.update({(s.key, v): EdgeWord(w) for v, w in reached.items()})
+    marked = signed_edges(gx)
+    mats = {}
+    for s in cat.subgroups:
+        val = system.values[s.key]
+        for e in ph.complexes[s.key].cells.get(1, []):
+            sign = -1 if e in marked else 1
+            mats[(s.key, e)] = AbHom(val, val, IntMatrix(
+                [[sign * (i == j) for j in range(val.ngens)]
+                 for i in range(val.ngens)], val.ngens))
+    return EdgePathProvider(ph, PathChoice(ph, base, paths),
+                            EdgeActionSystem(ph, system, mats))
+
+
+def torus_twist(pi: FiniteGroup, a: int, b: int) -> GroupTwist:
+    """The a x b torus twisted along its first factor: the a-gon's edge e0
+    carries the generator, pulled back along the projection."""
+    ngon = ngon_space(a)
+    on_ngon = GroupTwist(ngon, pi, {f"e{i}": pi.names[int(i == 0)]
+                                    for i in range(a)})
+    pc = product(ngon, ngon_space(b), truncation=3)
+    return GroupTwist(pc.complex, pi, {
+        cid: on_ngon.value(pc.pair_of[cid][0])
+        for q in range(1, 4) for cid in pc.complex.cells[q]})
 
 
 def times_polygon(gx: GSimplicialSet, n: int) -> GSimplicialSet:
@@ -1291,3 +1380,177 @@ def reference_local_system_check(system: CoefficientSystem,
             if not lhs.equal_as_maps(rhs):
                 raise ValueError(
                     f"action fails to commute with restriction at {m.key}")
+
+
+# the assembly and the reduction before they were hoisted ---------------
+# `IntMatrix.from_blocks` slicing the target rows of every block,
+# `assemble_hom` building a list of placed blocks first, the coboundary
+# resolving its faces and finding each orbit morphism by element name,
+# and `ReducedComplex` with its pivot search and cancellation in
+# closures over every degree's tables.  The package must give the same
+# matrices, and the same cancellations in the same order.
+
+def reference_from_blocks(nrows: int, ncols: int, placed) -> IntMatrix:
+    out = [{} for _ in range(nrows)]
+    for r, c, a in placed:
+        if r + a.nrows > nrows or c + a.ncols > ncols:
+            raise ValueError("block does not fit")
+        for dst, row in zip(out[r:r + a.nrows], a.sparse):
+            for j, x in row.items():
+                j += c
+                y = dst.get(j)
+                if y is None:
+                    dst[j] = x
+                elif y := y + x:
+                    dst[j] = y
+                else:
+                    del dst[j]
+    return IntMatrix._of_sparse(tuple(out), ncols)
+
+
+def reference_assemble_hom(source, target, blocks) -> AbHom:
+    placed = []
+    for (ti, sj), b in blocks:
+        if b.nrows != target.summands[ti].ngens or \
+                b.ncols != source.summands[sj].ngens:
+            raise ValueError("block shape mismatch")
+        placed.append((target.offsets[ti], source.offsets[sj], b))
+    mat = reference_from_blocks(target.ngens, source.ngens, placed)
+    return AbHom(source, target, mat, check=False)
+
+
+def reference_twisted_coboundary(ec: EquivariantCochains, provider,
+                                 n: int) -> AbHom:
+    space, cat, maps = ec.gx.space, ec.cat, ec.system.maps
+    where = {cid: (j, o.transporters[cid])
+             for j, o in enumerate(ec.orbits[n]) for cid in o.members}
+    lower = [cat.by_key[o.stab_key] for o in ec.orbits[n]]
+    negated = {}
+    blocks = []
+    for xi, ox in enumerate(ec.orbits[n + 1]):
+        hkey = ox.stab_key
+        h = cat.by_key[hkey]
+        for i, f in enumerate(space.face_table[ox.rep]):
+            if f.word:
+                continue
+            j, g = where[f.base]
+            key = cat.coset_morphism(h, lower[j], g).key
+            if i % 2:
+                block = negated.get(key)
+                if block is None:
+                    block = negated[key] = -maps[key].matrix
+            elif i == 0 and provider is not None:
+                block = provider.phi_inv_hom(hkey, nondeg(ox.rep)).compose(
+                    maps[key]).matrix
+            else:
+                block = maps[key].matrix
+            blocks.append(((xi, j), block))
+    return reference_assemble_hom(ec.groups[n], ec.groups[n + 1], blocks)
+
+
+class ReferenceReducedComplex:
+    __slots__ = ("rels", "diffs", "_kept", "_steps", "_ngens")
+
+    def __init__(self, groups, diffs):
+        layouts = [_layout(g) for g in groups]
+        alive = [[True] * len(parts) for parts, _ in layouts]
+        starts = [{o: j for j, (o, sg) in enumerate(zip(offs, parts))
+                   if sg.ngens} for parts, offs in layouts]
+        rows = [None if d is None else [dict(r) for r in d.matrix.sparse]
+                for d in diffs]
+        cols = [None if r is None else _column_index(r, d.source.ngens)
+                for r, d in zip(rows, diffs)]
+        steps = [[] for _ in groups]
+
+        def pivot(n, s):
+            parts, offs = layouts[n + 1]
+            r0, k = offs[s], parts[s].ngens
+            best = None
+            for c, x in rows[n][r0].items():
+                t = starts[n].get(c)
+                if x not in (1, -1) or t is None or not alive[n][t]:
+                    continue
+                tg = layouts[n][0][t]
+                if tg is not parts[s] and tg.rels != parts[s].rels:
+                    continue
+                if k > 1 and any(
+                        {j: y for j, y in rows[n][r0 + i].items()
+                         if c <= j < c + k} != {c + i: x}
+                        for i in range(k)):
+                    continue
+                key = (len(cols[n][c]), c)
+                if best is None or key < best[0]:
+                    best = (key, t, x)
+            return best and best[1:]
+
+        def cancel(n, s, t, eps):
+            r0 = layouts[n + 1][1][s]
+            c0 = layouts[n][1][t]
+            k = layouts[n][0][t].ngens
+            mat, index = rows[n], cols[n]
+            for i in range(k):
+                piv = mat[r0 + i]
+                for r in list(index[c0 + i]):
+                    if not r0 <= r < r0 + k:
+                        _add_row(mat, index, r, piv, -eps * mat[r][c0 + i])
+            b = []
+            for i in range(k):
+                piv = mat[r0 + i]
+                for c in piv:
+                    index[c].discard(r0 + i)
+                del piv[c0 + i]
+                b.append(piv)
+                mat[r0 + i] = {}
+            steps[n].append((c0, eps, b))
+            if n >= 1 and rows[n - 1] is not None:
+                _drop_rows(rows[n - 1], cols[n - 1], range(c0, c0 + k))
+            if n + 1 < len(rows) and rows[n + 1] is not None:
+                _drop_cols(rows[n + 1], cols[n + 1], range(r0, r0 + k))
+            alive[n + 1][s] = alive[n][t] = False
+
+        for n, d in enumerate(diffs):
+            if d is None:
+                continue
+            found = True
+            while found:
+                found = False
+                for s, sg in enumerate(layouts[n + 1][0]):
+                    if alive[n + 1][s] and sg.ngens:
+                        piv = pivot(n, s)
+                        if piv:
+                            cancel(n, s, *piv)
+                            found = True
+
+        self.rels, self._kept = [], []
+        for (parts, offs), live in zip(layouts, alive):
+            keep = [j for j, on in enumerate(live) if on]
+            self.rels.append(IntMatrix.block_diag([parts[j].rels
+                                                   for j in keep]))
+            self._kept.append([c for j in keep
+                               for c in range(offs[j],
+                                              offs[j] + parts[j].ngens)])
+        moduli = {sg: _modulus(sg)
+                  for sg in {sg for parts, _ in layouts for sg in parts}}
+        mods = [[moduli[sg] for sg in parts for _ in range(sg.ngens)]
+                for parts, _ in layouts]
+        self.diffs = []
+        for n, d in enumerate(diffs):
+            if d is None:
+                self.diffs.append(None)
+                continue
+            new = {c: j for j, c in enumerate(self._kept[n])}
+            mat = tuple(_residues({new[c]: x for c, x in rows[n][r].items()},
+                                  mods[n + 1][r])
+                        for r in self._kept[n + 1])
+            self.diffs.append(IntMatrix._of_sparse(mat, len(new)))
+        self._steps = steps
+        self._ngens = [g.ngens for g in groups]
+
+    def include(self, n: int, x) -> tuple[int, ...]:
+        vec = {c: v for c, v in zip(self._kept[n], x) if v}
+        for c0, eps, b in reversed(self._steps[n]):
+            for i, bi in enumerate(b):
+                y = -eps * sum([v * vec.get(c, 0) for c, v in bi.items()])
+                if y:
+                    vec[c0 + i] = y
+        return tuple([vec.get(c, 0) for c in range(self._ngens[n])])

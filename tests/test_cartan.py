@@ -4,7 +4,7 @@ import pytest
 
 from eqtwist import bredon, cartan, em
 from eqtwist.abgroups import AbHom, BudgetExceeded, FgAbGroup, column_budget
-from eqtwist.bredon import EquivariantCochains
+from eqtwist.bredon import EquivariantCochains, GroupTwistProvider
 from eqtwist.cartan import (
     AxiomReport,
     LiftSystem,
@@ -24,6 +24,7 @@ from eqtwist.classifying import (
     contraction_identities,
 )
 from eqtwist.coefficients import CoefficientSystem
+from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path, load_json, load_setup
 from eqtwist.groups import FiniteGroup, OrbitCategory
 
@@ -39,7 +40,9 @@ from helpers import (
     refs1_setup,
     s1_twisted,
     s1_untwisted,
+    sign_local_system,
     triangle_kappa,
+    universal_twist,
     vertical_homotopy_oracle,
     with_blinded_psi,
     with_broken_face,
@@ -399,6 +402,29 @@ def test_comparison_theorem_on_the_sign_twisted_polygons(n, coeff):
     report = crosscheck_theorem(*setup, 1)
     assert [(e["bredon"], e["lift"]) for e in report["degrees"]] == \
         [(form, form) for form in SIGN_NGON_FORMS[coeff]]
+    assert report["all_match"] is True
+    assert report["iso"] is True
+    assert report["commutes"] is True
+
+
+# the lift side on W-bar C_m under its universal twist, the generator
+# acting by -1: group cohomology of C_m with the sign action, Z/2 in odd
+# degrees and 0 in even ones on Z, and Z/2 in every degree on Z/2 and Z/4
+SIGN_BAR_FORMS = {"Z": ("0", "C2", "0"), "Z2": ("C2", "C2", "C2"),
+                  "Z4": ("C2", "C2", "C2")}
+
+
+@pytest.mark.parametrize("m,t,coeff", [(2, 4, "Z"), (2, 4, "Z2"),
+                                       (4, 3, "Z"), (4, 3, "Z4")])
+def test_comparison_theorem_on_the_sign_twisted_bar_complex(m, t, coeff):
+    twist = universal_twist(FiniteGroup.cyclic(m), t)
+    gx = GSimplicialSet(twist.space, FiniteGroup.trivial(), {})
+    cat, system = constant_setup(gx, {"Z": Z, "Z2": Z2, "Z4": Z4}[coeff])
+    local = sign_local_system(system, twist.pi, -1)
+    report = crosscheck_theorem(gx, cat, system,
+                                GroupTwistProvider(local, twist), 2)
+    assert [(e["bredon"], e["lift"]) for e in report["degrees"]] == \
+        [(form, form) for form in SIGN_BAR_FORMS[coeff]]
     assert report["all_match"] is True
     assert report["iso"] is True
     assert report["commutes"] is True

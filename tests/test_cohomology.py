@@ -29,8 +29,8 @@ from helpers import (abelian, bar_complex, constant_setup, dihedral,
                      dihedral_polygon, load_gx, ngon_space, ngon_twisted,
                      normal_forms, orbit_space, reference_cohomology_at,
                      rotated_ngon, s3_polygon, sign_local_system,
-                     times_polygon, torus_gx, trivial_action, twisted_cover,
-                     universal_twist)
+                     times_polygon, torus_gx, torus_twist, trivial_action,
+                     twisted_cover, universal_twist)
 
 COEFFS = {"Z": FgAbGroup.free(1), "Z2": FgAbGroup.cyclic(2),
           "Z4": FgAbGroup.cyclic(4)}
@@ -295,6 +295,26 @@ def test_twisted_circle_is_its_cover(space, twist, action, coeffs):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_sign_twisted_polygon_is_its_cover(n, coeff):
     assert_cover_agrees(*ngon_twisted(n, COEFFS[coeff]))
+
+
+# the a x b torus twisted along its first factor by the sign of C_2 is
+# the sign-twisted circle times the circle; by Kunneth its cohomology is
+# M[2], M/2M + M[2], M/2M: Z/2 cannot see the sign, Z and Z/4 can
+SIGN_TORUS = {"Z": [(0, ()), (0, (2,)), (0, (2,)), (0, ())],
+              "Z2": [(0, (2,)), (0, (2, 2)), (0, (2,)), (0, ())],
+              "Z4": [(0, (2,)), (0, (2, 2)), (0, (2,)), (0, ())]}
+
+
+@pytest.mark.parametrize("coeff", sorted(SIGN_TORUS))
+@pytest.mark.parametrize("a,b", [(3, 3), (3, 4), (4, 3)])
+def test_sign_twisted_torus_is_its_cover(a, b, coeff):
+    twist = torus_twist(FiniteGroup.cyclic(2), a, b)
+    gx = GSimplicialSet(twist.space, FiniteGroup.trivial(), {})
+    cat, system = constant_setup(gx, COEFFS[coeff])
+    provider = GroupTwistProvider(sign_local_system(system, twist.pi, -1),
+                                  twist, gx=gx)
+    assert normal_forms(gx, cat, system, provider, 3) == SIGN_TORUS[coeff]
+    assert_cover_agrees(gx, cat, system, provider)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])

@@ -23,15 +23,15 @@ from eqtwist.equivariant import fixed_point_system
 from eqtwist.fixtures import fixture_path, load_setup
 from eqtwist.groups import FiniteGroup, OrbitCategory
 from eqtwist.intmat import IntMatrix
-from eqtwist.simplicial import (FiniteSimplicialSet, parse_ref, product,
+from eqtwist.simplicial import (FiniteSimplicialSet, parse_ref,
                                 standard_simplex)
 from eqtwist.twisting import GroupTwist, check_naturality
 
 from helpers import (c2_category, circle_gx, dihedral_polygon, ngon_space,
                      nonconstant_system, reference_local_system_check,
                      reference_naturality, reference_twist_check, refs1_gx,
-                     rotated_ngon, sphere2_gx, times_polygon, triangle_gx,
-                     universal_twist)
+                     rotated_ngon, sphere2_gx, times_polygon, torus_twist,
+                     triangle_gx, universal_twist)
 
 C2, C3, S3 = (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
               FiniteGroup.symmetric3())
@@ -104,23 +104,11 @@ def test_values_outside_the_table_get_the_reference_outcome():
 
 # edits of valid twists on classifying complexes and a torus -----------
 
-def torus_twist(pi: FiniteGroup) -> GroupTwist:
-    """The 3x3 torus twisted along its first factor: the 3-gon's edge e0
-    carries the generator, pulled back along the projection."""
-    ngon = ngon_space(3)
-    on_ngon = GroupTwist(ngon, pi, {"e0": pi.names[1], "e1": pi.identity,
-                                    "e2": pi.identity})
-    pc = product(ngon, ngon_space(3), truncation=3)
-    return GroupTwist(pc.complex, pi, {
-        cid: on_ngon.value(pc.pair_of[cid][0])
-        for cid in higher_cells(pc.complex)})
-
-
 EDITED = {
     **{f"W-bar {name} T={t}": (lambda pi=pi, t=t: universal_twist(pi, t))
        for name, pi in (("C2", C2), ("C3", C3), ("S3", S3))
        for t in (3, 4)},
-    "3x3 torus C3": lambda: torus_twist(C3),
+    "3x3 torus C3": lambda: torus_twist(C3, 3, 3),
 }
 
 
