@@ -47,7 +47,6 @@ from .abgroups import (AbHom, CochainComplex, DirectSum, FgAbGroup,
                        direct_sum, enumerate_automorphisms, factor_each)
 from .bredon import EquivariantCochains, twisted_complex
 from .coefficients import CoefficientSystem
-from .classifying import SimplicialFiniteGroup, contraction, total_elements
 from .em import CochainModel, delta_hom
 from .equivariant import GSimplicialSet
 from .groups import FiniteGroup, OrbitCategory
@@ -59,10 +58,6 @@ def element_preimage(h: AbHom, elem) -> tuple[int, ...] | None:
     """Canonical coordinates of some preimage of a target element, or None."""
     x = h.preimage(h.target.to_vector(elem))
     return None if x is None else h.source.from_vector(x)
-
-
-def element_in_image(h: AbHom, elem) -> bool:
-    return element_preimage(h, elem) is not None
 
 
 def _once(memo: dict, fn, *args):
@@ -706,6 +701,11 @@ class LiftCells:
         return assemble_hom(source, direct_sum(tgroups), blocks)
 
 
+class NonCanonical(ValueError):
+    """A theory's coordinates do not project onto the coefficients, so
+    the lift complex has no canonical map to the Bredon complex."""
+
+
 class LiftSystem:
     """The groups of lifts A_phi^n(X; tau) with their differentials.
 
@@ -791,7 +791,7 @@ class LiftSystem:
             vi = self.cells.index[o.rep]
             ngens = cochains.summands[bj].ngens
             if amb.summands[vi].ngens != ngens:
-                raise ValueError(
+                raise NonCanonical(
                     "theory coordinates do not project onto coefficients")
             blocks.append(((bj, vi), IntMatrix.identity(ngens)))
         big = assemble_hom(amb, cochains, blocks)
@@ -839,31 +839,32 @@ def crosscheck_theorem(gx: GSimplicialSet, cat: OrbitCategory,
                  "match": hb.normal_form() == hl.normal_form()}
         report["degrees"].append(entry)
         report["all_match"] = report["all_match"] and entry["match"]
+    top = min(nmax + 1, ec.nmax)
     try:
-        top = min(nmax + 1, ec.nmax)
         phis = {n: ls.bredon_iso(n) for n in range(top + 1)}
-        report["iso"] = all(phi.is_iso() for phi in phis.values())
-        commutes = True
-        for n in range(nmax + 1):
-            if n + 1 not in phis or n not in ls.diffs:
-                continue
-            lhs = tc.diffs[n].compose(phis[n])
-            rhs = phis[n + 1].compose(ls.diffs[n])
-            commutes = commutes and lhs.equal_as_maps(rhs)
-        report["commutes"] = commutes
-    except ValueError:
-        # non-canonical coordinates: normal-form comparison only
+    except NonCanonical:
+        # normal-form comparison only
         report["iso"] = None
         report["commutes"] = None
+        return report
+    report["iso"] = all(phi.is_iso() for phi in phis.values())
+    commutes = True
+    for n in range(nmax + 1):
+        if n + 1 not in phis or n not in ls.diffs:
+            continue
+        lhs = tc.diffs[n].compose(phis[n])
+        rhs = phis[n + 1].compose(ls.diffs[n])
+        commutes = commutes and lhs.equal_as_maps(rhs)
+    report["commutes"] = commutes
     return report
 
 
 # vertical homotopies ------------------------------------------------
 
 def cylinder_with_action(gx: GSimplicialSet, truncation: int | None = None):
-    """Cylinder of the underlying space, with the action on the left
-    factor; the end inclusions and the projection are equivariant."""
-    pc, i0, i1, pr = cylinder(gx.space, truncation)
+    """The cylinder of the underlying space, and the same complex with
+    the group acting on the left factor."""
+    pc = cylinder(gx.space, truncation)
     perms = {}
     for gname, table in gx.perms.items():
         out = {}
@@ -872,7 +873,7 @@ def cylinder_with_action(gx: GSimplicialSet, truncation: int | None = None):
             out[cid] = pc.ref_of_pair(gref, ry).base
         perms[gname] = out
     gcyl = GSimplicialSet(pc.complex, gx.group, perms)
-    return pc, i0, i1, pr, gcyl
+    return pc, gcyl
 
 
 class _CylinderLaws:
@@ -893,7 +894,7 @@ class _CylinderLaws:
         theory = ls.theory
         if n >= theory.i_max:
             raise ValueError("kernel term needs the next differential")
-        pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ls.ec.gx)
+        pc, gcyl = cylinder_with_action(ls.ec.gx)
         maxdim = pc.complex.dimension
         if maxdim > theory.p_max:
             raise ValueError("theory truncated below the cylinder dimension")
@@ -956,72 +957,3 @@ def vertical_homotopy(ls: LiftSystem, n: int, f, g) -> bool:
     if any(end_laws.target.from_vector(end_laws.matrix.apply(x))):
         raise ValueError("end restriction violates the face laws")
     return solve(cyl.aug, [-c for c in cyl.laws.matrix.apply(x)]) is not None
-
-
-# named presentations for contraction checks -------------------------
-
-def finite_simplicial_group(sab: SimplicialAb) \
-        -> tuple[SimplicialFiniteGroup, list[dict]]:
-    """Present a levelwise finite simplicial abelian group by tables.
-
-    Returns the named group along with per-level dicts from canonical
-    element tuples to names, for transporting homomorphisms into the
-    named world.
-    """
-    levels = []
-    name_of = []
-    for q in range(sab.top + 1):
-        g = sab.levels[q]
-        if not g.is_finite:
-            raise ValueError("levels must be finite")
-        els = g.elements()
-        names = ["c" + ",".join(str(a) for a in el) for el in els]
-        idx = {el: k for k, el in enumerate(els)}
-        table = [[idx[g.add(a, b)] for b in els] for a in els]
-        levels.append(FiniteGroup(names, table, check=False))
-        name_of.append({el: names[k] for k, el in enumerate(els)})
-    face_maps = {}
-    for q in range(1, sab.top + 1):
-        for i in range(q + 1):
-            h = sab.faces[(q, i)]
-            face_maps[(q, i)] = {
-                name_of[q][el]: name_of[q - 1][h.apply(el)]
-                for el in sab.levels[q].elements()}
-    deg_maps = {}
-    for q in range(sab.top):
-        for j in range(q + 1):
-            h = sab.degs[(q, j)]
-            deg_maps[(q, j)] = {
-                name_of[q][el]: name_of[q + 1][h.apply(el)]
-                for el in sab.levels[q].elements()}
-    return SimplicialFiniteGroup(levels, face_maps, deg_maps), name_of
-
-
-def contraction_is_natural(cat: OrbitCategory, ogs: OGSimplicialAb,
-                           qmax: int) -> None:
-    """Check that h_m commutes with the orbit-category maps.
-
-    Raises on the first mismatch; needs levels up to qmax + 1.
-    """
-    named = {s.key: finite_simplicial_group(ogs.objects[s.key])
-             for s in cat.subgroups}
-    for m in cat.all_morphisms():
-        src, tgt = m.src.key, m.tgt.key
-        sg_src, src_names = named[src]
-        sg_tgt, tgt_names = named[tgt]
-        conv = []
-        for q in range(ogs.top + 1):
-            h = ogs.maps[m.key][q]
-            conv.append({tgt_names[q][el]: src_names[q][h.apply(el)]
-                         for el in ogs.objects[tgt].levels[q].elements()})
-        for q in range(qmax + 1):
-            for t in total_elements(sg_tgt, q):
-                mapped_t = tuple(conv[q - j][t[j]] for j in range(q + 1))
-                for mm in range(q + 1):
-                    a = contraction(sg_tgt, mm, q, t)
-                    lhs = tuple(conv[q + 1 - j][a[j]] for j in range(q + 2))
-                    rhs = contraction(sg_src, mm, q, mapped_t)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"h_{mm} is not natural along {m.key} "
-                            f"at dimension {q}")

@@ -9,25 +9,17 @@ alternating vertex sum in every dimension, and its levelwise kernel
 K(A, n) is the model of cocycles.
 
 Everything is kept matrix-level over the presented group A, so the
-models work for any finitely generated A; element-level enumeration
-(for building the cocycle model as a bare simplicial set) needs A
-finite.
-
-Maps out of a complex into these models are the same thing as
-cochains: a map f corresponds to the cochain sending an n-simplex x
-to the value of f(x) on the full vertex set, and a cochain c to the
-map with f(y)(alpha) = c(y restricted along alpha).
+models work for any finitely generated A.  The canonical Cartan
+theory takes its terms from these models, and `em-info` counts the
+levels of K(A, n).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from .abgroups import AbHom, FgAbGroup, assemble_hom, direct_sum
 from .intmat import IntMatrix
-from .simplicial import (FiniteSimplicialSet, Materialized, SimplexRef,
-                         apply_monotone, materialize_complex, nondeg)
 
 
 def vertex_subsets(q: int, size: int) -> list[tuple[int, ...]]:
@@ -132,70 +124,3 @@ class CocycleModel:
     def deg_hom(self, j: int, q: int) -> AbHom:
         amb = self.ambient.deg_hom(j, q).compose(self.inclusions[q])
         return amb.factor_through(self.inclusions[q + 1])
-
-    def lift(self, q: int, vec: Sequence[int]):
-        """Canonical coordinates of the cocycle with the given ambient
-        generator coordinates, or None if it is not a cocycle."""
-        x = self.inclusions[q].preimage(vec)
-        return None if x is None else self.levels[q].from_vector(x)
-
-
-def materialize_cocycles(k: CocycleModel, truncation: int | None = None) \
-        -> Materialized:
-    """The cocycle model as a bare simplicial set; coefficients must be
-    finite."""
-    trunc = k.top if truncation is None else truncation
-    faces = {(i, q): k.face_hom(i, q)
-             for q in range(1, trunc + 1) for i in range(q + 1)}
-    degs = {(j, q): k.deg_hom(j, q)
-            for q in range(trunc) for j in range(q + 1)}
-
-    def id_of(q, el):
-        return f"z{q}[" + ",".join(str(c) for c in el) + "]"
-
-    return materialize_complex(
-        trunc, lambda q: k.levels[q].elements(),
-        lambda i, q, el: faces[(i, q)].apply(el),
-        lambda j, q, el: degs[(j, q)].apply(el),
-        id_of)
-
-
-# cochains of a complex <-> maps into the models --------------------
-
-def map_values_of_cocycle(fs: FiniteSimplicialSet, k: CocycleModel,
-                          mat: Materialized, values: dict[str, tuple]) \
-        -> dict[str, SimplexRef]:
-    """Values on cells of the map to the cocycle model induced by a
-    normalized cocycle; elements are canonical coordinates in the
-    coefficient group."""
-    zero = k.coeff.zero()
-    out = {}
-    for q in range(fs.truncation + 1):
-        for cid in fs.cells[q]:
-            coords = []
-            for alpha in k.ambient.subsets[q]:
-                r = apply_monotone(fs, alpha, nondeg(cid))
-                val = zero if r.word else values[r.base]
-                coords.extend(k.coeff.to_vector(val))
-            el = k.lift(q, coords)
-            if el is None:
-                raise ValueError(f"values do not form a cocycle at {cid!r}")
-            out[cid] = mat.ref_of(q, el)
-    return out
-
-
-def cocycle_of_map(fs: FiniteSimplicialSet, k: CocycleModel,
-                   mat: Materialized, values: dict[str, SimplexRef]) \
-        -> dict[str, tuple]:
-    """The cochain underlying a map into the cocycle model: the value
-    of f(x) on the full vertex set of an n-simplex x."""
-    n = k.n
-    out = {}
-    for cid in fs.cells.get(n, []):
-        el = mat.el_of_ref(values[cid])
-        amb = k.inclusions[n].apply(el)
-        # dimension n has the single subset (0, ..., n)
-        assert len(k.ambient.subsets[n]) == 1
-        gen_coords = k.ambient.levels[n].to_vector(amb)
-        out[cid] = k.coeff.from_vector(gen_coords[: k.coeff.ngens])
-    return out

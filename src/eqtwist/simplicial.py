@@ -245,27 +245,6 @@ def standard_simplex(n: int, truncation: int | None = None) -> FiniteSimplicialS
     return FiniteSimplicialSet(trunc, cells, faces)
 
 
-def apply_monotone(fs: FiniteSimplicialSet, alpha: Sequence[int],
-                   ref: SimplexRef) -> SimplexRef:
-    """Operator induced by a monotone map alpha: [len-1] -> [dim of ref].
-
-    Missing values act as faces taken top down, repeated values as
-    degeneracies taken bottom up.
-    """
-    q = fs.dim_of_ref(ref)
-    if any(alpha[k] > alpha[k + 1] for k in range(len(alpha) - 1)):
-        raise ValueError("map is not monotone")
-    if alpha and (alpha[0] < 0 or alpha[-1] > q):
-        raise ValueError("map exceeds the simplex dimension")
-    image = set(alpha)
-    out = ref
-    for v in sorted((v for v in range(q + 1) if v not in image), reverse=True):
-        out = fs.face(v, out)
-    for j in (k for k in range(len(alpha) - 1) if alpha[k] == alpha[k + 1]):
-        out = fs.degeneracy(j, out)
-    return out
-
-
 class SimplicialMap:
     """Map of simplicial sets, recorded on nondegenerate cells."""
 
@@ -401,25 +380,10 @@ class PairedComplex:
     def ref_of_pair(self, rx: SimplexRef, ry: SimplexRef) -> SimplexRef:
         return self._pack(rx, ry)
 
-    def projection_right(self) -> SimplicialMap:
-        vals = {cid: pair[1] for cid, pair in self.pair_of.items()}
-        return SimplicialMap(self.complex, self.right, vals)
-
-    def projection_left(self) -> SimplicialMap:
-        # simplicial only when there is no twist
-        vals = {cid: pair[0] for cid, pair in self.pair_of.items()}
-        return SimplicialMap(self.complex, self.left, vals)
-
-
-def product(x: FiniteSimplicialSet, y: FiniteSimplicialSet,
-            truncation: int | None = None) -> PairedComplex:
-    trunc = x.truncation + y.truncation if truncation is None else truncation
-    return PairedComplex(x, y, trunc)
-
 
 def cylinder(x: FiniteSimplicialSet, truncation: int | None = None) \
-        -> tuple[PairedComplex, SimplicialMap, SimplicialMap, SimplicialMap]:
-    """x times the interval, with the two end inclusions and the projection.
+        -> PairedComplex:
+    """x times the interval.
 
     The default truncation matches x, which is the right home for
     homotopies between maps out of x into targets of the same
@@ -427,17 +391,7 @@ def cylinder(x: FiniteSimplicialSet, truncation: int | None = None) \
     """
     trunc = x.truncation if truncation is None else truncation
     interval = standard_simplex(1, truncation=max(trunc, 1))
-    pc = PairedComplex(x, interval, trunc)
-    ends = []
-    for vertex in ("0", "1"):
-        vals = {}
-        for q, ids in x.cells.items():
-            vword = tuple(range(q - 1, -1, -1))
-            for cid in ids:
-                vals[cid] = pc.ref_of_pair(nondeg(cid),
-                                           SimplexRef(vword, vertex))
-        ends.append(SimplicialMap(x, pc.complex, vals, check=False))
-    return pc, ends[0], ends[1], pc.projection_left()
+    return PairedComplex(x, interval, trunc)
 
 
 # materialization of abstract levelwise data ------------------------
@@ -445,25 +399,16 @@ def cylinder(x: FiniteSimplicialSet, truncation: int | None = None) \
 class Materialized:
     """A complex built from explicit element sets with face/deg callables."""
 
-    __slots__ = ("complex", "el_of_id", "_ref", "_deg")
+    __slots__ = ("complex", "el_of_id", "_ref")
 
     def __init__(self, complex: FiniteSimplicialSet, el_of_id: dict,
-                 ref_table: dict, deg: Callable):
+                 ref_table: dict):
         self.complex = complex
         self.el_of_id = el_of_id
         self._ref = ref_table
-        self._deg = deg
 
     def ref_of(self, q: int, el) -> SimplexRef:
         return self._ref[(q, el)]
-
-    def el_of_ref(self, ref: SimplexRef):
-        el = self.el_of_id[ref.base]
-        d = self.complex.dim_of(ref.base)
-        for j in reversed(ref.word):
-            el = self._deg(j, d, el)
-            d += 1
-        return el
 
 
 def materialize_complex(truncation: int, elements: Callable, face: Callable,
@@ -517,4 +462,4 @@ def materialize_complex(truncation: int, elements: Callable, face: Callable,
             faces[cid] = tuple(ref_table[(q - 1, face(i, q, el))]
                                for i in range(q + 1))
     fs = FiniteSimplicialSet(truncation, cells, faces)
-    return Materialized(fs, el_of_id, ref_table, deg)
+    return Materialized(fs, el_of_id, ref_table)

@@ -22,12 +22,12 @@ above hold.
 
 from __future__ import annotations
 
-from .classifying import (Materialized, SimplicialFiniteGroup,
-                          classifying_complex)
+from .classifying import SimplicialFiniteGroup, classifying_complex
 from .equivariant import GSimplicialSet, OGComplex
 from .groups import FiniteGroup
 from .reader import STRING, entries
-from .simplicial import FiniteSimplicialSet, SimplexRef, SimplicialMap, nondeg
+from .simplicial import (FiniteSimplicialSet, Materialized, SimplexRef,
+                         SimplicialMap, nondeg)
 
 
 class GroupTwist:

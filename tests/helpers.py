@@ -24,7 +24,8 @@ polygons with actions that the Bredon oracle needs, the classifying
 complexes, with their universal twist, whose group cohomology has
 closed forms, the torus twisted along one factor, and a sign twist and
 edge-path transport on any complex with an action, for the assembly
-reference.
+reference.  The canonical theory plus an acyclic cone is the second
+valid Cartan theory the comparison runs on.
 """
 
 import itertools
@@ -36,11 +37,12 @@ from eqtwist.bredon import (EdgePathProvider, EquivariantCochains,
                             GroupTwistProvider, twisted_complex,
                             untwisted_complex)
 from eqtwist.cartan import (CartanTheory, LiftSystem, OGSimplicialAb,
-                            SimplicialAb, cylinder_with_action,
-                            element_preimage, kernel_term)
-from eqtwist.classifying import (SimplicialFiniteGroup, classifying_complex,
-                                 classifying_twist)
+                            SimplicialAb, canonical_theory,
+                            cylinder_with_action, element_preimage,
+                            kernel_term, simplicial_ab_of_model)
+from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.coefficients import CoefficientSystem, LocalSystem
+from eqtwist.em import CochainModel, delta_hom
 from eqtwist.edgepaths import (EdgeActionSystem, EdgeWord, PathChoice,
                                edge_endpoints)
 from eqtwist.equivariant import (CellOrbit, GSimplicialSet,
@@ -51,8 +53,10 @@ from eqtwist.groups import (FiniteGroup, OrbitCategory, OrbitMorphism,
 from eqtwist import intmat
 from eqtwist.intmat import IntMatrix, _add_row, _column_index
 from eqtwist.simplicial import (FiniteSimplicialSet, PairedComplex,
-                                SimplexRef, SimplicialMap, nondeg, product)
+                                SimplexRef, SimplicialMap, nondeg)
 from eqtwist.twisting import GroupTwist, classifying_map
+
+from verification import classifying_twist, product
 
 
 def load_gx(name: str) -> GSimplicialSet:
@@ -614,6 +618,94 @@ def with_blinded_psi(theory: CartanTheory, skey: str,
                         theory.deltas, psi, theory.i_max, theory.p_max)
 
 
+# a second valid theory ----------------------------------------------
+
+def _block_diag(source, target, mats) -> AbHom:
+    return assemble_hom(source, target,
+                        [((k, k), m) for k, m in enumerate(mats)])
+
+
+def _levelwise_sum(sabs: list[SimplicialAb]) -> SimplicialAb:
+    """The levelwise direct sum of simplicial abelian groups."""
+    levels = [direct_sum([s.levels[q] for s in sabs])
+              for q in range(sabs[0].top + 1)]
+    faces = {(q, i): _block_diag(levels[q], levels[q - 1],
+                                 [s.faces[(q, i)].matrix for s in sabs])
+             for q, i in sabs[0].faces}
+    degs = {(q, j): _block_diag(levels[q], levels[q + 1],
+                                [s.degs[(q, j)].matrix for s in sabs])
+            for q, j in sabs[0].degs}
+    return SimplicialAb(levels, faces, degs)
+
+
+def theory_plus_cone(cat: OrbitCategory, coeffs: CoefficientSystem,
+                     cone: FgAbGroup, i_max: int, p_max: int,
+                     unit: int = 1) -> CartanTheory:
+    """The canonical theory plus an acyclic cone on the constant group N:
+    A'^i = C(M, i) + C(N, i) + C(N, i - 1), the last summand absent at
+    i = 0, with delta(a, b) = (delta a, unit * a - delta b) on the cone
+    part, and the maps of the orbit category and psi the identity there.
+
+    With unit 1 each level of the cone is the mapping cone of the
+    identity, so it is exact with Z^0 = 0: the theory satisfies the
+    axioms and its lift cohomology is the canonical one, but its
+    coordinates do not project onto the coefficients.  With unit 2 it
+    is still a complex, of simplicial coefficient systems, but not an
+    exact one.
+    """
+    base = canonical_theory(cat, coeffs, i_max, p_max)
+    models = [CochainModel(cone, i, p_max) for i in range(i_max + 1)]
+    cones = [simplicial_ab_of_model(m) for m in models]
+
+    def parts(i):
+        return [cones[i]] + ([cones[i - 1]] if i else [])
+
+    def ones(i, q):
+        return [IntMatrix.identity(c.levels[q].ngens) for c in parts(i)]
+
+    terms, summed = [], {}
+    for i, term in enumerate(base.terms):
+        for sab in term.objects.values():
+            if sab not in summed:
+                summed[sab] = _levelwise_sum([sab] + parts(i))
+        objects = {k: summed[v] for k, v in term.objects.items()}
+        maps = {m.key: [_block_diag(objects[m.tgt.key].levels[q],
+                                    objects[m.src.key].levels[q],
+                                    [h.matrix] + ones(i, q))
+                        for q, h in enumerate(term.maps[m.key])]
+                for m in cat.all_morphisms()}
+        terms.append(OGSimplicialAb(cat, objects, maps))
+    deltas = []
+    for i in range(i_max):
+        cone_d = [delta_hom(models[i], models[i + 1], q).matrix
+                  for q in range(p_max + 1)]
+        below = [delta_hom(models[i - 1], models[i], q).matrix
+                 for q in range(p_max + 1)] if i else None
+        dd = {}
+        for s in cat.subgroups:
+            lower, upper = terms[i].objects[s.key], terms[i + 1].objects[s.key]
+            row = []
+            for q, h in enumerate(base.deltas[i][s.key]):
+                n = cones[i].levels[q].ngens
+                a = IntMatrix([[unit * (r == c) for c in range(n)]
+                               for r in range(n)], n)
+                blocks = [((0, 0), h.matrix), ((1, 1), cone_d[q]),
+                          ((2, 1), a)]
+                if i:
+                    blocks.append(((2, 2), -below[q]))
+                row.append(assemble_hom(lower.levels[q], upper.levels[q],
+                                        blocks))
+            dd[s.key] = row
+        deltas.append(dd)
+
+    def psi(skey, alpha, i, q):
+        level = terms[i].objects[skey].levels[q]
+        return _block_diag(level, level,
+                           [base.psi(skey, alpha, i, q).matrix] + ones(i, q))
+
+    return CartanTheory(cat, coeffs, terms, deltas, psi, i_max, p_max)
+
+
 # brute-force vertical homotopy search --------------------------------
 # The reference that cartan.vertical_homotopy is checked against.
 
@@ -637,7 +729,7 @@ def vertical_homotopy_oracle(ls: LiftSystem, n: int, f, g,
     provider = ls.provider
     if n >= theory.i_max:
         raise ValueError("kernel term needs the next differential")
-    pc, _i0, _i1, _pr, gcyl = cylinder_with_action(ec.gx)
+    pc, gcyl = cylinder_with_action(ec.gx)
     space = pc.complex
     maxdim = 0
     for q, ids in space.cells.items():

@@ -24,28 +24,14 @@ from eqtwist.cartan import (
     LiftSystem,
     canonical_theory,
     check_axioms,
-    contraction_is_natural,
     crosscheck_theorem,
-    element_in_image,
-    finite_simplicial_group,
     kernel_term,
     moore_homotopy,
     vertical_homotopy,
 )
-from eqtwist.classifying import (
-    SimplicialFiniteGroup,
-    classifying_complex,
-    classifying_twist,
-    contraction_identities,
-    total_complex,
-)
+from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.coefficients import CoefficientSystem
-from eqtwist.em import (
-    CocycleModel,
-    cocycle_of_map,
-    map_values_of_cocycle,
-    materialize_cocycles,
-)
+from eqtwist.em import CocycleModel
 from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path
 from eqtwist.groups import FiniteGroup
@@ -68,6 +54,18 @@ from helpers import (
     with_blinded_psi,
     with_zero_delta,
     zero_theory,
+)
+from verification import (
+    classifying_twist,
+    cocycle_of_map,
+    contraction_identities,
+    contraction_is_natural,
+    element_in_image,
+    finite_simplicial_group,
+    map_values_of_cocycle,
+    materialize_cocycles,
+    projection_right,
+    total_complex,
 )
 
 Z = FgAbGroup.from_relations(1, [[0]])
@@ -141,7 +139,7 @@ def test_criterion_4_twisting_suite():
             GroupTwist(wbar.complex, pi, values)
             pc, _fiber, _base = total_complex(sg, trunc)
             pc.complex.validate()
-            pc.projection_right().validate()
+            projection_right(pc).validate()
         c2 = FiniteGroup.cyclic(2)
         d2 = standard_simplex(2)
         sg2 = SimplicialFiniteGroup.constant(c2, 2)

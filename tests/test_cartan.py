@@ -10,19 +10,13 @@ from eqtwist.cartan import (
     LiftSystem,
     canonical_theory,
     check_axioms,
-    contraction_is_natural,
     crosscheck_theorem,
-    element_in_image,
-    finite_simplicial_group,
     kernel_term,
     moore_homotopy,
     theory_cohomology,
     vertical_homotopy,
 )
-from eqtwist.classifying import (
-    SimplicialFiniteGroup,
-    contraction_identities,
-)
+from eqtwist.classifying import SimplicialFiniteGroup
 from eqtwist.coefficients import CoefficientSystem
 from eqtwist.equivariant import GSimplicialSet
 from eqtwist.fixtures import fixture_path, load_json, load_setup
@@ -41,6 +35,7 @@ from helpers import (
     s1_twisted,
     s1_untwisted,
     sign_local_system,
+    theory_plus_cone,
     triangle_kappa,
     universal_twist,
     vertical_homotopy_oracle,
@@ -49,6 +44,12 @@ from helpers import (
     with_nonzero_square,
     with_zero_delta,
     zero_theory,
+)
+from verification import (
+    contraction_identities,
+    contraction_is_natural,
+    element_in_image,
+    finite_simplicial_group,
 )
 
 Z = FgAbGroup.from_relations(1, [[0]])
@@ -484,6 +485,51 @@ def test_comparison_accepts_an_explicit_theory():
     assert report["iso"] is True
 
 
+CONE_SETUPS = {
+    "s1 sign Z": lambda: s1_twisted(Z),
+    "s1 sign Z4": lambda: s1_twisted(Z4),
+    "s1 Z2": lambda: s1_untwisted(Z2),
+    "refs1 Z": lambda: refs1_setup(Z),
+    "triangle Z": lambda: triangle_kappa(Z),
+    "5-gon sign Z": lambda: ngon_twisted(5, Z),
+}
+
+
+def _cone_comparison(setup, cone, unit=1):
+    """The axiom report and the comparison of the canonical theory plus
+    a cone on `cone`, at the bounds crosscheck_theorem picks itself."""
+    gx, cat, system, provider = setup
+    nmax = min(gx.space.truncation, 2)
+    theory = theory_plus_cone(cat, system, cone, nmax + 1,
+                              max(gx.space.dimension, nmax + 1), unit)
+    return check_axioms(theory), crosscheck_theorem(
+        gx, cat, system, provider, nmax, theory=theory)
+
+
+@pytest.mark.parametrize("cone", [Z, Z2], ids=["Z", "Z2"])
+@pytest.mark.parametrize("name", sorted(CONE_SETUPS))
+def test_a_theory_plus_a_cone_is_valid_and_compares(name, cone):
+    # a second valid theory: its lift cohomology is the canonical one,
+    # and its coordinates have no cochain-level map to compare
+    setup = CONE_SETUPS[name]()
+    report, comparison = _cone_comparison(setup, cone)
+    assert report.all_ok
+    canonical = crosscheck_theorem(*setup, min(setup[0].space.truncation, 2))
+    assert comparison["degrees"] == canonical["degrees"]
+    assert comparison["all_match"] is True
+    assert comparison["iso"] is None and comparison["commutes"] is None
+
+
+def test_a_cone_on_twice_the_identity_fails_exactness_and_the_comparison():
+    report, comparison = _cone_comparison(CONE_SETUPS["s1 sign Z"](), Z,
+                                          unit=2)
+    assert verdicts(report) == [True, False, True, True, True]
+    assert "  cohomology C2 at degree 1, e, level 0" in report.lines()
+    assert [d["lift"] for d in comparison["degrees"]] == ["0", "C2 x C2",
+                                                         "C2"]
+    assert comparison["all_match"] is False
+
+
 def test_comparison_refuses_a_degree_above_the_truncation():
     # the truncation-1 square: degree 2 is refused with the line the
     # command line prints, before any cochain is built
@@ -499,7 +545,7 @@ def test_comparison_lets_an_exhausted_budget_through(monkeypatch):
     with column_budget(3), pytest.raises(BudgetExceeded):
         crosscheck_theorem(gx, cat, system, provider, 2)
 
-    # raised inside the iso step, whose ValueError means "no iso"
+    # raised inside the iso step, whose NonCanonical error means "no iso"
     def exhausted(self, n):
         raise BudgetExceeded("synthetic")
     monkeypatch.setattr(LiftSystem, "bredon_iso", exhausted)

@@ -2,13 +2,14 @@
 
 import pytest
 
-from eqtwist.classifying import (SimplicialFiniteGroup, basepoint_tuple,
-                                 classifying_complex, classifying_twist,
-                                 contraction, contraction_identities,
-                                 group_complex, total_complex,
-                                 total_elements, total_face)
+from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.groups import FiniteGroup
 from eqtwist.simplicial import SimplexRef, nondeg
+
+from verification import (basepoint_tuple, classifying_twist, contraction,
+                          contraction_identities, group_complex,
+                          projection_right, total_complex, total_elements,
+                          total_face)
 
 
 def test_classifying_level_counts():
@@ -78,7 +79,7 @@ def test_group_complex_of_constant_group_is_a_point_tower():
 def test_total_complex_fibers_over_base():
     sg = SimplicialFiniteGroup.constant(FiniteGroup.cyclic(2), 3)
     pc, fiber, base = total_complex(sg, 3)
-    pr = pc.projection_right()
+    pr = projection_right(pc)
     # fibers over the vertex: |pi| many vertices upstairs
     assert len(pc.complex.cells[0]) == 2
     pr.validate()

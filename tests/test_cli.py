@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from eqtwist import cli, fixtures
+from eqtwist.abgroups import AbHom
 from eqtwist.fixtures import fixture_path
 from eqtwist.groups import FiniteGroup
 
@@ -398,6 +399,19 @@ def test_crosscheck_defaults_nmax_to_the_truncation_when_it_is_below_two(
                     "--coeffs", fx("coeffs_z.json"))
     assert [e["degree"] for e in data["degrees"]] == [0, 1]
     assert data["all_match"] is True
+
+
+def test_an_error_inside_the_comparison_is_an_invariant_breach(
+        capsys, monkeypatch):
+    # only a theory whose coordinates do not project onto the
+    # coefficients leaves iso and commutes null; any other error of the
+    # iso step is the library's own
+    def boom(self):
+        raise ValueError("boom")
+    monkeypatch.setattr(AbHom, "is_iso", boom)
+    code, out, err = run(capsys, "crosscheck", "--complex", fx("s1.json"),
+                         "--coeffs", fx("coeffs_z.json"), "--format", "text")
+    assert (code, out, err) == (3, "", "internal invariant breach: boom\n")
 
 
 def test_a_missing_input_file_is_an_input_error(capsys, tmp_path):

@@ -6,15 +6,12 @@ import pytest
 
 from eqtwist.abgroups import FgAbGroup
 from eqtwist.cartan import canonical_theory, kernel_term, moore_homotopy
-from eqtwist.em import (
-    CocycleModel,
-    cocycle_of_map,
-    map_values_of_cocycle,
-    materialize_cocycles,
-)
+from eqtwist.em import CocycleModel
 from eqtwist.simplicial import SimplicialMap, nondeg
 
 from helpers import circle_gx, constant_setup, delta2_gx
+from verification import (cocycle_of_map, map_values_of_cocycle,
+                          materialize_cocycles)
 
 
 def cyclic(k):

@@ -4,12 +4,13 @@ identities, products, cylinders."""
 from hypothesis import given, strategies as st
 
 from eqtwist.simplicial import (FiniteSimplicialSet, SimplexRef,
-                                SimplicialMap, cylinder, fmt_ref,
-                                insert_degeneracy, nondeg, pair_normalize,
-                                parse_ref, product, standard_simplex,
-                                valid_words, word_is_valid)
+                                SimplicialMap, fmt_ref, insert_degeneracy,
+                                nondeg, pair_normalize, parse_ref,
+                                standard_simplex, valid_words, word_is_valid)
 
 from helpers import circle_gx, triangle_gx
+from verification import (cylinder_with_ends, product, projection_left,
+                          projection_right)
 
 
 def nondeg_counts(fs):
@@ -92,8 +93,8 @@ def test_torus_as_product_of_circles():
     assert nondeg_counts(pc.complex)[:3] == (1, 3, 2)
     # Euler characteristic of the torus vanishes
     assert 1 - 3 + 2 == 0
-    pc.projection_left().validate()
-    pc.projection_right().validate()
+    projection_left(pc).validate()
+    projection_right(pc).validate()
 
 
 def test_square_as_product_of_intervals():
@@ -105,7 +106,7 @@ def test_square_as_product_of_intervals():
 
 def test_cylinder_of_circle():
     s1 = circle_gx().space
-    pc, i0, i1, pr = cylinder(s1)
+    pc, i0, i1, pr = cylinder_with_ends(s1)
     pc.complex.validate()
     i0.validate()
     i1.validate()

@@ -8,13 +8,13 @@ must be equivalent to the identities.
 
 import pytest
 
-from eqtwist.classifying import (SimplicialFiniteGroup, classifying_complex,
-                                 classifying_twist, total_complex)
+from eqtwist.classifying import SimplicialFiniteGroup, classifying_complex
 from eqtwist.groups import FiniteGroup
 from eqtwist.simplicial import nondeg, standard_simplex
 from eqtwist.twisting import GroupTwist, classifying_map
 
 from helpers import circle_gx, trivial_twist
+from verification import classifying_twist, projection_right, total_complex
 
 STRUCTURE_GROUPS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(4),
                     FiniteGroup.symmetric3()]
@@ -42,7 +42,7 @@ def test_twisted_product_is_simplicial(pi):
     pc, fiber, base = total_complex(sg, trunc)
     pc.complex.validate()
     # the base projection of a twisted product stays simplicial
-    pc.projection_right().validate()
+    projection_right(pc).validate()
 
 
 VALID_D2 = {"0-1": "t", "0-2": "t", "1-2": "e", "0-1-2": "t"}
